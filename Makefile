@@ -45,9 +45,9 @@ bench-gate:
 # Float-boxing tripwire: recompile the integer-ns scheduling core
 # (time / event_queue / timer_wheel / engine) with ocamlopt -dcmm and
 # fail if any hot function boxes a float outside the documented
-# seconds boundary (DESIGN.md §15). Runs as a non-fatal ci stage: a
-# finding warrants investigation, not an automatic red build, since
-# the Cmm shapes it greps are compiler-version-sensitive.
+# seconds boundary (DESIGN.md §15). The Cmm shapes it greps are
+# compiler-version-sensitive, so the script is pinned to ocamlopt
+# 5.1.1: a fatal ci stage there, a printed skip on any other compiler.
 lint-box:
 	sh tools/lint_box.sh
 
@@ -138,8 +138,8 @@ coverage-summary:
 # adaptive-adversary smokes, and the perf
 # regression gate (allocation budget + events/sec scaling floor + raw
 # engine events/sec floor + sharded scaling floor) against the
-# recorded BENCH_PR*.json lineage, then the non-fatal float-boxing
-# lint over the scheduling core.
+# recorded BENCH_PR*.json lineage, then the float-boxing lint over the
+# scheduling core (fatal on the pinned compiler, see lint-box).
 ci:
 	dune build @all
 	dune runtest
@@ -149,7 +149,7 @@ ci:
 	$(MAKE) --no-print-directory hoststack-smoke
 	$(MAKE) --no-print-directory reorder-smoke
 	dune exec bench/main.exe -- gate
-	-$(MAKE) --no-print-directory lint-box
+	$(MAKE) --no-print-directory lint-box
 	-@$(MAKE) --no-print-directory coverage
 
 doc:

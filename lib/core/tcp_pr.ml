@@ -154,37 +154,18 @@ let get_state t seq = Char.code (Bytes.unsafe_get t.state (slot t seq))
 
 let set_state t seq st = Bytes.unsafe_set t.state (slot t seq) (Char.unsafe_chr st)
 
-(* Grow the packet ring so the active span fits, re-placing every
-   in-span seq at its new slot (slots shift because the mask changes). *)
-let grow_ring t ~span =
-  let ocap = t.cap in
-  let ncap = ref ocap in
-  while span > !ncap do
-    ncap := 2 * !ncap
-  done;
-  let ncap = !ncap in
-  let state = Bytes.make ncap '\000' in
-  let sent_at = Float.Array.make ncap 0. in
-  let cwnd_send = Float.Array.make ncap 0. in
-  let original_at = Float.Array.make ncap 0. in
-  let omask = ocap - 1 in
-  let nmask = ncap - 1 in
-  for seq = t.snd_una to t.next_new - 1 do
-    let o = seq land omask in
-    let n = seq land nmask in
-    Bytes.unsafe_set state n (Bytes.unsafe_get t.state o);
-    Float.Array.unsafe_set sent_at n (Float.Array.unsafe_get t.sent_at o);
-    Float.Array.unsafe_set cwnd_send n (Float.Array.unsafe_get t.cwnd_send o);
-    Float.Array.unsafe_set original_at n
-      (Float.Array.unsafe_get t.original_at o)
-  done;
-  t.cap <- ncap;
-  t.state <- state;
-  t.sent_at <- sent_at;
-  t.cwnd_send <- cwnd_send;
-  t.original_at <- original_at
-
-let ensure_span t ~span = if span > t.cap then grow_ring t ~span
+(* Grow the packet ring so the active span fits; called before a seq is
+   admitted at the top of the span (see {!Tcp.Seq_ring}). *)
+let ensure_span t ~span =
+  if span > t.cap then begin
+    let cap = Tcp.Seq_ring.cap_for ~cap:t.cap ~span in
+    let lo = t.snd_una and hi = t.next_new in
+    t.state <- Tcp.Seq_ring.regrow_bytes t.state ~cap ~lo ~hi;
+    t.sent_at <- Tcp.Seq_ring.regrow_floats t.sent_at ~cap ~lo ~hi;
+    t.cwnd_send <- Tcp.Seq_ring.regrow_floats t.cwnd_send ~cap ~lo ~hi;
+    t.original_at <- Tcp.Seq_ring.regrow_floats t.original_at ~cap ~lo ~hi;
+    t.cap <- cap
+  end
 
 let so_push t ~seq ~time =
   let cap = Array.length t.so_seq in

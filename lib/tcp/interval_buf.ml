@@ -1,27 +1,30 @@
-(* Mutable sorted interval set over ints — the in-place counterpart of
-   {!Intervals}, for the receiver's per-packet hot path. Disjoint,
-   non-adjacent [(first, last)] pairs live in two parallel int arrays;
-   membership and insertion shift in place, so steady-state churn
-   (add / drain / remove_below per arrival) allocates nothing. The
+(* Mutable sorted interval set over ints, for the per-packet and
+   per-ACK hot paths: the receiver's out-of-order buffer and the SACK
+   sender's scoreboards. Disjoint, non-adjacent [(first, last)] pairs
+   live in two parallel int arrays, and the element count is kept
+   alongside so [cardinal] is O(1). Every operation shifts in place, so
+   steady-state churn (add / drain / remove_below per arrival, SACK
+   merges and retransmission hand-offs per ACK) allocates nothing. The
    arrays only ever double, and interval counts are small (holes in a
-   receive window), so the O(n) shifts are a few word moves. *)
+   window), so the O(n) shifts are a few word moves. *)
 
 type t = {
   mutable firsts : int array;
   mutable lasts : int array;
   mutable n : int;
+  mutable card : int;
 }
 
-let create () = { firsts = Array.make 8 0; lasts = Array.make 8 0; n = 0 }
+let create () =
+  { firsts = Array.make 8 0; lasts = Array.make 8 0; n = 0; card = 0 }
 
 let is_empty t = t.n = 0
 
-let cardinal t =
-  let acc = ref 0 in
-  for i = 0 to t.n - 1 do
-    acc := !acc + t.lasts.(i) - t.firsts.(i) + 1
-  done;
-  !acc
+let cardinal t = t.card
+
+let clear t =
+  t.n <- 0;
+  t.card <- 0
 
 (* Index of the interval containing [x], or -1. *)
 let find t x =
@@ -40,6 +43,20 @@ let first t i = t.firsts.(i)
 
 let last t i = t.lasts.(i)
 
+let min_elt t = if t.n = 0 then raise Not_found else t.firsts.(0)
+
+let max_elt t = if t.n = 0 then raise Not_found else t.lasts.(t.n - 1)
+
+let nth_smallest t k =
+  if k < 0 || k >= t.card then raise Not_found;
+  let i = ref 0 in
+  let k = ref k in
+  while !k > Array.unsafe_get t.lasts !i - Array.unsafe_get t.firsts !i do
+    k := !k - (Array.unsafe_get t.lasts !i - Array.unsafe_get t.firsts !i + 1);
+    incr i
+  done;
+  t.firsts.(!i) + !k
+
 let grow t =
   let cap = Array.length t.firsts in
   let firsts = Array.make (2 * cap) 0 in
@@ -49,54 +66,92 @@ let grow t =
   t.firsts <- firsts;
   t.lasts <- lasts
 
-(* Insert the single element [x], merging with neighbours exactly as
-   [Intervals.add] does. *)
-let add t x =
-  (* First interval not entirely left of [x - 1] (i.e. last + 1 >= x). *)
+(* Move intervals [src, n) to start at [dst]. *)
+let shift_tail t ~src ~dst =
+  Array.blit t.firsts src t.firsts dst (t.n - src);
+  Array.blit t.lasts src t.lasts dst (t.n - src);
+  t.n <- t.n + dst - src
+
+(* Replace intervals [i, j) by the single [(first, last)]; [j = i]
+   inserts it before interval [i]. The tail moves only when the number
+   of intervals changes. *)
+let splice_one t ~i ~j ~first ~last =
+  if j <> i + 1 then begin
+    if j = i && t.n = Array.length t.firsts then grow t;
+    shift_tail t ~src:j ~dst:(i + 1)
+  end;
+  t.firsts.(i) <- first;
+  t.lasts.(i) <- last
+
+let add_range t ~first ~last =
+  assert (first <= last);
+  (* [i]: first interval not entirely left of [first - 1]; [j]: first
+     interval entirely right of [last + 1]. Everything in [i, j)
+     overlaps or abuts the range and merges into it. *)
   let i = ref 0 in
-  while !i < t.n && Array.unsafe_get t.lasts !i + 1 < x do
+  while !i < t.n && Array.unsafe_get t.lasts !i + 1 < first do
     incr i
   done;
   let i = !i in
-  if i = t.n then begin
-    (* Beyond everything: append. *)
-    if t.n = Array.length t.firsts then grow t;
-    t.firsts.(i) <- x;
-    t.lasts.(i) <- x;
-    t.n <- t.n + 1
-  end
-  else if x + 1 < t.firsts.(i) then begin
-    (* Strictly before interval [i]: insert. *)
-    if t.n = Array.length t.firsts then grow t;
-    Array.blit t.firsts i t.firsts (i + 1) (t.n - i);
-    Array.blit t.lasts i t.lasts (i + 1) (t.n - i);
-    t.firsts.(i) <- x;
-    t.lasts.(i) <- x;
-    t.n <- t.n + 1
-  end
-  else begin
-    (* Overlapping or adjacent: extend [i], then absorb a bridged
-       successor (a single element can bridge at most one). *)
-    if x < t.firsts.(i) then t.firsts.(i) <- x;
-    if x > t.lasts.(i) then t.lasts.(i) <- x;
-    if i + 1 < t.n && t.firsts.(i + 1) <= t.lasts.(i) + 1 then begin
-      if t.lasts.(i + 1) > t.lasts.(i) then t.lasts.(i) <- t.lasts.(i + 1);
-      Array.blit t.firsts (i + 2) t.firsts (i + 1) (t.n - i - 2);
-      Array.blit t.lasts (i + 2) t.lasts (i + 1) (t.n - i - 2);
-      t.n <- t.n - 1
+  let j = ref i in
+  let absorbed = ref 0 in
+  while !j < t.n && Array.unsafe_get t.firsts !j <= last + 1 do
+    let a = Array.unsafe_get t.firsts !j and b = Array.unsafe_get t.lasts !j in
+    absorbed := !absorbed + b - a + 1;
+    incr j
+  done;
+  let j = !j in
+  let first = if j > i && t.firsts.(i) < first then t.firsts.(i) else first in
+  let last =
+    if j > i && t.lasts.(j - 1) > last then t.lasts.(j - 1) else last
+  in
+  t.card <- t.card - !absorbed + (last - first + 1);
+  splice_one t ~i ~j ~first ~last
+
+let add t x = add_range t ~first:x ~last:x
+
+let remove_range t ~first ~last =
+  assert (first <= last);
+  (* [i, j): the intervals overlapping the range. *)
+  let i = ref 0 in
+  while !i < t.n && Array.unsafe_get t.lasts !i < first do
+    incr i
+  done;
+  let i = !i in
+  let j = ref i in
+  let removed = ref 0 in
+  while !j < t.n && Array.unsafe_get t.firsts !j <= last do
+    let a = Array.unsafe_get t.firsts !j and b = Array.unsafe_get t.lasts !j in
+    let a = if a > first then a else first in
+    let b = if b < last then b else last in
+    removed := !removed + b - a + 1;
+    incr j
+  done;
+  let j = !j in
+  if j > i then begin
+    (* Keep the fragments outside the range: at most one on each end. *)
+    let lo = t.firsts.(i) and hi = t.lasts.(j - 1) in
+    t.card <- t.card - !removed;
+    if hi > last then begin
+      splice_one t ~i ~j ~first:(last + 1) ~last:hi;
+      if lo < first then splice_one t ~i ~j:i ~first:lo ~last:(first - 1)
     end
+    else if lo < first then splice_one t ~i ~j ~first:lo ~last:(first - 1)
+    else shift_tail t ~src:j ~dst:i
   end
 
 let remove_below t x =
-  (* Drop intervals entirely below [x]; clip one straddling it. *)
-  let i = ref 0 in
-  while !i < t.n && Array.unsafe_get t.lasts !i < x do
-    incr i
+  if t.n > 0 && t.firsts.(0) < x then
+    remove_range t ~first:t.firsts.(0) ~last:(x - 1)
+
+let to_list t = List.init t.n (fun i -> (t.firsts.(i), t.lasts.(i)))
+
+let invariant t =
+  let ok = ref (t.n >= 0 && t.n <= Array.length t.firsts) in
+  let card = ref 0 in
+  for i = 0 to t.n - 1 do
+    if t.firsts.(i) > t.lasts.(i) then ok := false;
+    if i > 0 && t.lasts.(i - 1) + 1 >= t.firsts.(i) then ok := false;
+    card := !card + t.lasts.(i) - t.firsts.(i) + 1
   done;
-  let i = !i in
-  if i > 0 then begin
-    Array.blit t.firsts i t.firsts 0 (t.n - i);
-    Array.blit t.lasts i t.lasts 0 (t.n - i);
-    t.n <- t.n - i
-  end;
-  if t.n > 0 && t.firsts.(0) < x then t.firsts.(0) <- x
+  !ok && !card = t.card

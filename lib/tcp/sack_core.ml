@@ -100,11 +100,17 @@ type t = {
   mutable dupthresh : int;
   mutable in_recovery : bool;
   mutable recovery_point : int;
-  mutable sacked : Intervals.t;
-  (* Segments declared lost, awaiting retransmission. *)
-  mutable lost_pending : Intervals.t;
-  (* Segments retransmitted and considered back in flight. *)
-  mutable retx_out : Intervals.t;
+  (* The RFC 6675 scoreboard, in place. [sacked] and [lost_pending]
+     (segments declared lost, awaiting retransmission) are disjoint;
+     [retx_out] holds segments retransmitted and considered back in
+     flight. *)
+  sacked : Interval_buf.t;
+  lost_pending : Interval_buf.t;
+  retx_out : Interval_buf.t;
+  (* Loss-marking watermark: every seq in [snd_una, lost_scan_hi] is
+     SACKed, lost-pending or in [retx_out], so IsLost only ever looks
+     above it (DESIGN.md §18). *)
+  mutable lost_scan_hi : int;
   mutable episode_dups : int;
   mutable td_armed : bool;
   (* Right edge of the receiver's advertised window: new data may be
@@ -116,8 +122,17 @@ type t = {
   mutable n_ooo_events : int;
   rto : Rto.t;
   mutable rto_armed : bool;
-  send_times : (int, float) Hashtbl.t;
-  ever_retransmitted : (int, unit) Hashtbl.t;
+  (* Per-sequence ring over [snd_una, snd_next) ({!Seq_ring}, TCP-PR's
+     layout): slot [seq land (cap - 1)] holds the last send time and an
+     ever-retransmitted flag byte (Karn's rule). Slots alias seqs modulo
+     [cap], so reads of a seq that may lie outside the span guard on it
+     first; acknowledged slots have their flag cleared. *)
+  mutable cap : int;
+  mutable sent_at : floatarray;
+  mutable retx_flag : Bytes.t;
+  (* Whether the response ever reads a [retx_event]: DSACK reactions
+     and Eifel do; plain SACK, TD-FR and TCP-DOOR record none. *)
+  keeps_events : bool;
   retx_events : (int, retx_event) Hashtbl.t;
   (* metrics *)
   mutable n_sent : int;
@@ -130,6 +145,11 @@ type t = {
 let fget t i = Float.Array.unsafe_get t.fs i
 
 let fset t i v = Float.Array.unsafe_set t.fs i v
+
+(* 256 slots, not TCP-PR's 64: a smaller ring would shrink [create]'s
+   allocation, and the benchmark's set-up timing is sensitive to that
+   (ROADMAP, benchmark items). *)
+let initial_cap = 256
 
 let create ?(response = plain_sack) ?(trigger = Immediate) ?(door = false)
     config =
@@ -157,9 +177,10 @@ let create ?(response = plain_sack) ?(trigger = Immediate) ?(door = false)
     dupthresh = config.Config.dupthresh;
     in_recovery = false;
     recovery_point = -1;
-    sacked = Intervals.empty;
-    lost_pending = Intervals.empty;
-    retx_out = Intervals.empty;
+    sacked = Interval_buf.create ();
+    lost_pending = Interval_buf.create ();
+    retx_out = Interval_buf.create ();
+    lost_scan_hi = -1;
     episode_dups = 0;
     td_armed = false;
     (* The sender shares [Config.t] with the receiver, so it knows the
@@ -172,8 +193,12 @@ let create ?(response = plain_sack) ?(trigger = Immediate) ?(door = false)
     n_ooo_events = 0;
     rto = Rto.create config;
     rto_armed = false;
-    send_times = Hashtbl.create 256;
-    ever_retransmitted = Hashtbl.create 64;
+    cap = initial_cap;
+    sent_at = Float.Array.make initial_cap 0.;
+    retx_flag = Bytes.make initial_cap '\000';
+    keeps_events =
+      (response.react_to_dsack && response.detection = Dsack)
+      || response.detection = Timestamp;
     retx_events = Hashtbl.create 64;
     n_sent = 0;
     n_retx = 0;
@@ -205,7 +230,9 @@ let all_data_sent t =
    lost-and-not-yet-retransmitted. Retransmitted segments are in
    [retx_out], i.e. no longer in [lost_pending], so they count. *)
 let pipe t =
-  flight t - Intervals.cardinal t.sacked - Intervals.cardinal t.lost_pending
+  flight t
+  - Interval_buf.cardinal t.sacked
+  - Interval_buf.cardinal t.lost_pending
 
 let metrics t =
   [ ("sent", float_of_int t.n_sent);
@@ -232,35 +259,71 @@ let disarm_rto t buf =
   t.rto_armed <- false;
   Action_buffer.cancel_timer buf ~key:rto_key
 
+(* --- per-sequence ring ------------------------------------------------ *)
+
+let in_span t seq = seq >= t.snd_una && seq < t.snd_next
+
+let slot t seq = seq land (t.cap - 1)
+
+let last_sent t seq = Float.Array.unsafe_get t.sent_at (slot t seq)
+
+let ever_retransmitted t seq =
+  Bytes.unsafe_get t.retx_flag (slot t seq) <> '\000'
+
+(* Called before a seq is admitted at the top of the span (see
+   {!Seq_ring}). *)
+let ensure_span t ~span =
+  if span > t.cap then begin
+    let cap = Seq_ring.cap_for ~cap:t.cap ~span in
+    let lo = t.snd_una and hi = t.snd_next in
+    t.sent_at <- Seq_ring.regrow_floats t.sent_at ~cap ~lo ~hi;
+    t.retx_flag <- Seq_ring.regrow_bytes t.retx_flag ~cap ~lo ~hi;
+    t.cap <- cap
+  end
+
+(* [seq] is in span: new data was just admitted to it, retransmissions
+   come from the scoreboard, which never holds a seq outside it. *)
 let send t ~now ~seq ~retx buf =
   t.n_sent <- t.n_sent + 1;
   if retx then begin
     t.n_retx <- t.n_retx + 1;
-    Hashtbl.replace t.ever_retransmitted seq ();
-    t.retx_out <- Intervals.add t.retx_out seq;
-    Hashtbl.replace t.retx_events seq
-      { cwnd_before = fget t cwnd_prior_;
-        dups_observed = t.episode_dups;
-        finalised = false }
+    Bytes.unsafe_set t.retx_flag (slot t seq) '\001';
+    Interval_buf.add t.retx_out seq;
+    if t.keeps_events then
+      Hashtbl.replace t.retx_events seq
+        { cwnd_before = fget t cwnd_prior_;
+          dups_observed = t.episode_dups;
+          finalised = false }
   end;
-  Hashtbl.replace t.send_times seq now;
+  Float.Array.unsafe_set t.sent_at (slot t seq) now;
   if retx then Action_buffer.send_retx buf ~seq
   else Action_buffer.send buf ~seq
 
 (* Declare lost every unSACKed segment with >= dupthresh SACKed
-   segments above it (RFC 3517 IsLost at packet granularity). *)
+   segments above it (RFC 6675 IsLost at packet granularity). Those
+   segments are exactly [snd_una, s*], with s* one below the
+   dupthresh-th highest SACKed seq. Marks are never withdrawn, and
+   everything up to [lost_scan_hi] is already accounted for, so only
+   the seqs above the watermark need a look: per ACK the cost follows
+   how far s* moved, not the window. *)
 let update_lost_dupthresh t =
-  match Intervals.max_elt t.sacked with
-  | None -> ()
-  | Some high_sacked ->
-    for seq = t.snd_una to high_sacked - 1 do
-      if
-        (not (Intervals.mem t.sacked seq))
-        && (not (Intervals.mem t.lost_pending seq))
-        && (not (Intervals.mem t.retx_out seq))
-        && Intervals.count_above t.sacked seq >= t.dupthresh
-      then t.lost_pending <- Intervals.add t.lost_pending seq
-    done
+  let n = Interval_buf.cardinal t.sacked in
+  if n >= t.dupthresh then begin
+    let s_star = Interval_buf.nth_smallest t.sacked (n - t.dupthresh) - 1 in
+    if s_star > t.lost_scan_hi then begin
+      let lo =
+        if t.lost_scan_hi < t.snd_una then t.snd_una else t.lost_scan_hi + 1
+      in
+      for seq = lo to s_star do
+        if
+          (not (Interval_buf.mem t.sacked seq))
+          && (not (Interval_buf.mem t.lost_pending seq))
+          && not (Interval_buf.mem t.retx_out seq)
+        then Interval_buf.add t.lost_pending seq
+      done;
+      t.lost_scan_hi <- s_star
+    end
+  end
 
 let rack_rtt t = Rto.srtt_or t.rto ~default:t.config.Config.initial_rto
 
@@ -277,30 +340,27 @@ let update_lost_rack t ~now =
   let rtt = rack_rtt t in
   for seq = t.snd_una to t.snd_next - 1 do
     if
-      (not (Intervals.mem t.sacked seq))
-      && (not (Intervals.mem t.lost_pending seq))
-      && not (Intervals.mem t.retx_out seq)
+      (not (Interval_buf.mem t.sacked seq))
+      && (not (Interval_buf.mem t.lost_pending seq))
+      && not (Interval_buf.mem t.retx_out seq)
     then begin
-      (* [find] + exception: this runs once per in-flight segment per
-         ACK, and a [Some] box per probe dominated RACK's per-ACK
-         allocation. *)
-      match Hashtbl.find t.send_times seq with
-      | sent when fget t rack_xmit_time_ >= sent ->
+      let sent = last_sent t seq in
+      if fget t rack_xmit_time_ >= sent then begin
         (* Covered: a segment sent at or after this one was delivered.
            Lost once the coverage is older than reo_wnd, or when the
            reordering timer runs out (the epsilon keeps a timer firing
            exactly at its deadline from re-arming at the same instant
-           forever). *)
+           forever). Uncovered segments are the RTO's job. *)
         if
           fget t rack_xmit_time_ -. sent > reo_wnd
           || now -. sent >= rtt +. reo_wnd -. 1e-9
-        then t.lost_pending <- Intervals.add t.lost_pending seq
+        then Interval_buf.add t.lost_pending seq
         else begin
           let deadline = sent +. rtt +. reo_wnd in
           if deadline < fget t rack_deadline_ then
             fset t rack_deadline_ deadline
         end
-      | _ (* uncovered: the RTO's job *) | (exception Not_found) -> ()
+      end
     end
   done
 
@@ -321,6 +381,13 @@ let retransmit_allowed t = t.in_recovery || t.snd_una <= t.recovery_point
    retransmissions recovery depends on. *)
 let max_burst = 4
 
+(* Move the smallest lost segment from [lost_pending] to [retx_out] by
+   retransmitting it. *)
+let retransmit_first_lost t ~now buf =
+  let seq = Interval_buf.min_elt t.lost_pending in
+  Interval_buf.remove_range t.lost_pending ~first:seq ~last:seq;
+  send t ~now ~seq ~retx:true buf
+
 (* Transmission loop: while pipe < cwnd, retransmit the smallest lost
    segment, else send new data (RFC 3517 NextSeg rules 1 and 2).
 
@@ -334,23 +401,18 @@ let rec send_loop t ~now buf emitted =
     let m = t.config.Config.max_cwnd in
     float_of_int (pipe t) >= (if c < m then c else m)
   then ()
+  else if retransmit_allowed t && not (Interval_buf.is_empty t.lost_pending)
+  then begin
+    retransmit_first_lost t ~now buf;
+    send_loop t ~now buf (emitted + 1)
+  end
+  else if all_data_sent t || t.snd_next >= t.rwnd_limit then ()
   else begin
-    match
-      (if retransmit_allowed t then Intervals.min_elt t.lost_pending
-       else None)
-    with
-    | Some seq ->
-      t.lost_pending <- Intervals.remove_below t.lost_pending (seq + 1);
-      send t ~now ~seq ~retx:true buf;
-      send_loop t ~now buf (emitted + 1)
-    | None ->
-      if all_data_sent t || t.snd_next >= t.rwnd_limit then ()
-      else begin
-        let seq = t.snd_next in
-        t.snd_next <- seq + 1;
-        send t ~now ~seq ~retx:false buf;
-        send_loop t ~now buf (emitted + 1)
-      end
+    let seq = t.snd_next in
+    ensure_span t ~span:(seq + 1 - t.snd_una);
+    t.snd_next <- seq + 1;
+    send t ~now ~seq ~retx:false buf;
+    send_loop t ~now buf (emitted + 1)
   end
 
 let send_allowed t ~now buf = send_loop t ~now buf 0
@@ -391,11 +453,8 @@ let enter_recovery t ~now =
    immediately (RFC 6675 step 4.2), even if the pipe estimate is still
    above the reduced window. *)
 let first_retransmit t ~now buf =
-  match Intervals.min_elt t.lost_pending with
-  | Some seq ->
-    t.lost_pending <- Intervals.remove_below t.lost_pending (seq + 1);
-    send t ~now ~seq ~retx:true buf
-  | None -> ()
+  if not (Interval_buf.is_empty t.lost_pending) then
+    retransmit_first_lost t ~now buf
 
 let apply_policy t ~observed =
   let updated =
@@ -451,13 +510,15 @@ let eifel_check t (ack : Types.ack) =
   end
 
 let record_sack t (block : Types.sack_block) =
-  if block.Types.last >= t.snd_una then begin
-    let first = max block.Types.first t.snd_una in
-    t.sacked <- Intervals.add_range t.sacked ~first ~last:block.Types.last;
+  let last = block.Types.last in
+  if last >= t.snd_una then begin
+    let first =
+      if block.Types.first > t.snd_una then block.Types.first else t.snd_una
+    in
+    Interval_buf.add_range t.sacked ~first ~last;
     (* A segment provisionally declared lost that now turns out to be
        SACKed was merely reordered. *)
-    t.lost_pending <-
-      Intervals.remove_range t.lost_pending ~first ~last:block.Types.last
+    Interval_buf.remove_range t.lost_pending ~first ~last
   end
 
 (* Explicit recursion, not [List.iter (fun block -> ...)]: the closure
@@ -472,34 +533,37 @@ let rec record_sacks t sacks =
 
 let maybe_sample_rtt t ~now ~ack_next =
   let seq = ack_next - 1 in
-  if not (Hashtbl.mem t.ever_retransmitted seq) then begin
-    (* [find] + exception, not [find_opt]: the key is present on every
-       in-order ACK and the [Some] wrapper would be a per-ACK
-       allocation; [Not_found] is a constant constructor. *)
-    match Hashtbl.find t.send_times seq with
-    | sent_at -> Rto.sample_between t.rto ~sent_at ~now
-    | exception Not_found -> ()
-  end
+  if in_span t seq && not (ever_retransmitted t seq) then
+    Rto.sample_between t.rto ~sent_at:(last_sent t seq) ~now
+
+let finalise_event t seq =
+  match Hashtbl.find t.retx_events seq with
+  | event ->
+    if not event.finalised then begin
+      event.finalised <- true;
+      event.dups_observed <- max event.dups_observed t.episode_dups
+    end
+  | exception Not_found -> ()
 
 (* The cumulative ACK is about to pass [bound]: finalise the duplicate
    count of every retransmission episode it covers and drop sender-side
-   state for acknowledged segments. Retransmission events are kept a
-   while longer — the DSACK proving them spurious arrives after the
-   cumulative ACK. *)
+   state for acknowledged segments. Only a retransmitted seq can have
+   an event, and its flag stays set until this clears it, so unflagged
+   seqs skip the table. Retransmission events are kept a while longer —
+   the DSACK proving them spurious arrives after the cumulative ACK. *)
 let advance_una t ~bound =
-  for seq = t.snd_una to bound - 1 do
-    Hashtbl.remove t.send_times seq;
-    Hashtbl.remove t.ever_retransmitted seq;
-    match Hashtbl.find_opt t.retx_events seq with
-    | Some event when not event.finalised ->
-      event.finalised <- true;
-      event.dups_observed <- max event.dups_observed t.episode_dups
-    | Some _ | None -> ()
+  (* Flags exist only in span. *)
+  let hi = if bound < t.snd_next then bound else t.snd_next in
+  for seq = t.snd_una to hi - 1 do
+    if ever_retransmitted t seq then begin
+      Bytes.unsafe_set t.retx_flag (slot t seq) '\000';
+      if t.keeps_events then finalise_event t seq
+    end
   done;
   t.snd_una <- bound;
-  t.sacked <- Intervals.remove_below t.sacked bound;
-  t.lost_pending <- Intervals.remove_below t.lost_pending bound;
-  t.retx_out <- Intervals.remove_below t.retx_out bound
+  Interval_buf.remove_below t.sacked bound;
+  Interval_buf.remove_below t.lost_pending bound;
+  Interval_buf.remove_below t.retx_out bound
 
 (* Retransmission events must eventually be garbage collected even if no
    DSACK ever arrives; anything far below snd_una can no longer be
@@ -545,10 +609,13 @@ let on_ack t ~now (ack : Types.ack) buf =
     eifel_check t ack;
     (match ack.Types.dsack with Some block -> on_dsack t block | None -> ());
     (* RACK: remember the send time of the most recently transmitted
-       packet known to be delivered — the arrival generating this ACK. *)
-    (match Hashtbl.find t.send_times ack.Types.for_seq with
-    | sent -> if sent > fget t rack_xmit_time_ then fset t rack_xmit_time_ sent
-    | exception Not_found -> ());
+       packet known to be delivered — the arrival generating this ACK.
+       [for_seq] may be -1 (an acknowledgement for no segment) or
+       already below [snd_una]. *)
+    if in_span t ack.Types.for_seq then begin
+      let sent = last_sent t ack.Types.for_seq in
+      if sent > fget t rack_xmit_time_ then fset t rack_xmit_time_ sent
+    end;
     record_sacks t ack.Types.sacks;
     let advanced = ack.Types.next > t.snd_una in
     if advanced then begin
@@ -577,7 +644,7 @@ let on_ack t ~now (ack : Types.ack) buf =
     let loss_detected =
       (not t.in_recovery)
       && t.snd_una > t.recovery_point
-      && (not (Intervals.is_empty t.lost_pending))
+      && (not (Interval_buf.is_empty t.lost_pending))
       && flight t > 0
     in
     if loss_detected then begin
@@ -599,7 +666,7 @@ let on_ack t ~now (ack : Types.ack) buf =
             ~delay:(Float.max (expires -. now) 0.)
         end
     end
-    else if t.td_armed && Intervals.is_empty t.lost_pending then begin
+    else if t.td_armed && Interval_buf.is_empty t.lost_pending then begin
       (* The loss indication evaporated (SACKed or cumulatively
          acknowledged): it was reordering, not loss. *)
       t.td_armed <- false;
@@ -645,16 +712,15 @@ let on_rto t ~now buf =
     t.episode_dups <- 0;
     Rto.backoff t.rto;
     (* Everything outstanding and unSACKed is presumed lost; the pipe
-       drains and slow start rebuilds it. *)
-    t.retx_out <- Intervals.empty;
-    let rec mark seq =
-      if seq < t.snd_next then begin
-        if not (Intervals.mem t.sacked seq) then
-          t.lost_pending <- Intervals.add t.lost_pending seq;
-        mark (seq + 1)
-      end
-    in
-    mark t.snd_una;
+       drains and slow start rebuilds it. The whole span is now SACKed
+       or lost-pending, which lets the loss-marking watermark jump to
+       its top. *)
+    Interval_buf.clear t.retx_out;
+    for seq = t.snd_una to t.snd_next - 1 do
+      if not (Interval_buf.mem t.sacked seq) then
+        Interval_buf.add t.lost_pending seq
+    done;
+    t.lost_scan_hi <- t.snd_next - 1;
     send_allowed t ~now buf;
     arm_rto t buf
   end
@@ -666,7 +732,7 @@ let on_td_timer t ~now buf =
   if
     (not t.in_recovery)
     && t.snd_una > t.recovery_point
-    && (not (Intervals.is_empty t.lost_pending))
+    && (not (Interval_buf.is_empty t.lost_pending))
     && flight t > 0
   then begin
     enter_recovery t ~now;
@@ -682,7 +748,7 @@ let on_rack_timer t ~now buf =
   if
     (not t.in_recovery)
     && t.snd_una > t.recovery_point
-    && (not (Intervals.is_empty t.lost_pending))
+    && (not (Interval_buf.is_empty t.lost_pending))
     && flight t > 0
   then begin
     enter_recovery t ~now;

@@ -265,6 +265,280 @@ let test_td_fr_window_survives_reordering () =
      halved. *)
   Alcotest.(check bool) "window not reduced" true (Tcp.Sack_core.cwnd t >= 8.)
 
+(* --- Loss marking against a rescanning reference ---------------------- *)
+
+module Int_set = Set.Make (Int)
+
+(* RFC 6675 IsLost the simple way: on every ACK, rescan the whole
+   window and declare lost each unaccounted-for segment with at least
+   dupthresh SACKed segments above it. The engine marks incrementally
+   above a watermark; this scoreboard, fed the same ACKs, the same
+   timeouts and the engine's own sends, must agree with it on [pipe]
+   and on which segment every retransmission repairs. *)
+module Reference = struct
+  type t = {
+    mutable una : int;
+    mutable next : int;
+    mutable sacked : Int_set.t;
+    mutable lost : Int_set.t;
+    mutable retx_out : Int_set.t;
+  }
+
+  let create () =
+    { una = 0;
+      next = 0;
+      sacked = Int_set.empty;
+      lost = Int_set.empty;
+      retx_out = Int_set.empty }
+
+  let sacked_above r seq =
+    Int_set.cardinal (Int_set.filter (fun s -> s > seq) r.sacked)
+
+  let on_ack r (ack : Tcp.Types.ack) ~dupthresh =
+    List.iter
+      (fun { Tcp.Types.first; last } ->
+        for seq = max first r.una to last do
+          r.sacked <- Int_set.add seq r.sacked;
+          r.lost <- Int_set.remove seq r.lost
+        done)
+      ack.Tcp.Types.sacks;
+    if ack.Tcp.Types.next > r.una then begin
+      r.una <- ack.Tcp.Types.next;
+      let keep = Int_set.filter (fun s -> s >= r.una) in
+      r.sacked <- keep r.sacked;
+      r.lost <- keep r.lost;
+      r.retx_out <- keep r.retx_out
+    end;
+    match Int_set.max_elt_opt r.sacked with
+    | None -> ()
+    | Some high ->
+      for seq = r.una to high - 1 do
+        if
+          not
+            (Int_set.mem seq r.sacked || Int_set.mem seq r.lost
+           || Int_set.mem seq r.retx_out)
+          && sacked_above r seq >= dupthresh
+        then r.lost <- Int_set.add seq r.lost
+      done
+
+  let on_rto r =
+    r.retx_out <- Int_set.empty;
+    for seq = r.una to r.next - 1 do
+      if not (Int_set.mem seq r.sacked) then r.lost <- Int_set.add seq r.lost
+    done
+
+  (* Every retransmission must repair the smallest lost segment, and new
+     data must go out in order. *)
+  let on_sends r sends =
+    List.for_all
+      (fun (seq, retx) ->
+        if retx then (
+          match Int_set.min_elt_opt r.lost with
+          | Some s when s = seq ->
+            r.lost <- Int_set.remove seq r.lost;
+            r.retx_out <- Int_set.add seq r.retx_out;
+            true
+          | _ -> false)
+        else if seq = r.next then begin
+          r.next <- seq + 1;
+          true
+        end
+        else false)
+      sends
+
+  let pipe r =
+    r.next - r.una - Int_set.cardinal r.sacked - Int_set.cardinal r.lost
+end
+
+(* Feed the engine's latest actions to the reference and compare. *)
+let agree t r actions =
+  Reference.on_sends r (sends actions)
+  && Tcp.Sack_core.pipe t = Reference.pipe r
+
+let step t r ~now ack =
+  let actions = Tcp.Sack_core.on_ack t ~now ack in
+  Reference.on_ack r ack ~dupthresh:(Tcp.Sack_core.dupthresh t);
+  Alcotest.(check bool) "engine agrees with the reference" true
+    (agree t r actions);
+  actions
+
+(* One engine and a real receiver across a path that drops and holds
+   back segments. [fate ~seq ~attempt] (attempt 0 is the original
+   transmission) returns [None] to drop the segment, or the extra delay
+   it suffers. Segments leave a 1 ms-per-packet link, cross 50 ms, and
+   their ACKs return in 50 ms; the retransmission timer fires as the
+   engine arms it. Runs [steps] ACK or timeout events, or stops at the
+   first disagreement with the reference; returns whether every step
+   agreed. *)
+let run_path ?(config = Tcp.Config.default) ~response ~fate ~steps () =
+  let t = Tcp.Sack_core.create ~response config in
+  let receiver = Tcp.Receiver.create config in
+  let r = Reference.create () in
+  let attempts = Hashtbl.create 64 in
+  let link_free = ref 0. in
+  let in_flight = ref [] in
+  let transmit ~now (seq, retx) =
+    let attempt = Option.value (Hashtbl.find_opt attempts seq) ~default:0 in
+    Hashtbl.replace attempts seq (attempt + 1);
+    let depart = Float.max now !link_free in
+    link_free := depart +. 0.001;
+    match fate ~seq ~attempt with
+    | None -> ()
+    | Some extra ->
+      let arrival = (depart +. 0.05 +. extra, seq, retx) in
+      in_flight := List.merge compare !in_flight [ arrival ]
+  in
+  let ok = ref true in
+  let rto_at = ref infinity in
+  let emit ~now actions =
+    ok := !ok && agree t r actions;
+    List.iter
+      (function
+        | Tcp.Action.Send { seq; retx } -> transmit ~now (seq, retx)
+        | Tcp.Action.Set_timer { key = 0; delay } -> rto_at := now +. delay
+        | Tcp.Action.Cancel_timer { key = 0 } -> rto_at := infinity
+        | Tcp.Action.Set_timer _ | Tcp.Action.Cancel_timer _ -> ())
+      actions
+  in
+  emit ~now:0. (Tcp.Sack_core.start t ~now:0.);
+  let n = ref 0 in
+  while !ok && !n < steps do
+    incr n;
+    match !in_flight with
+    | (at, seq, retx) :: rest when at +. 0.05 <= !rto_at ->
+      in_flight := rest;
+      let ack = Tcp.Receiver.on_data receiver ~retx ~seq () in
+      let now = at +. 0.05 in
+      let actions = Tcp.Sack_core.on_ack t ~now ack in
+      Reference.on_ack r ack ~dupthresh:(Tcp.Sack_core.dupthresh t);
+      emit ~now actions
+    | _ when !rto_at < infinity ->
+      let now = !rto_at in
+      rto_at := infinity;
+      let actions = Tcp.Sack_core.on_timer t ~now ~key:0 in
+      Reference.on_rto r;
+      emit ~now actions
+    | _ -> n := steps
+  done;
+  (!ok, t)
+
+let metric t name = List.assoc name (Tcp.Sack_core.metrics t)
+
+let loss_marking_prop =
+  (* Drops (originals and retransmissions) force fast retransmits and
+     timeouts; hold-backs longer than a few packet times force spurious
+     retransmissions, whose DSACKs move Inc-by-1's dupthresh up and
+     Inc-by-N's both ways. *)
+  QCheck.Test.make ~name:"incremental IsLost matches a full rescan" ~count:60
+    QCheck.(
+      quad small_nat (int_range 0 8) (int_range 0 40) (int_range 1 30))
+    (fun (seed, drop_pct, hold_pct, hold_ms) ->
+      let config =
+        { Tcp.Config.default with Tcp.Config.initial_cwnd = 4.; max_cwnd = 24. }
+      in
+      List.for_all
+        (fun response ->
+          let rng = Random.State.make [| seed |] in
+          let fate ~seq:_ ~attempt:_ =
+            if Random.State.int rng 100 < drop_pct then None
+            else if Random.State.int rng 100 < hold_pct then
+              Some (Random.State.float rng (float_of_int hold_ms /. 1000.))
+            else Some 0.
+          in
+          fst (run_path ~config ~response ~fate ~steps:400 ()))
+        Tcp.Sack_core.[ plain_sack; inc_by_1; inc_by_n ])
+
+let test_rto_after_partial_recovery () =
+  (* 3 and 9 are lost; 9's first retransmission too. Fast recovery
+     repairs 3 and the cumulative ACK moves up to 9 — a partial ACK —
+     while 9 sits in [retx_out], never to be re-marked by SACKs. The
+     timeout must then declare everything unSACKed lost again, and the
+     marking that follows the timeout must stay exact. *)
+  let fate ~seq ~attempt =
+    match (seq, attempt) with
+    | (3 | 9), 0 | 9, 1 -> None
+    | _ -> Some 0.
+  in
+  let config = { Tcp.Config.default with Tcp.Config.initial_cwnd = 8. } in
+  let ok, t =
+    run_path ~config ~response:Tcp.Sack_core.plain_sack ~fate ~steps:400 ()
+  in
+  Alcotest.(check bool) "agrees with the reference throughout" true ok;
+  check_float "one fast retransmit" 1. (metric t "fast_retransmits");
+  check_float "one timeout" 1. (metric t "timeouts");
+  Alcotest.(check bool) "past the repaired hole" true (Tcp.Sack_core.acked t > 9)
+
+let test_sack_covers_lost_pending () =
+  (* 0 and 1 are declared lost together; 0 goes out at once, 1 waits
+     for the pipe. Then 1 itself is SACKed — it was only reordered —
+     and must never be retransmitted. *)
+  let t = make ~cwnd:16. () in
+  let r = Reference.create () in
+  ignore (Reference.on_sends r (List.init 4 (fun seq -> (seq, false))));
+  let dup ~now ~for_seq ~first ~last =
+    step t r ~now (ack ~next:0 ~for_seq ~sacks:[ (first, last) ] ())
+  in
+  ignore (dup ~now:0.1 ~for_seq:2 ~first:2 ~last:2);
+  ignore (dup ~now:0.11 ~for_seq:3 ~first:2 ~last:3);
+  let a = dup ~now:0.12 ~for_seq:4 ~first:2 ~last:4 in
+  Alcotest.(check (list int)) "only the first lost segment" [ 0 ]
+    (retransmissions a);
+  Alcotest.(check int) "1 pending: pipe = 12 - 3 SACKed - 1 lost" 8
+    (Tcp.Sack_core.pipe t);
+  let a = dup ~now:0.13 ~for_seq:1 ~first:1 ~last:4 in
+  Alcotest.(check (list int)) "nothing sent" [] (sends a |> List.map fst);
+  Alcotest.(check int) "1 moved from lost to SACKed" 8 (Tcp.Sack_core.pipe t);
+  let a = dup ~now:0.14 ~for_seq:5 ~first:1 ~last:5 in
+  Alcotest.(check (list int)) "no retransmission of 1" [] (retransmissions a);
+  Alcotest.(check (list int)) "new data instead" [ 12 ] (new_sends a)
+
+let test_ring_growth_keeps_karn_flags () =
+  (* 0 is lost and retransmitted, then SACKs of 1..256 clock new data
+     out until the flight outgrows the 256-slot ring. The seq that
+     forces the growth (256) shares its old slot with the retransmitted
+     0, yet it was sent once: the ACK covering it must give an RTT
+     sample. *)
+  let t = make ~cwnd:8. () in
+  let now k = 0.1 +. (0.001 *. float_of_int k) in
+  let sent_256 = ref nan in
+  let k = ref 1 in
+  while !k <= 256 do
+    let a =
+      Tcp.Sack_core.on_ack t ~now:(now !k)
+        (ack ~next:0 ~for_seq:!k ~sacks:[ (1, !k) ] ())
+    in
+    if !k = 3 then
+      Alcotest.(check (list int)) "0 retransmitted" [ 0 ] (retransmissions a);
+    if List.mem 256 (new_sends a) then sent_256 := now !k;
+    incr k
+  done;
+  check_float "no RTT sample yet" (-1.) (metric t "srtt");
+  (* The repaired 0 arrives: the cumulative ACK passes 256 exactly. *)
+  let at = now !k in
+  ignore (Tcp.Sack_core.on_ack t ~now:at (ack ~next:257 ~for_seq:0 ()));
+  Alcotest.(check int) "acknowledged through 256" 257 (Tcp.Sack_core.acked t);
+  check_float "sampled from 256's send" (at -. !sent_256) (metric t "srtt")
+
+(* --- Bounded per-connection state ------------------------------------- *)
+
+let test_plain_sack_state_bounded () =
+  (* Every 20th original is lost: one fast retransmit each. Plain SACK
+     never reads a retransmission event, so thousands of episodes must
+     leave nothing behind. *)
+  let fate ~seq ~attempt =
+    if attempt = 0 && seq mod 20 = 10 then None else Some 0.
+  in
+  let ok, t =
+    run_path ~response:Tcp.Sack_core.plain_sack ~fate ~steps:110_000 ()
+  in
+  Alcotest.(check bool) "agrees with the reference" true ok;
+  Alcotest.(check bool) "at least 5000 fast retransmits" true
+    (metric t "fast_retransmits" >= 5000.);
+  let words = Obj.reachable_words (Obj.repr t) in
+  if words > 4096 then
+    Alcotest.failf "sender holds %d words after %.0f episodes" words
+      (metric t "fast_retransmits")
+
 let () =
   Alcotest.run "sack"
     [ ( "scoreboard",
@@ -281,7 +555,16 @@ let () =
             test_sack_rto_marks_lost_and_slow_starts;
           Alcotest.test_case "max burst" `Quick test_sack_max_burst_cap;
           Alcotest.test_case "dupack keeps rto" `Quick
-            test_sack_dupack_does_not_restart_rto ] );
+            test_sack_dupack_does_not_restart_rto;
+          Alcotest.test_case "rto after partial recovery" `Quick
+            test_rto_after_partial_recovery;
+          Alcotest.test_case "sack covers a lost-pending seq" `Quick
+            test_sack_covers_lost_pending;
+          Alcotest.test_case "ring growth keeps karn flags" `Quick
+            test_ring_growth_keeps_karn_flags;
+          Alcotest.test_case "plain sack state bounded" `Quick
+            test_plain_sack_state_bounded;
+          QCheck_alcotest.to_alcotest ~long:false loss_marking_prop ] );
       ( "dsack-responses",
         [ Alcotest.test_case "detects spurious" `Quick
             test_dsack_detects_spurious;

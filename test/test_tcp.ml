@@ -1,4 +1,4 @@
-(* Tests for the TCP framework: Intervals, Rto, Receiver, and the
+(* Tests for the TCP framework: Interval_buf, Rto, Receiver, and the
    NewReno sender driven as a pure state machine. *)
 
 
@@ -65,93 +65,107 @@ let ack ?(sacks = []) ?dsack ~next ~for_seq () =
     rwnd = Tcp.Types.rwnd_unbounded }
 
 (* ------------------------------------------------------------------ *)
-(* Intervals                                                           *)
+(* Interval_buf                                                        *)
 (* ------------------------------------------------------------------ *)
 
+module Ib = Tcp.Interval_buf
+
 let intervals_of points =
-  List.fold_left Tcp.Intervals.add Tcp.Intervals.empty points
+  let t = Ib.create () in
+  List.iter (Ib.add t) points;
+  t
+
+let range_of ~first ~last =
+  let t = Ib.create () in
+  Ib.add_range t ~first ~last;
+  t
 
 let test_intervals_merge () =
   let t = intervals_of [ 1; 3; 2 ] in
-  Alcotest.(check (list (pair int int))) "coalesced" [ (1, 3) ]
-    (Tcp.Intervals.to_list t)
+  Alcotest.(check (list (pair int int))) "coalesced" [ (1, 3) ] (Ib.to_list t)
 
 let test_intervals_disjoint () =
   let t = intervals_of [ 1; 5; 3 ] in
   Alcotest.(check (list (pair int int)))
     "three singletons"
     [ (1, 1); (3, 3); (5, 5) ]
-    (Tcp.Intervals.to_list t)
+    (Ib.to_list t)
 
 let test_intervals_add_range_overlap () =
-  let t = Tcp.Intervals.add_range Tcp.Intervals.empty ~first:1 ~last:3 in
-  let t = Tcp.Intervals.add_range t ~first:6 ~last:8 in
-  let t = Tcp.Intervals.add_range t ~first:2 ~last:7 in
-  Alcotest.(check (list (pair int int))) "merged all" [ (1, 8) ]
-    (Tcp.Intervals.to_list t)
+  let t = range_of ~first:1 ~last:3 in
+  Ib.add_range t ~first:6 ~last:8;
+  Ib.add_range t ~first:2 ~last:7;
+  Alcotest.(check (list (pair int int))) "merged all" [ (1, 8) ] (Ib.to_list t);
+  Alcotest.(check int) "cardinal" 8 (Ib.cardinal t)
 
 let test_intervals_remove_below () =
-  let t = Tcp.Intervals.add_range Tcp.Intervals.empty ~first:1 ~last:10 in
-  let t = Tcp.Intervals.remove_below t 5 in
-  Alcotest.(check (list (pair int int))) "truncated" [ (5, 10) ]
-    (Tcp.Intervals.to_list t)
+  let t = range_of ~first:1 ~last:10 in
+  Ib.remove_below t 5;
+  Alcotest.(check (list (pair int int))) "truncated" [ (5, 10) ] (Ib.to_list t);
+  Ib.add t 20;
+  Ib.remove_below t 15;
+  Alcotest.(check (list (pair int int))) "dropped whole" [ (20, 20) ]
+    (Ib.to_list t);
+  Ib.clear t;
+  Alcotest.(check bool) "cleared" true (Ib.is_empty t && Ib.cardinal t = 0)
 
 let test_intervals_remove_range () =
-  let t = Tcp.Intervals.add_range Tcp.Intervals.empty ~first:1 ~last:10 in
-  let t = Tcp.Intervals.remove_range t ~first:4 ~last:6 in
+  let t = range_of ~first:1 ~last:10 in
+  Ib.remove_range t ~first:4 ~last:6;
   Alcotest.(check (list (pair int int)))
     "split"
     [ (1, 3); (7, 10) ]
-    (Tcp.Intervals.to_list t)
+    (Ib.to_list t);
+  Alcotest.(check int) "cardinal" 7 (Ib.cardinal t)
 
 let test_intervals_counts () =
   let t = intervals_of [ 1; 2; 3; 7; 9; 10 ] in
-  Alcotest.(check int) "cardinal" 6 (Tcp.Intervals.cardinal t);
-  Alcotest.(check int) "above 3" 3 (Tcp.Intervals.count_above t 3);
-  Alcotest.(check int) "above 0" 6 (Tcp.Intervals.count_above t 0);
-  Alcotest.(check int) "above 10" 0 (Tcp.Intervals.count_above t 10);
-  Alcotest.(check (option int)) "min" (Some 1) (Tcp.Intervals.min_elt t);
-  Alcotest.(check (option int)) "max" (Some 10) (Tcp.Intervals.max_elt t)
+  Alcotest.(check int) "cardinal" 6 (Ib.cardinal t);
+  Alcotest.(check int) "rank 0" 1 (Ib.nth_smallest t 0);
+  Alcotest.(check int) "rank 3" 7 (Ib.nth_smallest t 3);
+  Alcotest.(check int) "rank 5" 10 (Ib.nth_smallest t 5);
+  Alcotest.check_raises "rank 6" Not_found (fun () ->
+      ignore (Ib.nth_smallest t 6));
+  Alcotest.(check int) "min" 1 (Ib.min_elt t);
+  Alcotest.(check int) "max" 10 (Ib.max_elt t);
+  Alcotest.check_raises "min of empty" Not_found (fun () ->
+      ignore (Ib.min_elt (Ib.create ())))
 
 let test_intervals_containing () =
   let t = intervals_of [ 1; 2; 3; 7 ] in
-  Alcotest.(check (option (pair int int)))
-    "inside"
-    (Some (1, 3))
-    (Tcp.Intervals.containing t 2);
-  Alcotest.(check (option (pair int int)))
-    "outside" None
-    (Tcp.Intervals.containing t 5)
+  let idx = Ib.find t 2 in
+  Alcotest.(check (pair int int))
+    "inside" (1, 3)
+    (Ib.first t idx, Ib.last t idx);
+  Alcotest.(check int) "outside" (-1) (Ib.find t 5)
 
 module Int_set = Set.Make (Int)
+
+let agrees t model ~upto =
+  Ib.invariant t
+  && Ib.cardinal t = Int_set.cardinal model
+  && List.for_all
+       (fun x -> Ib.mem t x = Int_set.mem x model)
+       (List.init upto Fun.id)
 
 let intervals_model_prop =
   (* Against a naive set model: membership, cardinality, invariant. *)
   QCheck.Test.make ~name:"intervals agree with set model" ~count:500
     QCheck.(list (int_range 0 60))
     (fun points ->
-      let t = intervals_of points in
-      let model = Int_set.of_list points in
-      Tcp.Intervals.invariant t
-      && Tcp.Intervals.cardinal t = Int_set.cardinal model
-      && List.for_all
-           (fun x -> Tcp.Intervals.mem t x = Int_set.mem x model)
-           (List.init 62 Fun.id))
+      agrees (intervals_of points) (Int_set.of_list points) ~upto:62)
 
 let intervals_remove_prop =
   QCheck.Test.make ~name:"remove_range agrees with set model" ~count:500
     QCheck.(triple (list (int_range 0 40)) (int_range 0 40) (int_range 0 40))
     (fun (points, a, b) ->
       let first = min a b and last = max a b in
-      let t = Tcp.Intervals.remove_range (intervals_of points) ~first ~last in
+      let t = intervals_of points in
+      Ib.remove_range t ~first ~last;
       let model =
         Int_set.filter (fun x -> x < first || x > last) (Int_set.of_list points)
       in
-      Tcp.Intervals.invariant t
-      && Tcp.Intervals.cardinal t = Int_set.cardinal model
-      && List.for_all
-           (fun x -> Tcp.Intervals.mem t x = Int_set.mem x model)
-           (List.init 42 Fun.id))
+      agrees t model ~upto:42)
 
 let intervals_add_remove_roundtrip_prop =
   (* Subtracting a range just added restores the set outside the range
@@ -160,18 +174,13 @@ let intervals_add_remove_roundtrip_prop =
     QCheck.(triple (list (int_range 0 40)) (int_range 0 40) (int_range 0 40))
     (fun (points, a, b) ->
       let first = min a b and last = max a b in
-      let t = intervals_of points in
-      let u =
-        Tcp.Intervals.remove_range
-          (Tcp.Intervals.add_range t ~first ~last)
-          ~first ~last
+      let u = intervals_of points in
+      Ib.add_range u ~first ~last;
+      Ib.remove_range u ~first ~last;
+      let model =
+        Int_set.filter (fun x -> x < first || x > last) (Int_set.of_list points)
       in
-      Tcp.Intervals.invariant u
-      && List.for_all
-           (fun x ->
-             Tcp.Intervals.mem u x
-             = (Tcp.Intervals.mem t x && (x < first || x > last)))
-           (List.init 42 Fun.id))
+      agrees u model ~upto:42)
 
 let intervals_merge_adjacent_prop =
   (* Two abutting ranges coalesce into the single canonical interval. *)
@@ -180,22 +189,71 @@ let intervals_merge_adjacent_prop =
     (fun (a, d1, d2) ->
       let b = a + d1 in
       let c = b + 1 + d2 in
-      let split =
-        Tcp.Intervals.add_range
-          (Tcp.Intervals.add_range Tcp.Intervals.empty ~first:a ~last:b)
-          ~first:(b + 1) ~last:c
-      in
-      Tcp.Intervals.invariant split
-      && Tcp.Intervals.to_list split = [ (a, c) ])
+      let split = range_of ~first:a ~last:b in
+      Ib.add_range split ~first:(b + 1) ~last:c;
+      Ib.invariant split && Ib.to_list split = [ (a, c) ])
 
-let intervals_count_above_prop =
-  QCheck.Test.make ~name:"count_above agrees with set model" ~count:500
+let intervals_nth_smallest_prop =
+  QCheck.Test.make ~name:"nth_smallest agrees with set model" ~count:500
     QCheck.(pair (list (int_range 0 60)) (int_range 0 60))
-    (fun (points, x) ->
+    (fun (points, k) ->
       let t = intervals_of points in
       let model = Int_set.of_list points in
-      Tcp.Intervals.count_above t x
-      = Int_set.cardinal (Int_set.filter (fun y -> y > x) model))
+      match List.nth_opt (Int_set.elements model) k with
+      | Some x -> Ib.nth_smallest t k = x
+      | None -> (
+        match Ib.nth_smallest t k with
+        | _ -> false
+        | exception Not_found -> true))
+
+(* One buffer driven through a long mixed sequence, as the scoreboards
+   are: growth past the initial capacity, splits, merges and clears
+   must keep the cached count and the ordering exact at every step. *)
+let intervals_op_sequence_prop =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (4, map2 (fun a d -> `Add (a, a + d)) (int_range 0 120) (int_range 0 6));
+          ( 3,
+            map2
+              (fun a d -> `Remove (a, a + d))
+              (int_range 0 120) (int_range 0 12) );
+          (1, map (fun x -> `Below x) (int_range 0 60));
+          (1, return `Clear) ])
+  in
+  QCheck.Test.make ~name:"mixed operations agree with set model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 80) op))
+    (fun ops ->
+      let t = Ib.create () in
+      let range a b = Int_set.of_list (List.init (b - a + 1) (fun i -> a + i)) in
+      let step model = function
+        | `Add (a, b) ->
+          Ib.add_range t ~first:a ~last:b;
+          Int_set.union model (range a b)
+        | `Remove (a, b) ->
+          Ib.remove_range t ~first:a ~last:b;
+          Int_set.diff model (range a b)
+        | `Below x ->
+          Ib.remove_below t x;
+          Int_set.filter (fun y -> y >= x) model
+        | `Clear ->
+          Ib.clear t;
+          Int_set.empty
+      in
+      let ok = ref true in
+      ignore
+        (List.fold_left
+           (fun model o ->
+             let model = step model o in
+             ok :=
+               !ok
+               && agrees t model ~upto:140
+               && (Int_set.is_empty model
+                  || Ib.min_elt t = Int_set.min_elt model
+                     && Ib.max_elt t = Int_set.max_elt model);
+             model)
+           Int_set.empty ops);
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Rto                                                                 *)
@@ -688,7 +746,8 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false
             intervals_add_remove_roundtrip_prop;
           QCheck_alcotest.to_alcotest ~long:false intervals_merge_adjacent_prop;
-          QCheck_alcotest.to_alcotest ~long:false intervals_count_above_prop ]
+          QCheck_alcotest.to_alcotest ~long:false intervals_nth_smallest_prop;
+          QCheck_alcotest.to_alcotest ~long:false intervals_op_sequence_prop ]
       );
       ( "rto",
         [ Alcotest.test_case "initial" `Quick test_rto_initial;

@@ -27,9 +27,23 @@
 #     documented seconds-facing API (DESIGN.md §15), plus the cold
 #     invalid_arg message formatting in schedule_event_at_ns.
 #
-# Exit status: 0 clean, 1 float box found, 2 toolchain failure.
+# The Cmm shapes it greps are compiler-version-sensitive, so the lint
+# is pinned to the compiler it was calibrated on (PINNED below): there
+# it is a fatal `make ci` stage; under any other ocamlopt it prints a
+# skip notice and passes. Moving the pin means re-checking the filters
+# above against the new compiler's -dcmm output.
+#
+# Exit status: 0 clean (or skipped on another compiler), 1 float box
+# found, 2 toolchain failure.
 
 set -eu
+
+PINNED=5.1.1
+version=$(ocamlopt -version 2>/dev/null || echo unknown)
+if [ "$version" != "$PINNED" ]; then
+  echo "lint-box: skipped: ocamlopt $version, pinned $PINNED"
+  exit 0
+fi
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
