@@ -1,7 +1,7 @@
 (* Engine-only events/sec microbenchmarks: raw scheduler churn with no
    figure workloads, no network and no TCP — the number that isolates
-   the cost of scheduling, dispatching and (for the timer scenarios)
-   the wheel/heap substrates themselves. Recorded in BENCH_PR6.json and
+   the cost of scheduling, dispatching and (for the timer scenario)
+   the timing wheel itself. Recorded in BENCH_PR6.json and
    enforced by `make bench-gate`, so a regression in raw engine speed
    fails CI even when the allocation suite stays green.
 
@@ -90,10 +90,10 @@ let pipeline_churn () =
     (fun () -> start 400_000)
 
 (* Timer churn: 1024 recurring timer cells, each rearming itself on
-   fire with its own period, on the given substrate. This is the RTO /
-   delayed-ack shape the timing wheel exists for. *)
-let timer_churn ~use_wheel name =
-  let engine = Sim.Engine.create ~use_wheel () in
+   fire with its own period. This is the RTO / delayed-ack shape the
+   timing wheel exists for. *)
+let timer_churn () =
+  let engine = Sim.Engine.create () in
   let k = 1024 in
   let stop_at = ref 0. in
   let cells =
@@ -117,15 +117,11 @@ let timer_churn ~use_wheel name =
       cells;
     Sim.Engine.run_to_completion engine
   in
-  measure name engine
+  measure "timer-churn-wheel" engine
     (fun () -> run ~sim_s:0.1)
     (fun () -> run ~sim_s:2.0)
 
-let run_all () =
-  [ closure_churn ();
-    pipeline_churn ();
-    timer_churn ~use_wheel:true "timer-churn-wheel";
-    timer_churn ~use_wheel:false "timer-churn-heap" ]
+let run_all () = [ closure_churn (); pipeline_churn (); timer_churn () ]
 
 let pp_measurement m =
   Printf.printf

@@ -7,17 +7,15 @@
    versions.
 
    Part 2 runs bechamel micro-benchmarks of the hot paths: the event
-   queue (against the frozen PR-0 implementation in
-   Seed_event_queue), the Newton ewrtt update, sender ACK processing,
-   the receiver, and epsilon-routing sampling.
+   queue, the Newton ewrtt update, sender ACK processing, the
+   receiver, and epsilon-routing sampling.
 
    Part 3 measures allocation per simulated packet (Alloc_suite) —
    the number the zero-allocation packet path is judged on.
 
    Part 4 runs the many-flow scale suite (Scale_suite): 1k/5k/10k
-   concurrent flows of closed-loop churn over the dumbbell, on the
-   timing wheel and on the heap-only baseline, reporting events/sec
-   and timer ops/sec.
+   concurrent flows of closed-loop churn over the dumbbell, reporting
+   events/sec and timer ops/sec.
 
    Part 5 runs the engine-only churn suite (Engine_suite): raw
    scheduler events/sec with no workload at all, the number the
@@ -30,7 +28,7 @@
      figures  Figs. 2/3/4/6 only
      micro    micro-benchmarks only
      alloc    allocation-per-packet scenarios only
-     scale    many-flow scale suite only (wheel + heap baseline)
+     scale    many-flow scale suite only
      engine   engine-only churn suite only
      sharded  sharded scale suite only (domains 1/2/4 sweep)
      quick    Figs. 2/3/6 + micro + alloc + scale + engine + sharded
@@ -247,18 +245,6 @@ let bench_event_queue =
            ()
          done))
 
-let bench_event_queue_seed =
-  Test.make ~name:"event_queue(seed impl): 256 push + pop"
-    (Staged.stage (fun () ->
-         let q = Seed_event_queue.create () in
-         for i = 0 to 255 do
-           ignore
-             (Seed_event_queue.push q ~time:(float_of_int (i * 7919 mod 256)) i)
-         done;
-         while Seed_event_queue.pop q <> None do
-           ()
-         done))
-
 let bench_newton =
   Test.make ~name:"ewrtt: newton alpha^(1/cwnd), 2 iters"
     (Staged.stage (fun () ->
@@ -375,7 +361,6 @@ let microbenchmarks () =
   heading "Micro-benchmarks (bechamel, monotonic clock)";
   let tests =
     [ bench_event_queue;
-      bench_event_queue_seed;
       bench_newton;
       bench_receiver;
       bench_pr_ack_processing;
@@ -430,15 +415,9 @@ let alloc_suite () =
 (* ------------------------------------------------------------------ *)
 
 let scale_suite () =
-  heading "Many-flow scale: timing wheel vs heap baseline";
+  heading "Many-flow scale: closed-loop churn on the timing wheel";
   let measurements = Scale_suite.run_all () in
   List.iter Scale_suite.pp_measurement measurements;
-  (match Scale_suite.divergences measurements with
-  | [] ->
-    print_endline "  wheel/heap simulated results identical at every size"
-  | diverged ->
-    Printf.printf "  WARNING: wheel/heap diverge at %s\n"
-      (String.concat ", " diverged));
   scale_measurements := measurements
 
 (* ------------------------------------------------------------------ *)
@@ -579,12 +558,12 @@ let write_record ~total_s =
     (List.map (fun m -> (Scale_suite.label m, m)) !scale_measurements)
     (fun m ->
       Printf.sprintf
-        "{ \"flows\": %d, \"substrate\": \"%s\", \"sim_s\": %.1f, \
+        "{ \"flows\": %d, \"sim_s\": %.1f, \
          \"wall_s\": %.3f, \"transfers_completed\": %d, \
          \"goodput_mbps\": %.2f, \"events\": %d, \"timer_ops\": %d, \
          \"events_per_s\": %.0f, \"timer_ops_per_s\": %.0f, \
          \"metrics\": %s }"
-        m.Scale_suite.flows m.Scale_suite.substrate m.Scale_suite.duration
+        m.Scale_suite.flows m.Scale_suite.duration
         m.Scale_suite.wall_s m.Scale_suite.transfers_completed
         m.Scale_suite.goodput_mbps m.Scale_suite.events
         m.Scale_suite.timer_ops m.Scale_suite.events_per_s

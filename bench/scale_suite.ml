@@ -1,21 +1,13 @@
 (* Many-flow scale benchmark: Experiments.Scale runs at 1k/5k/10k
-   concurrent flow slots, on the timing wheel and on the heap-only
-   baseline, reporting events/sec and timer ops/sec.
+   concurrent flow slots, reporting events/sec and timer ops/sec.
 
-   Simulated results are byte-identical across the two substrates (the
-   engine merges them on the same (time, seq) order), so the wheel/heap
-   pairs at each size double as a differential check: any divergence in
-   transfers or event counts is a scheduler bug, not noise. Wall-clock
-   is the only column allowed to differ.
-
-   The gate uses the wheel rows only: events/sec at the largest size
-   must hold at least [gate_scaling_floor] of events/sec at the
-   smallest — the wheel exists so per-operation cost stays flat as the
-   timer population grows. *)
+   The gate: events/sec at the largest size must hold at least
+   [gate_scaling_floor] of events/sec at the smallest — the timing
+   wheel exists so per-operation cost stays flat as the timer
+   population grows. *)
 
 type measurement = {
   flows : int;
-  substrate : string;  (* "wheel" or "heap" *)
   duration : float;  (* simulated seconds *)
   wall_s : float;
   transfers_started : int;
@@ -30,12 +22,14 @@ type measurement = {
          the wall-clock delta is read *)
 }
 
-let label m = Printf.sprintf "%s-%d" m.substrate m.flows
+(* Record key, e.g. "wheel-1000": the bench gate looks the 10k point
+   up under this name in the recorded lineage. *)
+let label m = Printf.sprintf "wheel-%d" m.flows
 
-let measure ?(use_wheel = true) ~flows ~duration () =
+let measure ~flows ~duration () =
   Gc.full_major ();
   let t0 = Unix.gettimeofday () in
-  let r = Experiments.Scale.run ~use_wheel ~duration ~flows () in
+  let r = Experiments.Scale.run ~duration ~flows () in
   let wall_s = Unix.gettimeofday () -. t0 in
   let registry = Obs.Registry.create () in
   Check.Telemetry.engine registry r.Experiments.Scale.engine;
@@ -45,7 +39,6 @@ let measure ?(use_wheel = true) ~flows ~duration () =
   let timer_ops = Experiments.Scale.timer_ops r in
   let per_second n = float_of_int n /. Float.max wall_s 1e-9 in
   { flows;
-    substrate = (if use_wheel then "wheel" else "heap");
     duration;
     wall_s;
     transfers_started = r.Experiments.Scale.transfers_started;
@@ -61,14 +54,8 @@ let sizes = [ 1000; 5000; 10000 ]
 
 let suite_duration = 2.
 
-(* Wheel run and heap baseline at every size: the heap rows are the
-   pre-wheel reference the record keeps for the perf trajectory. *)
 let run_all () =
-  List.concat_map
-    (fun flows ->
-      [ measure ~use_wheel:true ~flows ~duration:suite_duration ();
-        measure ~use_wheel:false ~flows ~duration:suite_duration () ])
-    sizes
+  List.map (fun flows -> measure ~flows ~duration:suite_duration ()) sizes
 
 let pp_measurement m =
   Printf.printf
@@ -76,25 +63,6 @@ let pp_measurement m =
      %9d timer ops  %9.0f ev/s  %9.0f top/s\n%!"
     (label m) m.wall_s m.transfers_completed m.transfers_started m.goodput_mbps
     m.events m.timer_ops m.events_per_s m.timer_ops_per_s
-
-(* Differential check across substrates: simulated quantities must
-   match exactly at each size. Returns the mismatched labels. *)
-let divergences measurements =
-  List.filter_map
-    (fun flows ->
-      let find substrate =
-        List.find_opt
-          (fun m -> m.flows = flows && m.substrate = substrate)
-          measurements
-      in
-      match (find "wheel", find "heap") with
-      | Some w, Some h
-        when w.events <> h.events
-             || w.timer_ops <> h.timer_ops
-             || w.transfers_completed <> h.transfers_completed ->
-        Some (Printf.sprintf "%d flows" flows)
-      | _ -> None)
-    (List.sort_uniq compare (List.map (fun m -> m.flows) measurements))
 
 (* ------------------------------------------------------------------ *)
 (* Gate: events/sec scaling floor                                      *)
@@ -119,8 +87,8 @@ let gate_duration = 1.
    size holds the floor relative to the small one. *)
 let gate_check () =
   let small_flows, large_flows = gate_sizes in
-  let small = measure ~use_wheel:true ~flows:small_flows ~duration:gate_duration () in
-  let large = measure ~use_wheel:true ~flows:large_flows ~duration:gate_duration () in
+  let small = measure ~flows:small_flows ~duration:gate_duration () in
+  let large = measure ~flows:large_flows ~duration:gate_duration () in
   let ok =
     large.events_per_s >= gate_scaling_floor *. small.events_per_s
   in

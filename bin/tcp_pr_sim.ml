@@ -450,8 +450,7 @@ let demo seed jobs =
   |> List.iter (fun (label, mbps) ->
          Printf.printf "  %-10s %6.2f Mb/s\n" label mbps)
 
-let scale seed csv flows_list duration variant heap_baseline domains cells
-    check_merge =
+let scale seed csv flows_list duration variant domains cells check_merge =
   let sender =
     match Experiments.Variants.find variant with
     | Some v -> v
@@ -464,20 +463,17 @@ let scale seed csv flows_list duration variant heap_baseline domains cells
     let table =
       Stats.Table.create
         ~columns:
-          [ "flows"; "substrate"; "transfers"; "goodput Mb/s"; "events";
-            "timer ops"; "events/s"; "timer ops/s"; "wall s" ]
+          [ "flows"; "transfers"; "goodput Mb/s"; "events"; "timer ops";
+            "events/s"; "timer ops/s"; "wall s" ]
     in
-    let run_one flows use_wheel =
+    let run_one flows =
       let t0 = Unix.gettimeofday () in
-      let r =
-        Experiments.Scale.run ~seed ~sender ~use_wheel ~duration ~flows ()
-      in
+      let r = Experiments.Scale.run ~seed ~sender ~duration ~flows () in
       let wall = Unix.gettimeofday () -. t0 in
       let ops = Experiments.Scale.timer_ops r in
       let per_sec n = Printf.sprintf "%.0f" (float_of_int n /. wall) in
       Stats.Table.add_row table
         [ string_of_int flows;
-          (if use_wheel then "wheel" else "heap");
           Printf.sprintf "%d/%d" r.Experiments.Scale.transfers_completed
             r.Experiments.Scale.transfers_started;
           Printf.sprintf "%.1f" r.Experiments.Scale.goodput_mbps;
@@ -487,11 +483,7 @@ let scale seed csv flows_list duration variant heap_baseline domains cells
           per_sec ops;
           Printf.sprintf "%.2f" wall ]
     in
-    List.iter
-      (fun flows ->
-        run_one flows true;
-        if heap_baseline then run_one flows false)
-      flows_list;
+    List.iter run_one flows_list;
     render ~csv table
   | _ ->
     (* Sharded path: partitioned topology on a Sharded_engine.
@@ -502,16 +494,15 @@ let scale seed csv flows_list duration variant heap_baseline domains cells
     let table =
       Stats.Table.create
         ~columns:
-          [ "flows"; "domains"; "substrate"; "transfers"; "goodput Mb/s";
-            "events"; "messages"; "windows"; "events/s"; "wall s" ]
+          [ "flows"; "domains"; "transfers"; "goodput Mb/s"; "events";
+            "messages"; "windows"; "events/s"; "wall s" ]
     in
     let failures = ref 0 in
-    let add_row (r : Experiments.Scale_sharded.result) ~use_wheel ~wall =
+    let add_row (r : Experiments.Scale_sharded.result) ~wall =
       let per_sec n = Printf.sprintf "%.0f" (float_of_int n /. wall) in
       Stats.Table.add_row table
         [ string_of_int r.Experiments.Scale_sharded.flows;
           string_of_int r.Experiments.Scale_sharded.domains;
-          (if use_wheel then "wheel" else "heap");
           Printf.sprintf "%d/%d"
             r.Experiments.Scale_sharded.transfers_completed
             r.Experiments.Scale_sharded.transfers_started;
@@ -522,7 +513,7 @@ let scale seed csv flows_list duration variant heap_baseline domains cells
           per_sec r.Experiments.Scale_sharded.events_executed;
           Printf.sprintf "%.2f" wall ]
     in
-    let run_sharded flows use_wheel =
+    let run_sharded flows =
       let monitors = ref [] in
       let probe_hook =
         if check_merge then
@@ -538,11 +529,11 @@ let scale seed csv flows_list duration variant heap_baseline domains cells
       in
       let t0 = Unix.gettimeofday () in
       let r =
-        Experiments.Scale_sharded.run ~seed ~sender ~use_wheel ~duration
-          ~cells ~record:check_merge ?probe_hook ~domains ~flows ()
+        Experiments.Scale_sharded.run ~seed ~sender ~duration ~cells
+          ~record:check_merge ?probe_hook ~domains ~flows ()
       in
       let wall = Unix.gettimeofday () -. t0 in
-      add_row r ~use_wheel ~wall;
+      add_row r ~wall;
       if check_merge then begin
         let viols = Check.Monitor.all_violations !monitors in
         if viols <> [] then begin
@@ -557,11 +548,11 @@ let scale seed csv flows_list duration variant heap_baseline domains cells
         end;
         let t0 = Unix.gettimeofday () in
         let base =
-          Experiments.Scale_sharded.run ~seed ~sender ~use_wheel ~duration
-            ~cells ~record:true ~domains:1 ~flows ()
+          Experiments.Scale_sharded.run ~seed ~sender ~duration ~cells
+            ~record:true ~domains:1 ~flows ()
         in
         let wall = Unix.gettimeofday () -. t0 in
-        add_row base ~use_wheel ~wall;
+        add_row base ~wall;
         let same_digest =
           r.Experiments.Scale_sharded.merged_digest
           = base.Experiments.Scale_sharded.merged_digest
@@ -594,11 +585,7 @@ let scale seed csv flows_list duration variant heap_baseline domains cells
         end
       end
     in
-    List.iter
-      (fun flows ->
-        run_sharded flows true;
-        if heap_baseline then run_sharded flows false)
-      flows_list;
+    List.iter run_sharded flows_list;
     render ~csv table;
     if !failures > 0 then exit 1
 
@@ -804,15 +791,6 @@ let scale_cmd =
       value & opt string "TCP-PR"
       & info [ "variant" ] ~docv:"NAME" ~doc:"Sender variant (default TCP-PR).")
   in
-  let heap_baseline =
-    Arg.(
-      value & flag
-      & info [ "heap-baseline" ]
-          ~doc:
-            "Also run each point with timers on the binary heap instead of \
-             the timing wheel; simulated results are identical, only \
-             wall-clock differs.")
-  in
   let domains =
     Arg.(
       value
@@ -847,8 +825,8 @@ let scale_cmd =
        flows, reporting events/sec and timer ops/sec; --domains runs the \
        shard-partitioned variant."
     Term.(
-      const scale $ seed_term $ csv_term $ flows $ duration $ variant
-      $ heap_baseline $ domains $ cells $ check_merge)
+      const scale $ seed_term $ csv_term $ flows $ duration $ variant $ domains
+      $ cells $ check_merge)
 
 let demo_cmd =
   cmd_of "demo" ~doc:"Two-minute tour: fairness and reordering robustness."

@@ -82,9 +82,7 @@ let engine ?(prefix = "engine") registry eng =
   add_counter ".events" (Sim.Engine.events_executed eng);
   add_counter ".timer.arms" (Sim.Engine.timer_arms eng);
   add_counter ".timer.cancels" (Sim.Engine.timer_cancels eng);
-  add_counter ".timer.fires" (Sim.Engine.timer_fires eng);
-  Obs.Registry.set_value registry (prefix ^ ".wheel")
-    (if Sim.Engine.uses_wheel eng then 1. else 0.)
+  add_counter ".timer.fires" (Sim.Engine.timer_fires eng)
 
 let churn ?(prefix = "churn") registry w =
   let add_counter name v =

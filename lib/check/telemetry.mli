@@ -17,9 +17,8 @@
 val network : ?prefix:string -> Obs.Registry.t -> Net.Network.t -> now:float -> unit
 
 (** [engine registry eng] lifts the scheduler's counters under [prefix]
-    (default ["engine"]): [.events], [.timer.arms], [.timer.cancels],
-    [.timer.fires], and [.wheel] (1 when timers ride the timing wheel,
-    0 on the heap baseline). *)
+    (default ["engine"]): [.events], [.timer.arms], [.timer.cancels]
+    and [.timer.fires]. *)
 val engine : ?prefix:string -> Obs.Registry.t -> Sim.Engine.t -> unit
 
 (** [churn registry w] lifts a {!Workload.Flow_churn} workload's

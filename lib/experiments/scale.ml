@@ -1,7 +1,6 @@
 type result = {
   flows : int;
   duration : float;
-  use_wheel : bool;
   transfers_started : int;
   transfers_completed : int;
   segments_completed : int;
@@ -35,10 +34,10 @@ let default_churn ~flows ~duration =
     ramp_s = Float.min 1.0 (duration /. 4.) }
 
 let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
-    ?(config = default_config) ?churn ?(use_wheel = true) ?(duration = 5.)
-    ~flows () =
+    ?(config = default_config) ?churn ?(duration = 5.) ~flows () =
   if flows < 1 then invalid_arg "Scale.run: flows must be >= 1";
-  if duration <= 0. then invalid_arg "Scale.run: duration must be positive";
+  if not (duration > 0.) then
+    invalid_arg "Scale.run: duration must be positive";
   let _, sender_module = sender in
   let churn =
     match churn with Some c -> c | None -> default_churn ~flows ~duration
@@ -48,7 +47,7 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
       config.Tcp.Config.timer_granularity
     else 1e-3
   in
-  let engine = Sim.Engine.create ~use_wheel ~timer_granularity () in
+  let engine = Sim.Engine.create ~timer_granularity () in
   (* Capacity scales with the population: ~1 Mb/s of bottleneck per
      slot so mice finish in a handful of RTTs, 32 host pairs shared
      round-robin, and bottleneck queues deep enough that loss stays a
@@ -74,7 +73,6 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
   let segments = Workload.Flow_churn.segments_completed workload in
   { flows;
     duration;
-    use_wheel;
     transfers_started = Workload.Flow_churn.transfers_started workload;
     transfers_completed = Workload.Flow_churn.transfers_completed workload;
     segments_completed = segments;
@@ -91,11 +89,3 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
     workload }
 
 let timer_ops r = r.timer_arms + r.timer_cancels + r.timer_fires
-
-let pp ppf r =
-  Fmt.pf ppf
-    "flows=%d wheel=%b sim=%.1fs transfers=%d/%d goodput=%.1f Mb/s events=%d \
-     timer_ops=%d (arm=%d cancel=%d fire=%d) pending=%d"
-    r.flows r.use_wheel r.duration r.transfers_completed r.transfers_started
-    r.goodput_mbps r.events_executed (timer_ops r) r.timer_arms r.timer_cancels
-    r.timer_fires r.pending_at_end

@@ -4,15 +4,12 @@
     This is the scheduler's stress regime — thousands of concurrent
     connections, each arming and cancelling retransmission timers per
     packet — used by the [scale] subcommand and the scale benchmark
-    suite to measure events/sec and timer ops/sec on the timing wheel
-    against the heap-only baseline ([use_wheel:false]). Simulated
-    results are identical on either substrate; only wall-clock cost
-    differs. *)
+    suite to measure events/sec and timer ops/sec on the timing
+    wheel. *)
 
 type result = {
   flows : int;  (** concurrent flow slots *)
   duration : float;  (** simulated seconds *)
-  use_wheel : bool;
   transfers_started : int;
   transfers_completed : int;
   segments_completed : int;
@@ -38,14 +35,14 @@ val default_churn : flows:int -> duration:float -> Workload.Flow_churn.config
 (** [run ~flows ()] builds the topology (32 host pairs, ~1 Mb/s of
     bottleneck per slot), spawns the churn workload and runs [duration]
     simulated seconds (default 5). [sender] defaults to TCP-PR — the
-    all-timer protocol, the wheel's worst case. [use_wheel:false]
-    schedules timers on the heap instead (the differential baseline). *)
+    all-timer protocol, the wheel's worst case. Raises
+    [Invalid_argument] when [flows < 1] or [duration] is not positive
+    (NaN included). *)
 val run :
   ?seed:int ->
   ?sender:Variants.t ->
   ?config:Tcp.Config.t ->
   ?churn:Workload.Flow_churn.config ->
-  ?use_wheel:bool ->
   ?duration:float ->
   flows:int ->
   unit ->
@@ -53,5 +50,3 @@ val run :
 
 (** Timer arms + cancels + fires. *)
 val timer_ops : result -> int
-
-val pp : Format.formatter -> result -> unit

@@ -45,7 +45,6 @@ type result = {
   cells : int;
   domains : int;
   duration : float;
-  use_wheel : bool;
   transfers_started : int;
   transfers_completed : int;
   segments_completed : int;
@@ -88,11 +87,11 @@ let cell_delay c = cross_delay_s +. (float_of_int (c + 1) *. 1e-9)
    bottleneck propagation is split onto the two crossings (10 ms each
    side), so the end-to-end RTT matches the single-dumbbell scenario. *)
 let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
-    ?(config = Scale.default_config) ?(use_wheel = true) ?(duration = 5.)
-    ?(cells = default_cells) ?(record = false) ?probe_hook ~domains ~flows ()
-    =
+    ?(config = Scale.default_config) ?(duration = 5.) ?(cells = default_cells)
+    ?(record = false) ?probe_hook ~domains ~flows () =
   if flows < 1 then invalid_arg "Scale_sharded.run: flows must be >= 1";
-  if duration <= 0. then invalid_arg "Scale_sharded.run: duration must be positive";
+  if not (duration > 0.) then
+    invalid_arg "Scale_sharded.run: duration must be positive";
   if domains < 1 then invalid_arg "Scale_sharded.run: domains must be >= 1";
   if cells < 1 then invalid_arg "Scale_sharded.run: cells must be >= 1";
   let _, sender_module = sender in
@@ -102,9 +101,7 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
       config.Tcp.Config.timer_granularity
     else 1e-3
   in
-  let sharded =
-    Sim.Sharded_engine.create ~domains ~use_wheel ~timer_granularity ()
-  in
+  let sharded = Sim.Sharded_engine.create ~domains ~timer_granularity () in
   let networks =
     Array.init domains (fun s ->
         Net.Network.create (Sim.Sharded_engine.engine sharded s))
@@ -318,7 +315,6 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
     cells;
     domains;
     duration;
-    use_wheel;
     transfers_started = sum Workload.Flow_churn.transfers_started;
     transfers_completed = sum Workload.Flow_churn.transfers_completed;
     segments_completed = segments;
@@ -341,14 +337,3 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
     networks;
     workloads;
     probes }
-
-let timer_ops r = r.timer_arms + r.timer_cancels + r.timer_fires
-
-let pp ppf r =
-  Fmt.pf ppf
-    "flows=%d cells=%d domains=%d sim=%.1fs transfers=%d/%d goodput=%.1f \
-     Mb/s events=%d timer_ops=%d messages=%d windows=%d crossings=%d \
-     pending=%d"
-    r.flows r.cells r.domains r.duration r.transfers_completed
-    r.transfers_started r.goodput_mbps r.events_executed (timer_ops r)
-    r.messages r.windows r.crossings r.pending_at_end

@@ -31,7 +31,6 @@ type result = {
   cells : int;
   domains : int;
   duration : float;
-  use_wheel : bool;
   transfers_started : int;
   transfers_completed : int;
   segments_completed : int;
@@ -70,12 +69,11 @@ val cross_delay_s : float
     caller subscribe monitors to each cell's probe (probes are created
     when either [record] or [probe_hook] is given). Raises
     [Invalid_argument] on non-positive [flows], [domains], [cells] or
-    [duration]. *)
+    [duration] (NaN included). *)
 val run :
   ?seed:int ->
   ?sender:string * (module Tcp.Sender.S) ->
   ?config:Tcp.Config.t ->
-  ?use_wheel:bool ->
   ?duration:float ->
   ?cells:int ->
   ?record:bool ->
@@ -84,8 +82,3 @@ val run :
   flows:int ->
   unit ->
   result
-
-(** Timer arms + cancels + fires, summed over shards. *)
-val timer_ops : result -> int
-
-val pp : Format.formatter -> result -> unit

@@ -10,18 +10,13 @@ type event = ..
 type event += Closure of (unit -> unit)
 
 (* A recurring-timer cell. [t_seq] is the engine-global rank of the
-   pending armament (-1 when unarmed); [t_widx] is its wheel entry
-   index, or -1 when the armament lives on the heap (heap-substrate
-   engines). [t_fire] caches the cell's own [Timer_fire] wrapper so
-   rearming never allocates. *)
+   pending armament (-1 when unarmed); [t_widx] is that armament's
+   wheel entry index, meaningful only while [t_seq >= 0]. *)
 type timer = {
   mutable t_seq : int;
   mutable t_widx : int;
   t_payload : event;
-  mutable t_fire : event;
 }
-
-type event += Timer_fire of timer
 
 let nothing () = ()
 
@@ -35,7 +30,6 @@ type t = {
      substrates draw ranks from [next_seq], so the merged pop order is
      exactly the (time, rank) order a single heap would produce. *)
   wheel : timer Timer_wheel.t;
-  use_wheel : bool;
   mutable next_seq : int;
   (* Chain of typed-event dispatchers, installed once per (engine,
      layer) by [add_dispatcher]. [Closure] never reaches it. *)
@@ -57,7 +51,7 @@ type t = {
 let unhandled _ =
   invalid_arg "Engine: typed event has no registered dispatcher"
 
-let create ?(use_wheel = true) ?(timer_granularity = 1e-3) () =
+let create ?(timer_granularity = 1e-3) () =
   let granularity =
     if timer_granularity > 0. then Time.of_sec timer_granularity
     else Time.of_sec 1e-3
@@ -66,7 +60,6 @@ let create ?(use_wheel = true) ?(timer_granularity = 1e-3) () =
   { clock = 0;
     queue = Event_queue.create ();
     wheel = Timer_wheel.create ~granularity ();
-    use_wheel;
     next_seq = 0;
     dispatch = unhandled;
     dispatcher_keys = Hashtbl.create 4;
@@ -80,12 +73,6 @@ let create ?(use_wheel = true) ?(timer_granularity = 1e-3) () =
 let[@inline] now_ns t = t.clock
 
 let now t = Time.to_sec t.clock
-
-let uses_wheel t = t.use_wheel
-
-let timer_granularity_ns t = Timer_wheel.granularity t.wheel
-
-let timer_granularity t = Time.to_sec (Timer_wheel.granularity t.wheel)
 
 let events_executed t = t.events_executed
 
@@ -102,17 +89,7 @@ let add_dispatcher t ~key f =
     t.dispatch <- (fun ev -> if not (f ev) then next ev)
   end
 
-(* Firing a timer clears its cell *before* running the handler, so a
-   handler that rearms its own timer starts from an unarmed cell — no
-   stale bookkeeping to race (the Connection-layer bug this design
-   replaces). *)
-let rec execute t = function
-  | Closure f -> f ()
-  | Timer_fire tm ->
-      tm.t_seq <- -1;
-      t.timer_fires <- t.timer_fires + 1;
-      execute t tm.t_payload
-  | ev -> t.dispatch ev
+let execute t = function Closure f -> f () | ev -> t.dispatch ev
 
 let next_seq t =
   let seq = t.next_seq in
@@ -134,37 +111,26 @@ let schedule_event_after_ns t ~delay ev =
   Event_queue.push_seq t.queue ~time:(Time.add t.clock delay) ~seq ev;
   seq
 
-let schedule_event_at t ~time ev =
-  schedule_event_at_ns t ~time:(Time.of_sec time) ev
+let schedule_at t ~time f =
+  schedule_event_at_ns t ~time:(Time.of_sec time) (Closure f)
 
-let schedule_event_after t ~delay ev =
+let schedule_after t ~delay f =
   if delay < 0. then invalid_arg "Engine.schedule_after: negative delay";
-  schedule_event_after_ns t ~delay:(Time.of_sec_delay delay) ev
-
-let schedule_at t ~time f = schedule_event_at t ~time (Closure f)
-
-let schedule_after t ~delay f = schedule_event_after t ~delay (Closure f)
+  schedule_event_after_ns t ~delay:(Time.of_sec_delay delay) (Closure f)
 
 let cancel t id = Event_queue.cancel t.queue id
 
 (* --- timer cells ----------------------------------------------------- *)
 
-let make_timer _t payload =
-  let tm =
-    { t_seq = -1; t_widx = -1; t_payload = payload; t_fire = Closure nothing }
-  in
-  tm.t_fire <- Timer_fire tm;
-  tm
+let make_timer _t payload = { t_seq = -1; t_widx = -1; t_payload = payload }
 
 let timer_armed tm = tm.t_seq >= 0
 
 let cancel_timer t tm =
   if tm.t_seq >= 0 then begin
     t.timer_cancels <- t.timer_cancels + 1;
-    if tm.t_widx >= 0 then Timer_wheel.cancel t.wheel tm.t_widx ~seq:tm.t_seq
-    else Event_queue.cancel t.queue tm.t_seq;
-    tm.t_seq <- -1;
-    tm.t_widx <- -1
+    Timer_wheel.cancel t.wheel tm.t_widx ~seq:tm.t_seq;
+    tm.t_seq <- -1
   end
 
 let arm_timer_ns t tm ~delay =
@@ -173,12 +139,7 @@ let arm_timer_ns t tm ~delay =
   let seq = next_seq t in
   tm.t_seq <- seq;
   t.timer_arms <- t.timer_arms + 1;
-  let time = Time.add t.clock delay in
-  if t.use_wheel then tm.t_widx <- Timer_wheel.arm t.wheel ~time ~seq tm
-  else begin
-    tm.t_widx <- -1;
-    Event_queue.push_seq t.queue ~time ~seq tm.t_fire
-  end
+  tm.t_widx <- Timer_wheel.arm t.wheel ~time:(Time.add t.clock delay) ~seq tm
 
 let arm_timer t tm ~delay =
   if delay < 0. then invalid_arg "Engine.arm_timer: negative delay";
@@ -216,7 +177,7 @@ let run_flushes t =
    dispatch. *)
 let due_at_clock t =
   (Event_queue.head t.queue && Event_queue.head_time t.queue = t.clock)
-  || (t.use_wheel && Timer_wheel.due t.wheel ~up_to:t.clock)
+  || Timer_wheel.due t.wheel ~up_to:t.clock
 
 (* --- run loop -------------------------------------------------------- *)
 
@@ -237,7 +198,8 @@ let due_at_clock t =
 
    The pop order is exactly the (time, rank) order a single shared heap
    would produce — the same invariant the per-event loop maintained,
-   proven by the wheel-vs-heap differential tests and the goldens.
+   pinned by the single-list reference model in test/test_sim.ml and
+   by the goldens.
 
    End-of-instant flushes thread through as fences: each run breaks
    before popping an event later than the current clock while flushes
@@ -251,118 +213,100 @@ let due_at_clock t =
    comparisons, clock stores and until-checks below never box. *)
 let run_loop t ~until =
   let q = t.queue in
-  if not t.use_wheel then begin
-    (* Single-substrate engine: plain heap drain. *)
-    let continue = ref true in
-    while !continue do
-      if Event_queue.head q then begin
-        let time = Event_queue.head_time q in
-        if t.flush_len > 0 && time <> t.clock then run_flushes t
-        else if time <= until then begin
-          let ev = Event_queue.pop_head q in
-          t.clock <- time;
-          t.events_executed <- t.events_executed + 1;
-          execute t ev
-        end
-        else continue := false
-      end
-      else if t.flush_len > 0 then run_flushes t
-      else continue := false
-    done
-  end
-  else begin
-    let w = t.wheel in
-    let continue = ref true in
-    while !continue do
-      if t.flush_len > 0 && not (due_at_clock t) then run_flushes t
-      else begin
-        let qh = Event_queue.head q in
-        let qt = if qh then Event_queue.head_time q else Time.never in
-        let wlimit = if qt < until then qt else until in
-        if Timer_wheel.due w ~up_to:wlimit then begin
-          (* Wheel-covered run: merge on raw head keys until the due head
-             stops being provably minimal (bucket exhausted or cursor
-             coverage lost). *)
-          let wrun = ref true in
-          while !wrun do
-            (* Handlers may cancel the entry sitting at the due head
-               (dead entries keep intact keys but must never fire), so
-               re-establish head liveness and coverage before every pop —
-               [head_ready] is a skim plus two integer loads. *)
-            if not (Timer_wheel.head_ready w) then wrun := false
-            else begin
-              let wt = Timer_wheel.head_time w in
-              let qh = Event_queue.head q in
-              let queue_first =
-                qh
-                && (let time = Event_queue.head_time q in
-                    time < wt
-                    || (time = wt
-                        && Event_queue.head_seq q < Timer_wheel.head_seq w))
-              in
-              if queue_first then begin
-                let time = Event_queue.head_time q in
-                if t.flush_len > 0 && time <> t.clock then wrun := false
-                else if time <= until then begin
-                  let ev = Event_queue.pop_head q in
-                  t.clock <- time;
-                  t.events_executed <- t.events_executed + 1;
-                  execute t ev
-                end
-                else wrun := false
-              end
-              else if t.flush_len > 0 && wt <> t.clock then wrun := false
-              else if wt <= until then begin
-                let tm = Timer_wheel.pop_due w in
-                t.clock <- wt;
+  let w = t.wheel in
+  let continue = ref true in
+  while !continue do
+    if t.flush_len > 0 && not (due_at_clock t) then run_flushes t
+    else begin
+      let qh = Event_queue.head q in
+      let qt = if qh then Event_queue.head_time q else Time.never in
+      let wlimit = if qt < until then qt else until in
+      if Timer_wheel.due w ~up_to:wlimit then begin
+        (* Wheel-covered run: merge on raw head keys until the due head
+           stops being provably minimal (bucket exhausted or cursor
+           coverage lost). *)
+        let wrun = ref true in
+        while !wrun do
+          (* Handlers may cancel the entry sitting at the due head
+             (dead entries keep intact keys but must never fire), so
+             re-establish head liveness and coverage before every pop —
+             [head_ready] is a skim plus two integer loads. *)
+          if not (Timer_wheel.head_ready w) then wrun := false
+          else begin
+            let wt = Timer_wheel.head_time w in
+            let qh = Event_queue.head q in
+            let queue_first =
+              qh
+              && (let time = Event_queue.head_time q in
+                  time < wt
+                  || (time = wt
+                      && Event_queue.head_seq q < Timer_wheel.head_seq w))
+            in
+            if queue_first then begin
+              let time = Event_queue.head_time q in
+              if t.flush_len > 0 && time <> t.clock then wrun := false
+              else if time <= until then begin
+                let ev = Event_queue.pop_head q in
+                t.clock <- time;
                 t.events_executed <- t.events_executed + 1;
-                tm.t_seq <- -1;
-                t.timer_fires <- t.timer_fires + 1;
-                execute t tm.t_payload
+                execute t ev
               end
               else wrun := false
             end
-          done
-        end
-        else if qh && qt <= until then begin
-          if t.flush_len > 0 && qt <> t.clock then
-            (* Pending flushes and the next event is later: fall through
-               to the outer loop, whose fence runs them. *)
-            ()
-          else begin
-            (* Heap run: the wheel has nothing due by [wlimit], so heap
-               events strictly below its lower bound are safe to drain
-               without re-polling it. The first event is known due; arms
-               during any handler invalidate the bound, so fence on the
-               arm counter. *)
-            let arms0 = t.timer_arms in
-            let ev = Event_queue.pop_head q in
-            t.clock <- qt;
-            t.events_executed <- t.events_executed + 1;
-            execute t ev;
-            let bound = Timer_wheel.lower_bound w in
-            let qrun = ref true in
-            while !qrun do
-              if t.timer_arms <> arms0 then qrun := false
-              else if Event_queue.head q then begin
-                let time = Event_queue.head_time q in
-                if t.flush_len > 0 && time <> t.clock then qrun := false
-                else if time < bound && time <= until then begin
-                  let ev = Event_queue.pop_head q in
-                  t.clock <- time;
-                  t.events_executed <- t.events_executed + 1;
-                  execute t ev
-                end
-                else qrun := false
+            else if t.flush_len > 0 && wt <> t.clock then wrun := false
+            else if wt <= until then begin
+              (* Firing a timer clears its cell *before* running the
+                 handler, so a handler that rearms its own timer starts
+                 from an unarmed cell — no stale bookkeeping to race. *)
+              let tm = Timer_wheel.pop_due w in
+              t.clock <- wt;
+              t.events_executed <- t.events_executed + 1;
+              tm.t_seq <- -1;
+              t.timer_fires <- t.timer_fires + 1;
+              execute t tm.t_payload
+            end
+            else wrun := false
+          end
+        done
+      end
+      else if qh && qt <= until then begin
+        if t.flush_len > 0 && qt <> t.clock then
+          (* Pending flushes and the next event is later: fall through
+             to the outer loop, whose fence runs them. *)
+          ()
+        else begin
+          (* Heap run: the wheel has nothing due by [wlimit], so heap
+             events strictly below its lower bound are safe to drain
+             without re-polling it. The first event is known due; arms
+             during any handler invalidate the bound, so fence on the
+             arm counter. *)
+          let arms0 = t.timer_arms in
+          let ev = Event_queue.pop_head q in
+          t.clock <- qt;
+          t.events_executed <- t.events_executed + 1;
+          execute t ev;
+          let bound = Timer_wheel.lower_bound w in
+          let qrun = ref true in
+          while !qrun do
+            if t.timer_arms <> arms0 then qrun := false
+            else if Event_queue.head q then begin
+              let time = Event_queue.head_time q in
+              if t.flush_len > 0 && time <> t.clock then qrun := false
+              else if time < bound && time <= until then begin
+                let ev = Event_queue.pop_head q in
+                t.clock <- time;
+                t.events_executed <- t.events_executed + 1;
+                execute t ev
               end
               else qrun := false
-            done
-          end
+            end
+            else qrun := false
+          done
         end
-        else continue := false
       end
-    done
-  end
+      else continue := false
+    end
+  done
 
 let run_ns t ~until =
   run_loop t ~until;
@@ -383,6 +327,4 @@ let next_event_time_ns t =
     if Event_queue.head t.queue then Event_queue.head_time t.queue
     else Time.never
   in
-  if not t.use_wheel then q else Time.min q (Timer_wheel.lower_bound t.wheel)
-
-let next_event_time t = Time.to_sec (next_event_time_ns t)
+  Time.min q (Timer_wheel.lower_bound t.wheel)

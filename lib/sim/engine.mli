@@ -14,23 +14,22 @@
     Events come in two forms. The general form is a closure
     ([schedule_at] / [schedule_after]). Hot paths instead extend the
     {!event} variant with their own constructors and schedule those
-    directly ([schedule_event_at] / [schedule_event_after]), paying one
-    small variant block per event instead of heap closures; each layer
-    installs a dispatcher for its constructors once per engine with
-    [add_dispatcher]. Both forms share the deterministic (time,
-    insertion) order regardless of which form a component uses.
+    directly ([schedule_event_at_ns] / [schedule_event_after_ns]),
+    paying one small variant block per event instead of heap closures;
+    each layer installs a dispatcher for its constructors once per
+    engine with [add_dispatcher]. Both forms share the deterministic
+    (time, insertion) order regardless of which form a component uses.
 
     Recurring timers use {!timer} cells: allocate once with
     [make_timer], then [arm_timer] / [cancel_timer] freely — rearming
     from the timer's own handler is safe because the cell is cleared
     before the handler runs.
 
-    Time is {!Time.t} integer nanoseconds internally. Every scheduling
-    entry point exists in two forms: a [_ns] function taking {!Time.t}
-    (the allocation-free hot path) and a float-seconds wrapper that
-    converts at the boundary. Mixing the two is safe — the float forms
-    are definitionally [Time.of_sec]/[Time.to_sec] compositions of the
-    ns forms. *)
+    Time is {!Time.t} integer nanoseconds internally. The [_ns]
+    functions take {!Time.t} (the allocation-free hot path); the
+    float-seconds forms convert at the boundary. Mixing the two is
+    safe — the float forms are definitionally
+    [Time.of_sec]/[Time.to_sec] compositions of the ns forms. *)
 
 type t
 
@@ -45,12 +44,9 @@ type event = ..
 type event += Closure of (unit -> unit)
 
 (** [create ()] returns an engine with the clock at time 0.
-    [use_wheel] (default [true]) selects the timer substrate: when
-    [false], timer cells are scheduled on the heap instead — same
-    semantics and same event order, used as the differential baseline.
     [timer_granularity] is the wheel's slot width in seconds (default
     1e-3; non-positive values fall back to the default). *)
-val create : ?use_wheel:bool -> ?timer_granularity:float -> unit -> t
+val create : ?timer_granularity:float -> unit -> t
 
 (** [now t] is the current simulated time, in seconds. *)
 val now : t -> float
@@ -58,15 +54,6 @@ val now : t -> float
 (** [now_ns t] is the current simulated time in nanoseconds. The
     boxing-free clock read for hot paths. *)
 val now_ns : t -> Time.t
-
-(** Which substrate timer cells ride (see [create]). *)
-val uses_wheel : t -> bool
-
-(** The wheel's slot width, in seconds. *)
-val timer_granularity : t -> float
-
-(** The wheel's slot width, in nanoseconds. *)
-val timer_granularity_ns : t -> Time.t
 
 (** [add_dispatcher t ~key f] installs [f] to execute typed events.
     [f ev] must return [true] if it handled [ev], [false] to pass it to
@@ -76,17 +63,12 @@ val timer_granularity_ns : t -> Time.t
     [Invalid_argument]. *)
 val add_dispatcher : t -> key:string -> (event -> bool) -> unit
 
-(** [schedule_event_at t ~time ev] executes [ev] when the clock reaches
-    [time]. Scheduling in the past raises [Invalid_argument]. *)
-val schedule_event_at : t -> time:float -> event -> event_id
-
-(** [schedule_event_after t ~delay ev] executes [ev] after [delay]
-    seconds. Requires [delay >= 0.]. *)
-val schedule_event_after : t -> delay:float -> event -> event_id
-
-(** ns-native forms of the two above — no float crosses the call. *)
+(** [schedule_event_at_ns t ~time ev] executes [ev] when the clock
+    reaches [time]. Scheduling in the past raises [Invalid_argument]. *)
 val schedule_event_at_ns : t -> time:Time.t -> event -> event_id
 
+(** [schedule_event_after_ns t ~delay ev] executes [ev] after [delay]
+    nanoseconds. Requires [delay >= 0]. *)
 val schedule_event_after_ns : t -> delay:Time.t -> event -> event_id
 
 (** [schedule_at t ~time f] runs [f ()] when the clock reaches [time].
@@ -158,15 +140,13 @@ val run_to_completion : t -> unit
     both substrates. *)
 val pending : t -> int
 
-(** [next_event_time t] is a conservative lower bound on the time of
-    the earliest pending event across both substrates ([infinity] when
-    idle): nothing will execute strictly before it. The heap side is
-    exact; the wheel side is its {!Timer_wheel.lower_bound}, so the
-    returned time may precede the actual next firing. Used by
-    {!Sharded_engine} to advance the global horizon over idle gaps. *)
-val next_event_time : t -> float
-
-(** ns-native [next_event_time] ([Time.never] when idle). *)
+(** [next_event_time_ns t] is a conservative lower bound on the time
+    of the earliest pending event across both substrates
+    ([Time.never] when idle): nothing will execute strictly before it.
+    The heap side is exact; the wheel side is its
+    {!Timer_wheel.lower_bound}, so the returned time may precede the
+    actual next firing. Used by {!Sharded_engine} to advance the global
+    horizon over idle gaps. *)
 val next_event_time_ns : t -> Time.t
 
 (** {2 Scheduler counters} (monotone over the engine's lifetime) *)

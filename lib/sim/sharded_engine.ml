@@ -61,10 +61,9 @@ type t = {
   mutable running : bool;
 }
 
-let create ~domains ?(use_wheel = true) ?(timer_granularity = 1e-3) () =
+let create ~domains ?(timer_granularity = 1e-3) () =
   if domains < 1 then invalid_arg "Sharded_engine.create: domains must be >= 1";
-  { engines =
-      Array.init domains (fun _ -> Engine.create ~use_wheel ~timer_granularity ());
+  { engines = Array.init domains (fun _ -> Engine.create ~timer_granularity ());
     channels_rev = [];
     channel_count = 0;
     messages = 0;

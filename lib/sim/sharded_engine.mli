@@ -31,10 +31,9 @@ type t
 type channel
 
 (** [create ~domains ()] builds [domains] engines (shard ids
-    [0..domains-1]). [use_wheel] and [timer_granularity] are applied to
-    every engine, as in {!Engine.create}. *)
-val create :
-  domains:int -> ?use_wheel:bool -> ?timer_granularity:float -> unit -> t
+    [0..domains-1]). [timer_granularity] is applied to every engine, as
+    in {!Engine.create}. *)
+val create : domains:int -> ?timer_granularity:float -> unit -> t
 
 val domains : t -> int
 

@@ -99,8 +99,6 @@ let live t = t.live
 
 let physical t = t.live + t.dead
 
-let capacity t = Array.length t.times
-
 (* --- liveness bitmap ------------------------------------------------ *)
 
 let is_alive t i =
@@ -460,28 +458,3 @@ let lower_bound t =
       t.times.(t.due.(0))
     else slot_lb
   end
-
-(* Batch drain: dispatch every entry with [time <= up_to] to [f time
-   payload], in exact (time, seq) order, advancing the cursor as
-   needed. Equivalent to [while due t ~up_to do f (head_time t)
-   (pop_due t) done] but with the due/coverage check amortised over
-   whole buckets instead of re-derived per entry. [f] may arm or cancel
-   timers on this wheel. [stop] is polled between entries so a caller
-   merging with another event source can bail out as soon as that
-   source gains work (the engine stops when the heap becomes
-   non-empty). *)
-let drain_due t ~up_to ?(stop = fun () -> false) f =
-  let continue = ref true in
-  while !continue do
-    if stop () then continue := false
-    else if head_ready t then begin
-      (* Covered head: pop a run without consulting the cursor. *)
-      let time = t.times.(t.due.(0)) in
-      if time <= up_to then f time (pop_due t) else continue := false
-    end
-    else if due t ~up_to then begin
-      let time = t.times.(t.due.(0)) in
-      f time (pop_due t)
-    end
-    else continue := false
-  done

@@ -76,24 +76,9 @@ val head_ready : 'a t -> bool
     re-read after any arm. *)
 val lower_bound : 'a t -> Time.t
 
-(** [drain_due t ~up_to f] pops every entry with [time <= up_to] in
-    exact [(time, seq)] order and calls [f time payload] on each — the
-    batched equivalent of a {!due} / {!pop_due} loop, with the
-    coverage check amortised over whole due buckets. [f] may arm and
-    cancel entries on [t]; newly armed entries due by [up_to] are
-    dispatched in the same call. [stop] (default [fun () -> false]) is
-    polled between entries; when it returns [true] the drain ends
-    immediately, leaving the remaining entries pending. *)
-val drain_due :
-  'a t ->
-  up_to:Time.t -> ?stop:(unit -> bool) -> (Time.t -> 'a -> unit) -> unit
-
 (** Live (armed, uncancelled) entries. *)
 val live : 'a t -> int
 
 (** Linked entries including cancelled-but-unreclaimed ones. Lazy
     sweeping keeps this below [2 * live] plus a small constant. *)
 val physical : 'a t -> int
-
-(** High-water entry capacity (allocated slots, live + dead + free). *)
-val capacity : 'a t -> int

@@ -15,14 +15,18 @@ let default_config =
     size_alpha = 1.3;
     ramp_s = 1.0 }
 
+(* Float checks are written negated so that NaN, for which every
+   comparison is false, is rejected too. *)
 let validate c =
   if c.flows < 1 then invalid_arg "Flow_churn: flows must be >= 1";
-  if c.mean_think_s < 0. then invalid_arg "Flow_churn: negative think time";
+  if not (c.mean_think_s >= 0.) then
+    invalid_arg "Flow_churn: negative think time";
   if c.min_segments < 1 then invalid_arg "Flow_churn: min_segments must be >= 1";
   if c.max_segments < c.min_segments then
     invalid_arg "Flow_churn: max_segments < min_segments";
-  if c.size_alpha <= 0. then invalid_arg "Flow_churn: size_alpha must be > 0";
-  if c.ramp_s < 0. then invalid_arg "Flow_churn: negative ramp"
+  if not (c.size_alpha > 0.) then
+    invalid_arg "Flow_churn: size_alpha must be > 0";
+  if not (c.ramp_s >= 0.) then invalid_arg "Flow_churn: negative ramp"
 
 (* Where the slots' traffic lives: any set of source/sink pairs on one
    network with per-pair routes. The dumbbell is the classic shape, but

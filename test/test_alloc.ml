@@ -1,6 +1,6 @@
 (* Allocation regression tests: GC-delta bytes per simulated packet on
    the two gate scenarios (dumbbell contention and the epsilon-routed
-   multipath lattice), on both scheduler substrates.
+   multipath lattice), with timers on the timing wheel.
 
    These replicate the bench/alloc_suite.ml scenarios at the same scale
    (they run in milliseconds) but live in the test suite so `dune
@@ -50,8 +50,8 @@ let bytes_per_packet network ~measured =
 (* Dumbbell: a TCP-PR + TCP-SACK pair through the 1.5 Mb/s bottleneck,
    warmup pair run to completion first (flows 0/1), measured pair
    (flows 2/3) on the already-warm network. *)
-let dumbbell_bytes ~use_wheel =
-  let engine = Sim.Engine.create ~use_wheel () in
+let dumbbell_bytes () =
+  let engine = Sim.Engine.create () in
   let topo =
     Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:1.5e6
       ~queue_capacity:10 ()
@@ -78,8 +78,8 @@ let dumbbell_bytes ~use_wheel =
 
 (* Lattice: one TCP-PR flow, epsilon = 0 (uniform path choice, maximal
    persistent reordering), warmup flow first. *)
-let lattice_bytes ~use_wheel =
-  let engine = Sim.Engine.create ~use_wheel () in
+let lattice_bytes () =
+  let engine = Sim.Engine.create () in
   let topo = Topo.Multipath_lattice.create engine ~path_hops:[ 2; 3; 4 ] () in
   let network = topo.Topo.Multipath_lattice.network in
   let rng = Sim.Rng.create 42 in
@@ -119,8 +119,8 @@ let lattice_bytes ~use_wheel =
    must ride the hot path without any per-packet allocation. *)
 let analytics_budget = 180.
 
-let analytics_bytes ~use_wheel =
-  let engine = Sim.Engine.create ~use_wheel () in
+let analytics_bytes () =
+  let engine = Sim.Engine.create () in
   let topo = Topo.Multipath_lattice.create engine ~path_hops:[ 2; 3; 4 ] () in
   let network = topo.Topo.Multipath_lattice.network in
   let rng = Sim.Rng.create 42 in
@@ -171,8 +171,8 @@ let analytics_bytes ~use_wheel =
    delivery. *)
 let hoststack_budget = 200.
 
-let hoststack_bytes ~use_wheel =
-  let engine = Sim.Engine.create ~use_wheel () in
+let hoststack_bytes () =
+  let engine = Sim.Engine.create () in
   let topo =
     Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:1.5e6
       ~queue_capacity:10 ()
@@ -215,32 +215,16 @@ let check_budget name budget bytes =
       bytes budget
 
 let test_dumbbell_wheel () =
-  check_budget "dumbbell (wheel)" dumbbell_budget (dumbbell_bytes ~use_wheel:true)
-
-let test_dumbbell_heap () =
-  check_budget "dumbbell (heap)" dumbbell_budget (dumbbell_bytes ~use_wheel:false)
+  check_budget "dumbbell" dumbbell_budget (dumbbell_bytes ())
 
 let test_lattice_wheel () =
-  check_budget "lattice (wheel)" lattice_budget (lattice_bytes ~use_wheel:true)
-
-let test_lattice_heap () =
-  check_budget "lattice (heap)" lattice_budget (lattice_bytes ~use_wheel:false)
+  check_budget "lattice" lattice_budget (lattice_bytes ())
 
 let test_analytics_wheel () =
-  check_budget "analytics (wheel)" analytics_budget
-    (analytics_bytes ~use_wheel:true)
-
-let test_analytics_heap () =
-  check_budget "analytics (heap)" analytics_budget
-    (analytics_bytes ~use_wheel:false)
+  check_budget "analytics" analytics_budget (analytics_bytes ())
 
 let test_hoststack_wheel () =
-  check_budget "hoststack (wheel)" hoststack_budget
-    (hoststack_bytes ~use_wheel:true)
-
-let test_hoststack_heap () =
-  check_budget "hoststack (heap)" hoststack_budget
-    (hoststack_bytes ~use_wheel:false)
+  check_budget "hoststack" hoststack_budget (hoststack_bytes ())
 
 (* --- bytes per ACK ---------------------------------------------------
 
@@ -347,13 +331,9 @@ let () =
   Alcotest.run "alloc"
     [ ( "bytes-per-packet",
         [ Alcotest.test_case "dumbbell, wheel" `Quick test_dumbbell_wheel;
-          Alcotest.test_case "dumbbell, heap" `Quick test_dumbbell_heap;
           Alcotest.test_case "lattice, wheel" `Quick test_lattice_wheel;
-          Alcotest.test_case "lattice, heap" `Quick test_lattice_heap;
           Alcotest.test_case "analytics, wheel" `Quick test_analytics_wheel;
-          Alcotest.test_case "analytics, heap" `Quick test_analytics_heap;
-          Alcotest.test_case "hoststack, wheel" `Quick test_hoststack_wheel;
-          Alcotest.test_case "hoststack, heap" `Quick test_hoststack_heap ] );
+          Alcotest.test_case "hoststack, wheel" `Quick test_hoststack_wheel ] );
       ( "bytes-per-ack",
         [ Alcotest.test_case "TCP-SACK ceiling" `Quick test_ack_budget_sack;
           Alcotest.test_case "TCP-PR ceiling" `Quick test_ack_budget_tcp_pr ] );

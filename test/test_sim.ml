@@ -638,7 +638,276 @@ let wheel_props =
       wheel_ops_arbitrary wheel_model_agrees ]
 
 (* ------------------------------------------------------------------ *)
-(* Engine timer cells and substrate equivalence                        *)
+(* Engine vs the single-heap reference model                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine keeps one-shot events on a binary heap and timer cells on
+   the wheel, and promises the pop order of one heap keyed on
+   (time, rank). The reference model is that promise written out:
+   every pending event sits in one list sorted by (time, rank), every
+   rank comes from one global counter, rearming a cell cancels its old
+   armament, and float seconds convert through [Sim.Time] as the engine
+   converts them. A program runs unchanged on either scheduler; both
+   runs must log the same handler executions at the same nanoseconds
+   and count the same arms, cancels and fires. *)
+
+module type SCHED = sig
+  type t
+
+  type id
+
+  type cell
+
+  val create : unit -> t
+
+  val now_ns : t -> Sim.Time.t
+
+  val schedule_at : t -> time:float -> (unit -> unit) -> id
+
+  val cancel : t -> id -> unit
+
+  val make_timer : t -> (unit -> unit) -> cell
+
+  val arm_timer : t -> cell -> delay:float -> unit
+
+  val cancel_timer : t -> cell -> unit
+
+  val run : t -> until:float -> unit
+
+  (* Events executed, timer arms, cancels, fires, and pending events. *)
+  val counters : t -> int * int * int * int * int
+end
+
+module Engine_sched : SCHED = struct
+  type t = Sim.Engine.t
+
+  type id = Sim.Engine.event_id
+
+  type cell = Sim.Engine.timer
+
+  let create () = Sim.Engine.create ()
+
+  let now_ns = Sim.Engine.now_ns
+
+  let schedule_at = Sim.Engine.schedule_at
+
+  let cancel = Sim.Engine.cancel
+
+  let make_timer t f = Sim.Engine.make_timer t (Sim.Engine.Closure f)
+
+  let arm_timer = Sim.Engine.arm_timer
+
+  let cancel_timer = Sim.Engine.cancel_timer
+
+  let run = Sim.Engine.run
+
+  let counters t =
+    Sim.Engine.
+      ( events_executed t,
+        timer_arms t,
+        timer_cancels t,
+        timer_fires t,
+        pending t )
+end
+
+module Heap_model : SCHED = struct
+  type cell = {
+    mutable armed : int;  (* rank of the pending armament, -1 if none *)
+    handler : unit -> unit;
+  }
+
+  type kind = Oneshot of (unit -> unit) | Fire of cell
+
+  type t = {
+    mutable now : Sim.Time.t;
+    mutable next_rank : int;
+    mutable queue : (Sim.Time.t * int * kind) list;  (* by (time, rank) *)
+    mutable events : int;
+    mutable arms : int;
+    mutable cancels : int;
+    mutable fires : int;
+  }
+
+  type id = int
+
+  let create () =
+    { now = 0;
+      next_rank = 0;
+      queue = [];
+      events = 0;
+      arms = 0;
+      cancels = 0;
+      fires = 0 }
+
+  let now_ns t = t.now
+
+  let push t time kind =
+    let rank = t.next_rank in
+    t.next_rank <- rank + 1;
+    let key (time, rank, _) = (time, rank) in
+    t.queue <-
+      List.merge (fun a b -> compare (key a) (key b)) [ (time, rank, kind) ]
+        t.queue;
+    rank
+
+  let cancel t rank = t.queue <- List.filter (fun (_, r, _) -> r <> rank) t.queue
+
+  let schedule_at t ~time f = push t (Sim.Time.of_sec time) (Oneshot f)
+
+  let make_timer _ handler = { armed = -1; handler }
+
+  let cancel_timer t c =
+    if c.armed >= 0 then begin
+      cancel t c.armed;
+      c.armed <- -1;
+      t.cancels <- t.cancels + 1
+    end
+
+  let arm_timer t c ~delay =
+    cancel_timer t c;
+    t.arms <- t.arms + 1;
+    c.armed <- push t (Sim.Time.add t.now (Sim.Time.of_sec_delay delay)) (Fire c)
+
+  let run t ~until =
+    let until = Sim.Time.of_sec until in
+    let rec loop () =
+      match t.queue with
+      | (time, _, kind) :: rest when time <= until ->
+        t.queue <- rest;
+        t.now <- time;
+        t.events <- t.events + 1;
+        (match kind with
+        | Oneshot f -> f ()
+        | Fire c ->
+          c.armed <- -1;
+          t.fires <- t.fires + 1;
+          c.handler ());
+        loop ()
+      | _ -> ()
+    in
+    loop ()
+
+  let counters t = (t.events, t.arms, t.cancels, t.fires, List.length t.queue)
+end
+
+(* What a handler does besides logging itself. Targets index the
+   program's one-shots or cells modulo their count. *)
+type action =
+  | Cancel_oneshot of int  (* [cancel] a one-shot, pending or not *)
+  | Cancel_cell of int  (* [cancel_timer] a cell *)
+  | Arm_cell of int * int
+      (* [arm_timer] a cell [d] grid steps out; rearming an armed cell
+         is the per-ACK RTO pattern *)
+
+type program = {
+  oneshots : (int * action list) list;  (* grid time, handler actions *)
+  cells : (int * int * action list) list;
+      (* grid period, self-rearms, handler actions *)
+}
+
+(* Half a wheel tick: coarse enough that one-shots and timer deadlines
+   tie often, fine enough that entries straddle slot boundaries. *)
+let grid = 0.5e-3
+
+(* Handler actions are capped program-wide so that cells arming each
+   other cannot run forever. *)
+let action_budget = 64
+
+let run_program (module S : SCHED) p =
+  let s = S.create () in
+  let log = ref [] in
+  let note label = log := (label, S.now_ns s) :: !log in
+  let steps k = float_of_int k *. grid in
+  let oneshots = ref [||] in
+  let cells = ref [||] in
+  let budget = ref action_budget in
+  let act a =
+    let n_oneshots = Array.length !oneshots in
+    let n_cells = Array.length !cells in
+    if !budget > 0 then begin
+      decr budget;
+      match a with
+      | Cancel_oneshot k when n_oneshots > 0 ->
+        S.cancel s !oneshots.(k mod n_oneshots)
+      | Cancel_cell k when n_cells > 0 ->
+        S.cancel_timer s !cells.(k mod n_cells)
+      | Arm_cell (k, d) when n_cells > 0 ->
+        S.arm_timer s !cells.(k mod n_cells) ~delay:(steps d)
+      | Cancel_oneshot _ | Cancel_cell _ | Arm_cell _ -> ()
+    end
+  in
+  oneshots :=
+    Array.of_list
+      (List.mapi
+         (fun i (k, actions) ->
+           S.schedule_at s ~time:(steps k) (fun () ->
+               note (1000 + i);
+               List.iter act actions))
+         p.oneshots);
+  cells :=
+    Array.of_list
+      (List.mapi
+         (fun i (period, repeats, actions) ->
+           let remaining = ref repeats in
+           let cell = ref None in
+           let handler () =
+             note i;
+             if !remaining > 0 then begin
+               decr remaining;
+               S.arm_timer s (Option.get !cell) ~delay:(steps period)
+             end;
+             List.iter act actions
+           in
+           let tm = S.make_timer s handler in
+           cell := Some tm;
+           tm)
+         p.cells);
+  List.iteri
+    (fun i (period, _, _) -> S.arm_timer s !cells.(i) ~delay:(steps period))
+    p.cells;
+  S.run s ~until:100.;
+  (List.rev !log, S.counters s)
+
+let engine_matches_model p =
+  run_program (module Engine_sched) p = run_program (module Heap_model) p
+
+let print_program p =
+  let action = function
+    | Cancel_oneshot k -> Printf.sprintf "cancel-oneshot %d" k
+    | Cancel_cell k -> Printf.sprintf "cancel-cell %d" k
+    | Arm_cell (k, d) -> Printf.sprintf "arm-cell %d +%d" k d
+  in
+  let actions l = String.concat "; " (List.map action l) in
+  String.concat "\n"
+    (List.mapi
+       (fun i (k, a) -> Printf.sprintf "oneshot %d at %d [%s]" i k (actions a))
+       p.oneshots
+    @ List.mapi
+        (fun i (period, repeats, a) ->
+          Printf.sprintf "cell %d every %d x%d [%s]" i period repeats
+            (actions a))
+        p.cells)
+
+let program_arbitrary =
+  let open QCheck.Gen in
+  let action =
+    frequency
+      [ (2, map (fun k -> Cancel_oneshot k) (int_bound 20));
+        (2, map (fun k -> Cancel_cell k) (int_bound 20));
+        (3, map2 (fun k d -> Arm_cell (k, d)) (int_bound 20) (int_bound 16)) ]
+  in
+  let actions = list_size (int_bound 3) action in
+  (* Mostly a few ticks out, so deadlines tie; now and then far enough
+     (up to 20 s) to file on the wheel's upper levels. *)
+  let steps = frequency [ (9, int_bound 24); (1, int_bound 40_000) ] in
+  QCheck.make ~print:print_program
+    (map2
+       (fun oneshots cells -> { oneshots; cells })
+       (list_size (int_bound 20) (pair steps actions))
+       (list_size (int_bound 6) (triple steps (int_bound 4) actions)))
+
+(* ------------------------------------------------------------------ *)
+(* Engine timer cells                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_timer_cell_lifecycle () =
@@ -709,63 +978,45 @@ let test_timer_subtick_times_exact () =
     [ ("a", 0.0005); ("b", 0.0007); ("c", 0.0007) ]
     (List.rev !log)
 
-(* Differential harness: the same program of one-shot closures and
-   self-rearming timer cells on both substrates must produce the same
-   execution trace — times, interleaving and counters. *)
-let run_mixed_program ~use_wheel ~oneshots ~timers =
-  let engine = Sim.Engine.create ~use_wheel () in
-  let log = ref [] in
-  let note label = log := (label, Sim.Engine.now engine) :: !log in
-  List.iteri
-    (fun i time ->
-      ignore
-        (Sim.Engine.schedule_at engine ~time (fun () -> note (1000 + i))))
-    oneshots;
-  List.iteri
-    (fun i (delay, repeats) ->
-      let remaining = ref repeats in
-      let cell = ref None in
-      let handler () =
-        note i;
-        if !remaining > 0 then begin
-          decr remaining;
-          Sim.Engine.arm_timer engine (Option.get !cell) ~delay
-        end
-      in
-      let tm = Sim.Engine.make_timer engine (Sim.Engine.Closure handler) in
-      cell := Some tm;
-      Sim.Engine.arm_timer engine tm ~delay)
-    timers;
-  Sim.Engine.run engine ~until:100.;
-  ( List.rev !log,
-    Sim.Engine.events_executed engine,
-    Sim.Engine.timer_fires engine )
-
+(* A fixed program on the engine and on the reference model. At 0.25 s
+   one-shot 1 cancels cell 0, the wheel's due head at that instant,
+   while one-shot 2 is still queued there; one-shot 2 then rearms cell
+   0 at the same instant. Cell 1 rearms the armed cell 3 each time it
+   fires, and one-shot 0 cancels one-shot 3 before it runs. *)
 let test_engine_wheel_heap_identical () =
-  let oneshots = [ 0.1; 0.25; 0.25; 3.7; 50. ] in
-  let timers = [ (0.25, 3); (0.5, 2); (1e-4, 5); (40., 1) ] in
-  let wheel = run_mixed_program ~use_wheel:true ~oneshots ~timers in
-  let heap = run_mixed_program ~use_wheel:false ~oneshots ~timers in
-  let trace (t, _, _) = t in
-  let executed (_, e, _) = e in
-  let fires (_, _, f) = f in
-  Alcotest.(check (list (pair int (float 0.))))
-    "identical traces" (trace heap) (trace wheel);
-  Alcotest.(check int) "identical event counts" (executed heap)
-    (executed wheel);
-  Alcotest.(check int) "identical fire counts" (fires heap) (fires wheel)
+  let p =
+    { oneshots =
+        [ (200, [ Cancel_oneshot 3 ]);
+          (500, [ Cancel_cell 0 ]);
+          (500, [ Arm_cell (0, 0) ]);
+          (7400, []);
+          (100_000, [ Arm_cell (2, 0) ]) ];
+      cells =
+        [ (500, 3, []); (1000, 2, [ Arm_cell (3, 4) ]); (1, 5, []);
+          (80_000, 1, []) ] }
+  in
+  let log, (events, arms, cancels, fires, pending) =
+    run_program (module Engine_sched) p
+  in
+  let model_log, (m_events, m_arms, m_cancels, m_fires, m_pending) =
+    run_program (module Heap_model) p
+  in
+  Alcotest.(check (list (pair int int))) "identical traces" model_log log;
+  Alcotest.(check int) "identical event counts" m_events events;
+  Alcotest.(check int) "identical arm counts" m_arms arms;
+  Alcotest.(check int) "identical cancel counts" m_cancels cancels;
+  Alcotest.(check int) "identical fire counts" m_fires fires;
+  Alcotest.(check int) "identical pending counts" m_pending pending;
+  Alcotest.(check bool) "cancelled one-shot never runs" false
+    (List.mem_assoc 1003 log);
+  Alcotest.(check (list (pair int int)))
+    "at 0.25 s: both one-shots, then the rearmed cell 0"
+    [ (1001, ns 0.25); (1002, ns 0.25); (0, ns 0.25) ]
+    (List.filter (fun (_, at) -> at = ns 0.25) log)
 
-let engine_substrate_props =
-  [ QCheck.Test.make
-      ~name:"wheel and heap schedules are byte-identical" ~count:100
-      QCheck.(
-        pair
-          (list_of_size (Gen.int_bound 20) (float_bound_exclusive 10.))
-          (list_of_size (Gen.int_bound 6)
-             (pair (float_range 1e-4 2.) (int_bound 4))))
-      (fun (oneshots, timers) ->
-        run_mixed_program ~use_wheel:true ~oneshots ~timers
-        = run_mixed_program ~use_wheel:false ~oneshots ~timers) ]
+let engine_model_props =
+  [ QCheck.Test.make ~name:"wheel and heap schedules are byte-identical"
+      ~count:300 program_arbitrary engine_matches_model ]
 
 (* ------------------------------------------------------------------ *)
 (* Integer-nanosecond time core                                        *)
@@ -947,7 +1198,7 @@ let () =
             test_engine_wheel_heap_identical ]
         @ List.map
             (QCheck_alcotest.to_alcotest ~long:false)
-            engine_substrate_props );
+            engine_model_props );
       ( "trace",
         [ Alcotest.test_case "counters" `Quick test_trace_counters;
           Alcotest.test_case "tap runs in registration order" `Quick

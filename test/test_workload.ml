@@ -161,8 +161,8 @@ let test_cross_traffic_delivers () =
 (* Flow churn                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let churn_run ?(use_wheel = true) ?(seed = 3) () =
-  Experiments.Scale.run ~seed ~use_wheel ~duration:1.5 ~flows:50 ()
+let churn_run ?(seed = 3) () =
+  Experiments.Scale.run ~seed ~duration:1.5 ~flows:50 ()
 
 let churn_fingerprint (r : Experiments.Scale.result) =
   ( r.Experiments.Scale.transfers_started,
@@ -181,14 +181,6 @@ let test_churn_seed_changes_run () =
     "different seed gives a different run" true
     (churn_fingerprint (churn_run ~seed:3 ())
     <> churn_fingerprint (churn_run ~seed:4 ()))
-
-let test_churn_wheel_heap_identical () =
-  (* The scale scenario end-to-end: the timer substrate must not leak
-     into simulated results, only into wall-clock. *)
-  Alcotest.(check bool)
-    "wheel and heap agree on every simulated quantity" true
-    (churn_fingerprint (churn_run ~use_wheel:true ())
-    = churn_fingerprint (churn_run ~use_wheel:false ()))
 
 let test_churn_population_invariants () =
   let r = churn_run () in
@@ -228,8 +220,22 @@ let test_churn_validation () =
     [ ("zero flows", { base with Workload.Flow_churn.flows = 0 });
       ("negative think", { base with Workload.Flow_churn.mean_think_s = -1. });
       ( "inverted sizes",
-        { base with Workload.Flow_churn.min_segments = 8; max_segments = 4 } )
-    ]
+        { base with Workload.Flow_churn.min_segments = 8; max_segments = 4 } );
+      (* Every plain comparison is false for NaN, so each float check
+         must reject it explicitly. *)
+      ("NaN think", { base with Workload.Flow_churn.mean_think_s = Float.nan });
+      ("NaN ramp", { base with Workload.Flow_churn.ramp_s = Float.nan });
+      ("NaN alpha", { base with Workload.Flow_churn.size_alpha = Float.nan })
+    ];
+  Alcotest.check_raises "NaN scale duration"
+    (Invalid_argument "Scale.run: duration must be positive") (fun () ->
+      ignore (Experiments.Scale.run ~duration:Float.nan ~flows:10 ()));
+  Alcotest.check_raises "NaN sharded scale duration"
+    (Invalid_argument "Scale_sharded.run: duration must be positive")
+    (fun () ->
+      ignore
+        (Experiments.Scale_sharded.run ~duration:Float.nan ~domains:1
+           ~flows:10 ()))
 
 (* --- Adversary controller (closed-loop reordering dial) ------------ *)
 
@@ -353,8 +359,6 @@ let () =
         [ Alcotest.test_case "deterministic" `Quick test_churn_deterministic;
           Alcotest.test_case "seed changes run" `Quick
             test_churn_seed_changes_run;
-          Alcotest.test_case "wheel vs heap identical" `Quick
-            test_churn_wheel_heap_identical;
           Alcotest.test_case "population invariants" `Quick
             test_churn_population_invariants;
           Alcotest.test_case "validation" `Quick test_churn_validation ] );

@@ -55,11 +55,11 @@ MODULES="time event_queue timer_wheel engine"
 # the float-seconds boundary. Names are matched on the Cmm symbol with
 # the compiler's _NNN stamp stripped.
 #   to_sec / of_sec / of_sec_delay — the boundary itself (time.ml);
-#   now / timer_granularity / next_event_time — engine's documented
-#     float-seconds accessors (trace/probe/stats callers);
+#   now — engine's one float-seconds clock accessor (trace/probe/stats
+#     callers);
 #   schedule_event_at_ns — to_sec only on the cold invalid_arg path
 #     (formatting the "scheduled in the past" message).
-BOUNDARY_FNS='to_sec|of_sec|of_sec_delay|now|timer_granularity|next_event_time|schedule_event_at_ns'
+BOUNDARY_FNS='to_sec|of_sec|of_sec_delay|now|schedule_event_at_ns'
 
 for m in $MODULES; do
   cp "$repo/lib/sim/$m.ml" "$repo/lib/sim/$m.mli" "$tmp/" || exit 2
