@@ -1,6 +1,6 @@
 .PHONY: all build test bench bench-quick bench-gate scale-smoke \
-	scale-smoke-sharded hoststack-smoke reorder-smoke figures golden ci \
-	doc coverage coverage-summary lint-box clean
+	hoststack-smoke reorder-smoke figures golden ci doc coverage \
+	coverage-summary lint-box clean
 
 all: build
 
@@ -25,7 +25,7 @@ bench-record:
 # bytes/ACK sweep across all sender variants), the many-flow scale
 # suite and the engine-only churn suite; records wall-clock, ns/run,
 # bytes/simulated-packet, bytes/ACK, events/sec and metrics snapshots
-# in BENCH_PR9.json (repo root and results/). BENCH_JOBS=N
+# in BENCH_PR10.json (repo root and results/). BENCH_JOBS=N
 # parallelises the figure grids.
 bench-quick:
 	dune exec bench/main.exe -- quick
@@ -34,11 +34,11 @@ bench-quick:
 # scenario exceeds the recorded baseline by more than the 16 B/packet
 # budget), bytes/ACK per sender variant (fail if any variant exceeds
 # its recorded baseline by more than 16 B/ACK), the events/sec
-# scaling floor at 10k vs 1k flows, the raw engine events/sec floor
-# (each engine-churn scenario must hold >= 0.7x its recorded rate),
-# and the sharded scaling floor (4-domain events/sec >= 1.8x
-# 1-domain; skipped below 4 cores). Baselines come from the newest
-# BENCH_PR*.json carrying each block. Does not rewrite the records.
+# scaling floor at 10k vs 1k flows, the wheel-10000 events/sec floor
+# (>= 0.7x the BENCH_PR6 record) and the raw engine events/sec floor
+# (each engine-churn scenario must hold >= 0.7x its recorded rate).
+# Baselines come from the newest BENCH_PR*.json carrying each block.
+# Does not rewrite the records.
 bench-gate:
 	dune exec bench/main.exe -- gate
 
@@ -55,14 +55,6 @@ lint-box:
 # slots for one simulated second (exit 0 with a one-row table).
 scale-smoke:
 	dune exec -- bin/tcp_pr_sim.exe scale --flows 1000 --duration 1
-
-# Sharded smoke: the partitioned scenario at 1k flows on 2 domains,
-# with the invariant monitors armed per cell and the merged probe
-# trace required byte-identical to the --domains 1 baseline (exit 1
-# on any violation or digest mismatch).
-scale-smoke-sharded:
-	dune exec -- bin/tcp_pr_sim.exe scale --flows 1000 --duration 1 \
-	  --domains 2 --check-merge
 
 # Host-stack layer smoke: the buffer-pressure sweep (finite receive
 # buffer, rwnd autotuning, GRO coalescing) at quick scale — exercises
@@ -132,18 +124,17 @@ coverage-summary:
 # Gc-delta bytes/packet ceilings in test_alloc), a conformance smoke
 # run — fixed random scenarios over every sender variant with the
 # invariant monitors armed, plus the golden-trace digests — the
-# many-flow scale smoke, the sharded merge smoke, the host-stack and
-# adaptive-adversary smokes, and the perf
-# regression gate (allocation budget + events/sec scaling floor + raw
-# engine events/sec floor + sharded scaling floor) against the
-# recorded BENCH_PR*.json lineage, then the float-boxing lint over the
-# scheduling core (fatal on the pinned compiler, see lint-box).
+# many-flow scale smoke, the host-stack and adaptive-adversary smokes,
+# and the perf regression gate (allocation budgets + events/sec
+# scaling floor + wheel-10000 and raw engine events/sec floors)
+# against the recorded BENCH_PR*.json lineage, then the float-boxing
+# lint over the scheduling core (fatal on the pinned compiler, see
+# lint-box).
 ci:
 	dune build @all
 	dune runtest
 	dune exec -- bin/tcp_pr_sim.exe check --seeds 30 --golden test/golden
 	$(MAKE) --no-print-directory scale-smoke
-	$(MAKE) --no-print-directory scale-smoke-sharded
 	$(MAKE) --no-print-directory hoststack-smoke
 	$(MAKE) --no-print-directory reorder-smoke
 	dune exec bench/main.exe -- gate

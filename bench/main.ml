@@ -30,8 +30,7 @@
      alloc    allocation-per-packet scenarios only
      scale    many-flow scale suite only
      engine   engine-only churn suite only
-     sharded  sharded scale suite only (domains 1/2/4 sweep)
-     quick    Figs. 2/3/6 + micro + alloc + scale + engine + sharded
+     quick    Figs. 2/3/6 + micro + alloc + scale + engine
               (the `make bench-quick` target)
      gate     FAIL (exit 1) if any of
                 - bytes per simulated packet exceeds the recorded
@@ -49,12 +48,7 @@
                   hardware-noise tolerance, see the gate stage),
                 - any engine-churn scenario's events/sec falls below
                   0.7x its recorded value (the raw speed floor;
-                  absent from older records, skipped), or
-                - the 4-domain sharded scale run falls below 1.8x the
-                  1-domain events/sec or diverges from it in simulated
-                  counts (skipped with a notice on machines with
-                  fewer than 4 cores, where the shards cannot
-                  actually run concurrently)
+                  absent from older records, skipped)
               reads the records, never writes them (used by `make ci`)
    --jobs N (or BENCH_JOBS=N) runs figure grid points on N domains;
    the tables are identical to a sequential run.
@@ -62,10 +56,9 @@
    Every run (except gate) records wall-clock seconds per figure,
    ns/run per micro-benchmark, bytes/packet plus a metrics snapshot
    per alloc scenario, events/sec plus a metrics snapshot per scale
-   point, events/sec per engine-churn scenario, bytes/ACK per sender
-   variant, and events/sec per sharded domain count to
-   results/BENCH_PR10.json and the repo-root BENCH_PR10.json so later
-   PRs can track the perf trajectory. *)
+   point, events/sec per engine-churn scenario and bytes/ACK per
+   sender variant to results/BENCH_PR10.json and the repo-root
+   BENCH_PR10.json so later PRs can track the perf trajectory. *)
 
 open Bechamel
 open Toolkit
@@ -99,8 +92,7 @@ let jobs =
 
 let mode =
   let known =
-    [ "all"; "figures"; "micro"; "quick"; "alloc"; "scale"; "engine";
-      "sharded"; "gate" ]
+    [ "all"; "figures"; "micro"; "quick"; "alloc"; "scale"; "engine"; "gate" ]
   in
   let picked = ref "all" in
   Array.iteri
@@ -119,8 +111,6 @@ let ack_measurements : Alloc_suite.ack_measurement list ref = ref []
 let scale_measurements : Scale_suite.measurement list ref = ref []
 
 let engine_measurements : Engine_suite.measurement list ref = ref []
-
-let sharded_measurements : Scale_suite.sharded_measurement list ref = ref []
 
 let heading title = Printf.printf "\n===== %s =====\n%!" title
 
@@ -431,24 +421,6 @@ let engine_suite () =
   engine_measurements := measurements
 
 (* ------------------------------------------------------------------ *)
-(* Part 6: sharded scale suite                                         *)
-(* ------------------------------------------------------------------ *)
-
-let sharded_suite () =
-  heading "Sharded scale: partitioned scenario across domain counts";
-  Printf.printf "  recommended_domain_count=%d\n%!"
-    (Domain.recommended_domain_count ());
-  let measurements = Scale_suite.run_sharded () in
-  List.iter Scale_suite.pp_sharded measurements;
-  (match Scale_suite.sharded_divergences measurements with
-  | [] ->
-    print_endline "  simulated results identical at every domain count"
-  | diverged ->
-    Printf.printf "  WARNING: domain counts diverge at %s\n"
-      (String.concat ", " diverged));
-  sharded_measurements := measurements
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable record                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -584,26 +556,6 @@ let write_record ~total_s =
         m.Engine_suite.events m.Engine_suite.wall_s
         m.Engine_suite.events_per_s m.Engine_suite.allocated_bytes
         m.Engine_suite.bytes_per_event);
-  Buffer.add_string buffer ",\n  \"sharded_events_per_s\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map
-       (fun m -> (Scale_suite.sharded_label m, m.Scale_suite.s_events_per_s))
-       !sharded_measurements)
-    (Printf.sprintf "%.0f");
-  Buffer.add_string buffer ",\n  \"sharded_points\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map (fun m -> (Scale_suite.sharded_label m, m)) !sharded_measurements)
-    (fun m ->
-      Printf.sprintf
-        "{ \"flows\": %d, \"domains\": %d, \"cells\": %d, \"sim_s\": %.1f, \
-         \"wall_s\": %.3f, \"transfers_completed\": %d, \
-         \"goodput_mbps\": %.2f, \"events\": %d, \"messages\": %d, \
-         \"windows\": %d, \"events_per_s\": %.0f }"
-        m.Scale_suite.s_flows m.Scale_suite.s_domains m.Scale_suite.s_cells
-        m.Scale_suite.s_duration m.Scale_suite.s_wall_s
-        m.Scale_suite.s_transfers_completed m.Scale_suite.s_goodput_mbps
-        m.Scale_suite.s_events m.Scale_suite.s_messages
-        m.Scale_suite.s_windows m.Scale_suite.s_events_per_s);
   Buffer.add_string buffer ",\n  \"baseline_pre_pr\": ";
   json_object_of buffer ~indent:"    " baseline_pre_pr (Printf.sprintf "%.3f");
   Buffer.add_string buffer ",\n  \"baseline_pre_pr_bytes_per_ack\": ";
@@ -885,37 +837,7 @@ let gate () =
     end
     else
       Printf.printf "\nGate passed (engine floor %.2f of %s).\n"
-        engine_gate_floor engine_path);
-  heading "Bench gate: sharded events/sec scaling floor at 4 domains";
-  let cores = Domain.recommended_domain_count () in
-  if cores < Scale_suite.sharded_gate_min_cores then
-    Printf.printf
-      "  only %d core(s) recommended (< %d): shards cannot run \
-       concurrently here; skipping the parallel-speedup floor\n"
-      cores Scale_suite.sharded_gate_min_cores
-  else begin
-    let base, wide, ok = Scale_suite.sharded_gate_check () in
-    Scale_suite.pp_sharded base;
-    Scale_suite.pp_sharded wide;
-    let ratio =
-      wide.Scale_suite.s_events_per_s
-      /. Float.max base.Scale_suite.s_events_per_s 1e-9
-    in
-    Printf.printf
-      "  events/sec at %d domains is %.2fx of 1 domain (floor %.2f)  %s\n"
-      wide.Scale_suite.s_domains ratio Scale_suite.sharded_gate_floor
-      (if ok then "ok" else "REGRESSION");
-    if not ok then begin
-      Printf.printf
-        "\nGate FAILED: the sharded engine no longer buys %.1fx at %d\n\
-         domains (or its simulated counts diverged from 1 domain).\n"
-        Scale_suite.sharded_gate_floor Scale_suite.sharded_gate_domains;
-      exit 1
-    end
-    else
-      Printf.printf "\nGate passed (sharded floor %.2f).\n"
-        Scale_suite.sharded_gate_floor
-  end
+        engine_gate_floor engine_path)
 
 let () =
   let t0 = Unix.gettimeofday () in
@@ -931,7 +853,6 @@ let () =
   | "alloc" -> alloc_suite ()
   | "scale" -> scale_suite ()
   | "engine" -> engine_suite ()
-  | "sharded" -> sharded_suite ()
   | "quick" ->
     timed "fig2" fig2;
     timed "fig3" fig3;
@@ -939,8 +860,7 @@ let () =
     microbenchmarks ();
     alloc_suite ();
     scale_suite ();
-    engine_suite ();
-    sharded_suite ()
+    engine_suite ()
   | _ ->
     timed "fig2" fig2;
     timed "fig3" fig3;
@@ -951,8 +871,7 @@ let () =
     microbenchmarks ();
     alloc_suite ();
     scale_suite ();
-    engine_suite ();
-    sharded_suite ());
+    engine_suite ());
   if mode <> "gate" then begin
     let total_s = Unix.gettimeofday () -. t0 in
     write_record ~total_s;

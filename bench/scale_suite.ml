@@ -93,106 +93,3 @@ let gate_check () =
     large.events_per_s >= gate_scaling_floor *. small.events_per_s
   in
   (small, large, ok)
-
-(* ------------------------------------------------------------------ *)
-(* Sharded sweep: the partitioned scenario across domain counts        *)
-(* ------------------------------------------------------------------ *)
-
-type sharded_measurement = {
-  s_flows : int;
-  s_domains : int;
-  s_cells : int;
-  s_duration : float;
-  s_wall_s : float;
-  s_transfers_completed : int;
-  s_goodput_mbps : float;
-  s_events : int;
-  s_messages : int;
-  s_windows : int;
-  s_events_per_s : float;
-}
-
-let sharded_label m = Printf.sprintf "domains-%d-%d" m.s_domains m.s_flows
-
-let measure_sharded ~domains ~flows ~duration () =
-  Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  let r = Experiments.Scale_sharded.run ~duration ~domains ~flows () in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  { s_flows = flows;
-    s_domains = domains;
-    s_cells = r.Experiments.Scale_sharded.cells;
-    s_duration = duration;
-    s_wall_s = wall_s;
-    s_transfers_completed = r.Experiments.Scale_sharded.transfers_completed;
-    s_goodput_mbps = r.Experiments.Scale_sharded.goodput_mbps;
-    s_events = r.Experiments.Scale_sharded.events_executed;
-    s_messages = r.Experiments.Scale_sharded.messages;
-    s_windows = r.Experiments.Scale_sharded.windows;
-    s_events_per_s =
-      float_of_int r.Experiments.Scale_sharded.events_executed
-      /. Float.max wall_s 1e-9 }
-
-let sharded_domains = [ 1; 2; 4 ]
-
-let sharded_flows = 10000
-
-let sharded_duration = 1.
-
-let run_sharded () =
-  List.map
-    (fun domains ->
-      measure_sharded ~domains ~flows:sharded_flows
-        ~duration:sharded_duration ())
-    sharded_domains
-
-let pp_sharded m =
-  Printf.printf
-    "  %-15s %7.3f s wall  %5d transfers  %6.1f Mb/s  %9d events  %7d \
-     messages  %5d windows  %9.0f ev/s\n%!"
-    (sharded_label m) m.s_wall_s m.s_transfers_completed m.s_goodput_mbps
-    m.s_events m.s_messages m.s_windows m.s_events_per_s
-
-(* Simulated results must be identical at every domain count — the
-   partitioned timeline does not depend on how cells map to domains.
-   Returns the labels whose counts diverge from the domains-1 row. *)
-let sharded_divergences measurements =
-  match List.find_opt (fun m -> m.s_domains = 1) measurements with
-  | None -> []
-  | Some base ->
-    List.filter_map
-      (fun m ->
-        if
-          m.s_events <> base.s_events
-          || m.s_transfers_completed <> base.s_transfers_completed
-        then Some (sharded_label m)
-        else None)
-      (List.filter (fun m -> m.s_domains <> 1) measurements)
-
-(* ------------------------------------------------------------------ *)
-(* Gate: sharded events/sec scaling floor                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Parallel speedup the 4-domain run must hold over the 1-domain run.
-   Only meaningful with enough cores to actually run the shards
-   concurrently — the caller skips the stage below that. *)
-let sharded_gate_floor = 1.8
-
-let sharded_gate_domains = 4
-
-let sharded_gate_min_cores = 4
-
-let sharded_gate_check () =
-  let base =
-    measure_sharded ~domains:1 ~flows:sharded_flows
-      ~duration:sharded_duration ()
-  in
-  let wide =
-    measure_sharded ~domains:sharded_gate_domains ~flows:sharded_flows
-      ~duration:sharded_duration ()
-  in
-  let ok =
-    wide.s_events_per_s >= sharded_gate_floor *. base.s_events_per_s
-    && sharded_divergences [ base; wide ] = []
-  in
-  (base, wide, ok)

@@ -450,7 +450,7 @@ let demo seed jobs =
   |> List.iter (fun (label, mbps) ->
          Printf.printf "  %-10s %6.2f Mb/s\n" label mbps)
 
-let scale seed csv flows_list duration variant domains cells check_merge =
+let scale seed csv flows_list duration variant =
   let sender =
     match Experiments.Variants.find variant with
     | Some v -> v
@@ -458,136 +458,31 @@ let scale seed csv flows_list duration variant domains cells check_merge =
       Printf.eprintf "unknown variant %S\n" variant;
       exit 2
   in
-  match (domains, check_merge) with
-  | None, false ->
-    let table =
-      Stats.Table.create
-        ~columns:
-          [ "flows"; "transfers"; "goodput Mb/s"; "events"; "timer ops";
-            "events/s"; "timer ops/s"; "wall s" ]
-    in
-    let run_one flows =
-      let t0 = Unix.gettimeofday () in
-      let r = Experiments.Scale.run ~seed ~sender ~duration ~flows () in
-      let wall = Unix.gettimeofday () -. t0 in
-      let ops = Experiments.Scale.timer_ops r in
-      let per_sec n = Printf.sprintf "%.0f" (float_of_int n /. wall) in
-      Stats.Table.add_row table
-        [ string_of_int flows;
-          Printf.sprintf "%d/%d" r.Experiments.Scale.transfers_completed
-            r.Experiments.Scale.transfers_started;
-          Printf.sprintf "%.1f" r.Experiments.Scale.goodput_mbps;
-          string_of_int r.Experiments.Scale.events_executed;
-          string_of_int ops;
-          per_sec r.Experiments.Scale.events_executed;
-          per_sec ops;
-          Printf.sprintf "%.2f" wall ]
-    in
-    List.iter run_one flows_list;
-    render ~csv table
-  | _ ->
-    (* Sharded path: partitioned topology on a Sharded_engine.
-       [--check-merge] additionally arms the per-cell invariant
-       monitors, repeats each point at --domains 1 and requires the
-       merged probe digests to be byte-identical. *)
-    let domains = Option.value domains ~default:2 in
-    let table =
-      Stats.Table.create
-        ~columns:
-          [ "flows"; "domains"; "transfers"; "goodput Mb/s"; "events";
-            "messages"; "windows"; "events/s"; "wall s" ]
-    in
-    let failures = ref 0 in
-    let add_row (r : Experiments.Scale_sharded.result) ~wall =
-      let per_sec n = Printf.sprintf "%.0f" (float_of_int n /. wall) in
-      Stats.Table.add_row table
-        [ string_of_int r.Experiments.Scale_sharded.flows;
-          string_of_int r.Experiments.Scale_sharded.domains;
-          Printf.sprintf "%d/%d"
-            r.Experiments.Scale_sharded.transfers_completed
-            r.Experiments.Scale_sharded.transfers_started;
-          Printf.sprintf "%.1f" r.Experiments.Scale_sharded.goodput_mbps;
-          string_of_int r.Experiments.Scale_sharded.events_executed;
-          string_of_int r.Experiments.Scale_sharded.messages;
-          string_of_int r.Experiments.Scale_sharded.windows;
-          per_sec r.Experiments.Scale_sharded.events_executed;
-          Printf.sprintf "%.2f" wall ]
-    in
-    let run_sharded flows =
-      let monitors = ref [] in
-      let probe_hook =
-        if check_merge then
-          Some
-            (fun ~cell:_ probe ->
-              let ms =
-                Check.Monitor.for_variant ~variant
-                  ~config:Experiments.Scale.default_config
-              in
-              Check.Monitor.arm probe ms;
-              monitors := ms @ !monitors)
-        else None
-      in
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Experiments.Scale_sharded.run ~seed ~sender ~duration ~cells
-          ~record:check_merge ?probe_hook ~domains ~flows ()
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      add_row r ~wall;
-      if check_merge then begin
-        let viols = Check.Monitor.all_violations !monitors in
-        if viols <> [] then begin
-          incr failures;
-          Printf.printf "%d monitor violation(s) at %d flows:\n"
-            (List.length viols) flows;
-          List.iteri
-            (fun i v ->
-              if i < 5 then
-                Format.printf "  %a@." Check.Monitor.pp_violation v)
-            viols
-        end;
-        let t0 = Unix.gettimeofday () in
-        let base =
-          Experiments.Scale_sharded.run ~seed ~sender ~duration ~cells
-            ~record:true ~domains:1 ~flows ()
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        add_row base ~wall;
-        let same_digest =
-          r.Experiments.Scale_sharded.merged_digest
-          = base.Experiments.Scale_sharded.merged_digest
-        in
-        let same_counts =
-          r.Experiments.Scale_sharded.transfers_completed
-            = base.Experiments.Scale_sharded.transfers_completed
-          && r.Experiments.Scale_sharded.segments_completed
-             = base.Experiments.Scale_sharded.segments_completed
-          && r.Experiments.Scale_sharded.events_executed
-             = base.Experiments.Scale_sharded.events_executed
-        in
-        if same_digest && same_counts then
-          Printf.printf
-            "merge check at %d flows: --domains %d == --domains 1 (digest \
-             %s)\n"
-            flows domains
-            (Option.value r.Experiments.Scale_sharded.merged_digest
-               ~default:"-")
-        else begin
-          incr failures;
-          Printf.printf
-            "merge check FAILED at %d flows: --domains %d digest %s vs \
-             --domains 1 digest %s\n"
-            flows domains
-            (Option.value r.Experiments.Scale_sharded.merged_digest
-               ~default:"-")
-            (Option.value base.Experiments.Scale_sharded.merged_digest
-               ~default:"-")
-        end
-      end
-    in
-    List.iter run_sharded flows_list;
-    render ~csv table;
-    if !failures > 0 then exit 1
+  let table =
+    Stats.Table.create
+      ~columns:
+        [ "flows"; "transfers"; "goodput Mb/s"; "events"; "timer ops";
+          "events/s"; "timer ops/s"; "wall s" ]
+  in
+  let run_one flows =
+    let t0 = Unix.gettimeofday () in
+    let r = Experiments.Scale.run ~seed ~sender ~duration ~flows () in
+    let wall = Unix.gettimeofday () -. t0 in
+    let ops = Experiments.Scale.timer_ops r in
+    let per_sec n = Printf.sprintf "%.0f" (float_of_int n /. wall) in
+    Stats.Table.add_row table
+      [ string_of_int flows;
+        Printf.sprintf "%d/%d" r.Experiments.Scale.transfers_completed
+          r.Experiments.Scale.transfers_started;
+        Printf.sprintf "%.1f" r.Experiments.Scale.goodput_mbps;
+        string_of_int r.Experiments.Scale.events_executed;
+        string_of_int ops;
+        per_sec r.Experiments.Scale.events_executed;
+        per_sec ops;
+        Printf.sprintf "%.2f" wall ]
+  in
+  List.iter run_one flows_list;
+  render ~csv table
 
 let cmd_of name ~doc term =
   Cmd.v (Cmd.info name ~doc) term
@@ -791,42 +686,11 @@ let scale_cmd =
       value & opt string "TCP-PR"
       & info [ "variant" ] ~docv:"NAME" ~doc:"Sender variant (default TCP-PR).")
   in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Run the shard-partitioned scenario on $(docv) domains \
-             (Sim.Sharded_engine). Omitted: the classic single-engine \
-             scenario. --domains 1 runs the partitioned topology on the \
-             plain serial engine — the differential baseline.")
-  in
-  let cells =
-    Arg.(
-      value
-      & opt int Experiments.Scale_sharded.default_cells
-      & info [ "cells" ] ~docv:"N"
-          ~doc:"Partition cells for the sharded scenario (default 8).")
-  in
-  let check_merge =
-    Arg.(
-      value & flag
-      & info [ "check-merge" ]
-          ~doc:
-            "Arm the per-cell invariant monitors, rerun each point at \
-             --domains 1, and require byte-identical merged probe digests; \
-             exit 1 on any violation or mismatch. Implies --domains 2 when \
-             --domains is omitted.")
-  in
   cmd_of "scale"
     ~doc:
       "Many-flow churn scenario: closed-loop transfers at 1k-10k concurrent \
-       flows, reporting events/sec and timer ops/sec; --domains runs the \
-       shard-partitioned variant."
-    Term.(
-      const scale $ seed_term $ csv_term $ flows $ duration $ variant $ domains
-      $ cells $ check_merge)
+       flows, reporting events/sec and timer ops/sec."
+    Term.(const scale $ seed_term $ csv_term $ flows $ duration $ variant)
 
 let demo_cmd =
   cmd_of "demo" ~doc:"Two-minute tour: fairness and reordering robustness."

@@ -20,17 +20,9 @@ type scenario = {
   coalesce : (float * int) option;
   rcv_buf : int option;
   time_limit : float;
-  domains : int;
 }
 
-(* [domains] is carried as placement metadata only: every random draw
-   below happens before it is even looked at, so the realisation a seed
-   produces — topology, loss, jitter, routing — is byte-identical at
-   any domain count. A sharded sweep re-running a seed under several
-   --domains values therefore replays the exact same environment.
-   Pinned by the generate_domain_independent test. *)
-let generate ?(domains = 1) ~seed () =
-  if domains < 1 then invalid_arg "Oracle.generate: domains must be >= 1";
+let generate ~seed () =
   let rng = Sim.Rng.split (Sim.Rng.create seed) "oracle-scenario" in
   let topology =
     match Sim.Rng.int rng 3 with
@@ -57,8 +49,7 @@ let generate ?(domains = 1) ~seed () =
   in
   (* Host-stack draws come LAST: every draw above is positionally
      identical to the pre-PR9 generator, so seeds keep producing the
-     same base environment (pinned by generate_domain_independent and
-     the sweep goldens). *)
+     same base environment (pinned by the sweep goldens). *)
   let coalesce =
     if Sim.Rng.bool rng ~p:0.35 then
       Some
@@ -83,8 +74,7 @@ let generate ?(domains = 1) ~seed () =
     bandwidth_scale;
     coalesce;
     rcv_buf;
-    time_limit = 600.;
-    domains }
+    time_limit = 600. }
 
 let describe s =
   let topology =
@@ -95,7 +85,7 @@ let describe s =
   in
   Printf.sprintf
     "seed=%d %s loss=%.3f jitter=%.3fs eps=%.1f flap=%b delack=%b segs=%d \
-     bw-scale=%.3f%s%s%s"
+     bw-scale=%.3f%s%s"
     s.seed topology s.loss s.jitter s.epsilon s.route_flap s.delayed_ack
     s.total_segments s.bandwidth_scale
     (match s.coalesce with
@@ -105,7 +95,6 @@ let describe s =
     (match s.rcv_buf with
     | Some segs -> Printf.sprintf " rbuf=%d" segs
     | None -> "")
-    (if s.domains = 1 then "" else Printf.sprintf " domains=%d" s.domains)
 
 let config s =
   { Tcp.Config.default with

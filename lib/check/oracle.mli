@@ -31,17 +31,10 @@ type scenario = {
       (** host-stack axis: finite receive buffer, segments; [None] =
           unbounded (the pre-PR9 idealised sink) *)
   time_limit : float;  (** simulated-seconds budget for the transfer *)
-  domains : int;  (** intended shard count; placement metadata only *)
 }
 
-(** [generate ?domains ~seed ()] derives a scenario deterministically.
-    [domains] (default 1) is recorded in the scenario but consulted
-    after every random draw, so the network realisation — topology,
-    loss, jitter, routing, sizes — is byte-identical at any domain
-    count: a sharded sweep replaying a seed under several [--domains]
-    values faces the exact same environment. Raises [Invalid_argument]
-    when [domains < 1]. *)
-val generate : ?domains:int -> seed:int -> unit -> scenario
+(** [generate ~seed ()] derives a scenario deterministically. *)
+val generate : seed:int -> unit -> scenario
 
 val describe : scenario -> string
 

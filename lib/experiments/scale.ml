@@ -38,6 +38,10 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
   if flows < 1 then invalid_arg "Scale.run: flows must be >= 1";
   if not (duration > 0.) then
     invalid_arg "Scale.run: duration must be positive";
+  (* Closed-loop churn never drains, so an unbounded run never
+     returns. *)
+  if not (Float.is_finite duration) then
+    invalid_arg "Scale.run: duration must be finite";
   let _, sender_module = sender in
   let churn =
     match churn with Some c -> c | None -> default_churn ~flows ~duration

@@ -37,7 +37,8 @@ val default_churn : flows:int -> duration:float -> Workload.Flow_churn.config
     simulated seconds (default 5). [sender] defaults to TCP-PR — the
     all-timer protocol, the wheel's worst case. Raises
     [Invalid_argument] when [flows < 1] or [duration] is not positive
-    (NaN included). *)
+    and finite (NaN and [infinity] included: closed-loop churn never
+    drains, so an unbounded run would never return). *)
 val run :
   ?seed:int ->
   ?sender:Variants.t ->

@@ -56,10 +56,9 @@ val pp : render:('a -> string) -> Format.formatter -> 'a t -> unit
 
     Multi-domain caveat: OCaml delivers signals to the main domain, so
     install this only there, and only for a recorder the main domain
-    writes. In a [Sim.Sharded_engine] run, attach one recorder per
-    shard (each fed by that shard's probe, mutated only by its domain)
-    and render the per-shard tails after [run] returns — a worker
-    shard's recorder must not be dumped mid-run from a signal handler
-    racing the worker's writes. *)
+    writes. A recorder fed by a run on a worker domain (a
+    {!Sim.Domain_pool} job) must be rendered after that job returns —
+    never dumped mid-run from a signal handler racing the worker's
+    writes. *)
 val dump_on_signal :
   ?out:out_channel -> signal:int -> render:('a -> string) -> 'a t -> unit

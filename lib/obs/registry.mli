@@ -50,8 +50,8 @@ val merge_into : into:t -> t -> unit
     fresh registry.
 
     Shard contract: a registry is plain mutable state with no internal
-    synchronisation, so concurrent shards (a {!Sim.Domain_pool} map, a
-    [Sim.Sharded_engine] run) must each record into their own registry
+    synchronisation, so concurrent shards (the jobs of a
+    {!Sim.Domain_pool} map) must each record into their own registry
     and merge only after the domains have been joined — the join is
     the happens-before edge that makes every shard's writes visible to
     the merging domain. Merging in a fixed order (input order, shard

@@ -37,8 +37,7 @@
    pointwise over the aggregates (counters add, [next_exp] maxes,
    histograms add buckets); the ring is per-shard scan state and does
    not merge, which is sound because a flow's arrivals are observed
-   wholly within one shard (cells own flows, as in the sharded
-   engine). *)
+   wholly within one shard (each receiver owns its flow's detector). *)
 
 type t = {
   window : int;

@@ -16,12 +16,11 @@
    {!Registry.merge}: last-seq slots merge by pointwise max, count
    cells and totals add, both associative and commutative, so shards
    merged in input order produce byte-identical state at any domain
-   count (each cell of a sharded run owns its own sketch and its flows,
-   and the cell list does not depend on the domain count). Note the
-   merge combines detector STATE, not a replay: two shards observing
-   interleaved halves of one flow would each miss the other's
-   arrivals — callers keep a flow's arrivals within one sketch, as the
-   sharded engine already does for its cells. *)
+   count, as long as the shard list itself does not depend on the
+   domain count. Note the merge combines detector STATE, not a replay:
+   two shards observing interleaved halves of one flow would each miss
+   the other's arrivals — callers must keep a flow's arrivals within
+   one sketch. *)
 
 type t = {
   depth : int;

@@ -14,7 +14,8 @@
     max, counts by addition — associative and commutative, so shards
     merged in input order are byte-identical at any domain count. The
     merge combines detector state, not a replay: keep each flow's
-    arrivals within one sketch (as the sharded engine's cells do). *)
+    arrivals within one sketch, or the merged state misses reorderings
+    that span the split. *)
 
 type t
 

@@ -317,14 +317,3 @@ let run t ~until = run_ns t ~until:(Time.of_sec until)
 let run_to_completion t = run_loop t ~until:Time.never
 
 let pending t = Event_queue.length t.queue + Timer_wheel.live t.wheel
-
-(* Conservative earliest pending time across both substrates: the
-   heap's head is exact, the wheel contributes its [lower_bound]. Used
-   by the sharded conductor to skip idle stretches — safe because no
-   event can execute strictly before this time. *)
-let next_event_time_ns t =
-  let q =
-    if Event_queue.head t.queue then Event_queue.head_time t.queue
-    else Time.never
-  in
-  Time.min q (Timer_wheel.lower_bound t.wheel)

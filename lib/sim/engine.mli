@@ -140,15 +140,6 @@ val run_to_completion : t -> unit
     both substrates. *)
 val pending : t -> int
 
-(** [next_event_time_ns t] is a conservative lower bound on the time
-    of the earliest pending event across both substrates
-    ([Time.never] when idle): nothing will execute strictly before it.
-    The heap side is exact; the wheel side is its
-    {!Timer_wheel.lower_bound}, so the returned time may precede the
-    actual next firing. Used by {!Sharded_engine} to advance the global
-    horizon over idle gaps. *)
-val next_event_time_ns : t -> Time.t
-
 (** {2 Scheduler counters} (monotone over the engine's lifetime) *)
 
 val events_executed : t -> int

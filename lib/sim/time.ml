@@ -1,12 +1,12 @@
 (* Integer-nanosecond simulated time.
 
    The scheduling core (engine clock, event-queue keys, timer-wheel
-   ticks, sharded-engine merge keys) represents time as [int]
-   nanoseconds. Integers compare, add and divide without boxing — a
-   dynamic float crossing a non-inlined function boundary costs a
-   16-byte heap block per call (no flambda), and the scheduler crosses
-   such boundaries once or twice per event — and integer tie-breaks are
-   exact, where float arithmetic needed epsilon skews.
+   ticks) represents time as [int] nanoseconds. Integers compare, add
+   and divide without boxing — a dynamic float crossing a non-inlined
+   function boundary costs a 16-byte heap block per call (no flambda),
+   and the scheduler crosses such boundaries once or twice per event —
+   and integer tie-breaks are exact, where float arithmetic needed
+   epsilon skews.
 
    Floats remain the *boundary* representation: configuration, traces,
    probes and statistics all speak seconds, converted here. The
@@ -55,7 +55,3 @@ let[@inline] to_sec ns =
    stays [never], and a finite sum that would overflow clamps. Both
    operands are >= 0 in every call site (times and delays). *)
 let[@inline] add a b = if a >= never - b then never else a + b
-
-let[@inline] min (a : int) b = if a <= b then a else b
-
-let[@inline] max (a : int) b = if a >= b then a else b

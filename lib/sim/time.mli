@@ -1,11 +1,10 @@
 (** Integer-nanosecond simulated time.
 
-    The scheduling core ({!Engine}, {!Event_queue}, {!Timer_wheel},
-    {!Sharded_engine}) keeps time as [int] nanoseconds so clock reads,
-    deadline arithmetic and heap comparisons never box a float; seconds
-    (floats) are the boundary representation for configuration, traces,
-    probes and statistics. See DESIGN.md §15 for the range/overflow
-    analysis. *)
+    The scheduling core ({!Engine}, {!Event_queue}, {!Timer_wheel})
+    keeps time as [int] nanoseconds so clock reads, deadline arithmetic
+    and heap comparisons never box a float; seconds (floats) are the
+    boundary representation for configuration, traces, probes and
+    statistics. See DESIGN.md §15 for the range/overflow analysis. *)
 
 type t = int
 
@@ -42,7 +41,3 @@ val to_sec : t -> float
 (** Saturating addition: [add a never = never] and finite sums clamp at
     [never] instead of overflowing. Operands must be non-negative. *)
 val add : t -> t -> t
-
-val min : t -> t -> t
-
-val max : t -> t -> t

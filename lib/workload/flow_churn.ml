@@ -29,9 +29,9 @@ let validate c =
   if not (c.ramp_s >= 0.) then invalid_arg "Flow_churn: negative ramp"
 
 (* Where the slots' traffic lives: any set of source/sink pairs on one
-   network with per-pair routes. The dumbbell is the classic shape, but
-   a sharded scale scenario runs one churn instance per cell, each over
-   its own slice of a partitioned topology. *)
+   network with per-pair routes. The dumbbell is the classic shape; a
+   caller that wraps the route samplers (to time routing, say) builds
+   the record from it and spawns over that. *)
 type endpoints = {
   network : Net.Network.t;
   sources : Net.Node.t array;
@@ -132,7 +132,7 @@ and think_then_restart t slot =
   ignore
     (Sim.Engine.schedule_after t.engine ~delay (fun () -> start_transfer t slot))
 
-let spawn_endpoints ep ~sender ~config ~churn ~rngs ?(flow_base = 0) ?probe () =
+let spawn_endpoints ep ~sender ~config ~churn ~rngs ?probe () =
   validate churn;
   if Array.length ep.sources = 0 then
     invalid_arg "Flow_churn: endpoints need at least one pair";
@@ -149,7 +149,7 @@ let spawn_endpoints ep ~sender ~config ~churn ~rngs ?(flow_base = 0) ?probe () =
       churn;
       slot_rngs = rngs;
       probe;
-      next_flow = flow_base;
+      next_flow = 0;
       started = 0;
       completed = 0;
       segments_completed = 0;
@@ -170,11 +170,10 @@ let spawn_endpoints ep ~sender ~config ~churn ~rngs ?(flow_base = 0) ?probe () =
   t
 
 (* [slot_rngs rng ~flows] is the canonical per-slot stream derivation:
-   sequential splits of [rng] labelled by *global* slot index. Splits
-   advance the parent state, so the derivation must happen once, in
-   slot order, at the root — a partitioned workload hands each cell its
-   slice of the result rather than re-splitting per cell, which is what
-   keeps slot streams identical under any partitioning. *)
+   sequential splits of [rng] labelled by slot index. Splits advance
+   the parent state, so the derivation must happen once, in slot order,
+   from one parent — that is what lets [spawn_endpoints] callers
+   reproduce [spawn]'s traffic exactly. *)
 let slot_rngs rng ~flows =
   Array.init flows (fun slot ->
       Sim.Rng.split rng (Printf.sprintf "churn-slot-%d" slot))

@@ -61,30 +61,25 @@ val spawn :
 
 (** [spawn_endpoints ep ~sender ~config ~churn ~rngs ()] is {!spawn}
     over arbitrary endpoints, with the per-slot streams supplied by the
-    caller ([Array.length rngs] must equal [churn.flows]). A
-    partitioned workload derives all slot streams at the root with
-    {!slot_rngs} and hands each cell its slice, so the traffic a global
-    slot generates is independent of how slots are partitioned into
-    cells. [flow_base] (default 0) offsets the flow ids this instance
-    allocates — give cells disjoint ranges. [probe], when supplied, is
-    passed to every connection the instance creates (one tap per cell,
-    for monitors and trace digests). *)
+    caller ([Array.length rngs] must equal [churn.flows]). Streams from
+    {!slot_rngs} reproduce the traffic {!spawn} generates. [probe],
+    when supplied, is passed to every connection the instance creates
+    (for monitors and trace digests). *)
 val spawn_endpoints :
   endpoints ->
   sender:(module Tcp.Sender.S) ->
   config:Tcp.Config.t ->
   churn:config ->
   rngs:Sim.Rng.t array ->
-  ?flow_base:int ->
   ?probe:Tcp.Probe.t ->
   unit ->
   t
 
 (** [slot_rngs rng ~flows] derives the canonical per-slot streams:
-    sequential splits of [rng] labelled ["churn-slot-<i>"] in global
-    slot order. {!Sim.Rng.split} advances the parent, so derive once at
-    the root and slice — never re-split per cell. [spawn] uses exactly
-    this derivation. *)
+    sequential splits of [rng] labelled ["churn-slot-<i>"] in slot
+    order. {!Sim.Rng.split} advances the parent, so derive every slot
+    in one call rather than splitting per slot elsewhere. [spawn] uses
+    exactly this derivation. *)
 val slot_rngs : Sim.Rng.t -> flows:int -> Sim.Rng.t array
 
 val flows : t -> int

@@ -421,78 +421,6 @@ let per_path_fifo_prop =
       let delivered = List.rev !order in
       delivered = List.sort compare delivered)
 
-
-(* ------------------------------------------------------------------ *)
-(* Shard egress                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Cross-shard hand-off conserves pool accounting: the packet record
-   never leaves its network — the source pool takes its record back at
-   egress time, the destination pool serves the arrival like any local
-   origination, and identity (uid, flow, payload order) survives the
-   crossing. After the run both pools must balance exactly:
-   outstanding 0 and in_pool = created. *)
-let shard_egress_pool_prop =
-  QCheck.Test.make ~name:"shard egress conserves pools" ~count:25
-    QCheck.(int_range 1 40)
-    (fun count ->
-      let sh = Sim.Sharded_engine.create ~domains:2 () in
-      let net_a = Net.Network.create (Sim.Sharded_engine.engine sh 0) in
-      let net_b = Net.Network.create (Sim.Sharded_engine.engine sh 1) in
-      let a0 = Net.Network.add_node net_a in
-      let ae = Net.Network.add_node net_a in
-      let b0 = Net.Network.add_node net_b in
-      let b1 = Net.Network.add_node net_b in
-      let link =
-        Net.Network.add_link net_a ~src:a0 ~dst:ae ~bandwidth_bps:1e7
-          ~delay_s:0. ~capacity:64 ()
-      in
-      ignore
-        (Net.Network.add_link net_b ~src:b0 ~dst:b1 ~bandwidth_bps:1e7
-           ~delay_s:0.001 ~capacity:64 ());
-      let ch = Sim.Sharded_engine.channel sh ~src:0 ~dst:1 ~latency:0.005 () in
-      let tail = [| Net.Node.id b1 |] in
-      let egress =
-        Net.Shard_egress.wire
-          ~via:(Net.Shard_egress.Remote (sh, ch))
-          ~link ~src_network:net_a ~dst_network:net_b ~entry:b0
-          ~reroute:(fun _ -> (tail, Net.Node.id b1))
-      in
-      let received = ref [] in
-      Net.Node.attach b1 ~flow:7 (fun p ->
-          received := (p.Net.Packet.uid, p.Net.Packet.payload) :: !received;
-          Net.Network.release_packet net_b p);
-      let engine0 = Sim.Sharded_engine.engine sh 0 in
-      for k = 0 to count - 1 do
-        ignore
-          (Sim.Engine.schedule_at engine0
-             ~time:(float_of_int k *. 0.0003)
-             (fun () ->
-               let p =
-                 Net.Network.make_packet net_a ~flow:7 ~src:(Net.Node.id a0)
-                   ~dst:(Net.Node.id ae) ~size:200
-                   ~route:[| Net.Node.id ae |]
-                   ~born:(Sim.Engine.now engine0) (Net.Packet.Raw k)
-               in
-               Net.Network.originate net_a ~from:a0 p))
-      done;
-      Sim.Sharded_engine.run sh ~until:1.0;
-      let arrived = List.rev !received in
-      let pa = Net.Network.pool net_a and pb = Net.Network.pool net_b in
-      List.length arrived = count
-      && Net.Shard_egress.crossings egress = count
-      && List.for_all2
-           (fun k (_, payload) -> payload = Net.Packet.Raw k)
-           (List.init count Fun.id) arrived
-      && (let uids = List.map fst arrived in
-          uids = List.sort compare uids)
-      && Net.Packet_pool.outstanding pa = 0
-      && Net.Packet_pool.in_pool pa = Net.Packet_pool.created pa
-      && Net.Packet_pool.outstanding pb = 0
-      && Net.Packet_pool.in_pool pb = Net.Packet_pool.created pb
-      && Net.Packet_pool.peak_outstanding pa >= 1
-      && Net.Packet_pool.peak_outstanding pb >= 1)
-
 (* ------------------------------------------------------------------ *)
 (* Red                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -809,8 +737,6 @@ let () =
             test_network_duplicate_link_rejected;
           Alcotest.test_case "unique uids" `Quick test_network_uids_unique;
           QCheck_alcotest.to_alcotest ~long:false per_path_fifo_prop ] );
-      ( "shard-egress",
-        [ QCheck_alcotest.to_alcotest ~long:false shard_egress_pool_prop ] );
       ( "packet-pool",
         [ Alcotest.test_case "reuses record" `Quick test_pool_reuses_record;
           Alcotest.test_case "double release raises" `Quick

@@ -130,8 +130,8 @@ let histogram_props =
     QCheck.Test.make ~name:"sharded then merged = single" ~count:200
       QCheck.(pair values_gen (int_range 1 8))
       (fun (values, shards) ->
-        (* Deal values round-robin onto [shards] histograms, as a
-           sharded parallel run would, then merge. *)
+        (* Deal values round-robin onto [shards] histograms, as the
+           per-job registries of a parallel sweep would, then merge. *)
         let parts = Array.init shards (fun _ -> Metrics.Histogram.create ()) in
         List.iteri
           (fun i v -> Metrics.Histogram.record parts.(i mod shards) v)
@@ -552,9 +552,9 @@ let sketch_props =
     QCheck.Test.make
       ~name:"shard merge independent of grouping (domain counts)"
       ~count:200 sketch_stream_gen (fun stream ->
-        (* Flows partition onto 4 cell sketches (the sharded engine's
-           cell-owns-flow discipline); any --domains count merges the
-           same cells, only grouped differently. *)
+        (* Flows partition onto 4 sketches, each owning its flows'
+           arrivals; merging them in sequence or in pairs (as different
+           job counts would group them) gives the same state. *)
         let cells = Array.init 4 (fun _ -> Sketch.create ()) in
         List.iter
           (fun (flow, seq) ->

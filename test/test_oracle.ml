@@ -377,8 +377,7 @@ let starvation_scenario =
     bandwidth_scale = 1.;
     coalesce = None;
     rcv_buf = None;
-    time_limit = 60.;
-    domains = 1 }
+    time_limit = 60. }
 
 let test_oracle_detects_starvation () =
   let report =
@@ -428,7 +427,7 @@ let broken_scenario =
     bandwidth_scale = 1.;
     coalesce = None;
     rcv_buf = None;
-    time_limit = 600.; domains = 1 }
+    time_limit = 600. }
 
 let test_oracle_catches_dupack_retransmit () =
   let report =

@@ -199,6 +199,51 @@ let test_churn_population_invariants () =
     * Experiments.Scale.default_config.Tcp.Config.mss)
     (Workload.Flow_churn.bytes_completed w)
 
+(* The invariant monitors over churn traffic, where every transfer
+   creates a connection and detaches it on completion, so late packets
+   of a finished flow strand at its endpoints. Flow ids must stay fresh
+   per transfer: a reused id would feed a new connection's stream into
+   the per-flow monitor state of the old one. *)
+let test_churn_monitors_hold () =
+  let flows = 48 and duration = 0.6 in
+  let config = Experiments.Scale.default_config in
+  List.iter
+    (fun (variant, sender) ->
+      let engine = Sim.Engine.create () in
+      (* Experiments.Scale.run's dumbbell at 48 slots. *)
+      let dumbbell =
+        Topo.Dumbbell.create engine ~pairs:32 ~bottleneck_bandwidth_bps:48e6
+          ~queue_capacity:64 ~access_queue_capacity:128 ()
+      in
+      let probe = Tcp.Probe.create () in
+      let monitors = Check.Monitor.for_variant ~variant ~config in
+      Check.Monitor.arm probe monitors;
+      let seen = Hashtbl.create 64 in
+      Sim.Trace.on probe (fun ev -> Hashtbl.replace seen (Tcp.Probe.flow ev) ());
+      let w =
+        Workload.Flow_churn.spawn_endpoints
+          (Workload.Flow_churn.endpoints_of_dumbbell dumbbell)
+          ~sender ~config
+          ~churn:(Experiments.Scale.default_churn ~flows ~duration)
+          ~rngs:(Workload.Flow_churn.slot_rngs (Sim.Rng.create 0) ~flows)
+          ~probe ()
+      in
+      Sim.Engine.run engine ~until:duration;
+      Alcotest.(check bool)
+        (variant ^ ": a slot ran a second transfer")
+        true
+        (Workload.Flow_churn.transfers_completed w > 0
+        && Workload.Flow_churn.transfers_started w > flows);
+      Alcotest.(check bool)
+        (variant ^ ": probe saw more than one flow")
+        true
+        (Hashtbl.length seen > 1);
+      Alcotest.(check int)
+        (variant ^ ": no violations")
+        0
+        (List.length (Check.Monitor.all_violations monitors)))
+    [ Experiments.Variants.tcp_pr; Experiments.Variants.tcp_sack ]
+
 let test_churn_validation () =
   let engine = Sim.Engine.create () in
   let dumbbell = Topo.Dumbbell.create engine () in
@@ -230,12 +275,11 @@ let test_churn_validation () =
   Alcotest.check_raises "NaN scale duration"
     (Invalid_argument "Scale.run: duration must be positive") (fun () ->
       ignore (Experiments.Scale.run ~duration:Float.nan ~flows:10 ()));
-  Alcotest.check_raises "NaN sharded scale duration"
-    (Invalid_argument "Scale_sharded.run: duration must be positive")
-    (fun () ->
-      ignore
-        (Experiments.Scale_sharded.run ~duration:Float.nan ~domains:1
-           ~flows:10 ()))
+  (* Closed-loop churn never drains: an infinite run would never
+     return. *)
+  Alcotest.check_raises "infinite scale duration"
+    (Invalid_argument "Scale.run: duration must be finite") (fun () ->
+      ignore (Experiments.Scale.run ~duration:Float.infinity ~flows:10 ()))
 
 (* --- Adversary controller (closed-loop reordering dial) ------------ *)
 
@@ -361,6 +405,7 @@ let () =
             test_churn_seed_changes_run;
           Alcotest.test_case "population invariants" `Quick
             test_churn_population_invariants;
+          Alcotest.test_case "monitors hold" `Quick test_churn_monitors_hold;
           Alcotest.test_case "validation" `Quick test_churn_validation ] );
       ( "adversary",
         [ Alcotest.test_case "validation" `Quick test_adversary_validation;
