@@ -696,19 +696,7 @@ let demo_cmd =
   cmd_of "demo" ~doc:"Two-minute tour: fairness and reordering robustness."
     Term.(const demo $ seed_term $ jobs_term)
 
-(* TCP_PR_LOG=debug turns on per-packet connection tracing. *)
-let setup_logging () =
-  match Sys.getenv_opt "TCP_PR_LOG" with
-  | Some level -> (
-    Logs.set_reporter (Logs.format_reporter ());
-    match String.lowercase_ascii level with
-    | "debug" -> Logs.set_level (Some Logs.Debug)
-    | "info" -> Logs.set_level (Some Logs.Info)
-    | _ -> Logs.set_level (Some Logs.Warning))
-  | None -> ()
-
 let () =
-  setup_logging ();
   let doc = "TCP-PR (ICDCS 2003) reproduction driver" in
   let info = Cmd.info "tcp_pr_sim" ~version:"1.0.0" ~doc in
   exit

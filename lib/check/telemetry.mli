@@ -2,9 +2,11 @@
 
     Components own their metrics (see {!Obs.Metrics}); these collectors
     run once after a simulation and lift them into an {!Obs.Registry}
-    under stable dotted names, ready for {!Obs.Export}. Collect each
-    run into its own registry and combine shards with
-    [Obs.Registry.merge_all] to keep parallel sweeps deterministic. *)
+    under stable dotted names, ready for {!Obs.Export}, folding
+    per-component metrics together with the [Obs.Metrics] [merge_into]
+    functions. Collect each run into its own registry: a parallel sweep
+    renders one registry per job, in input order, so its output does
+    not depend on [--jobs]. *)
 
 (** [network registry net ~now] aggregates link, queue, node and pool
     metrics of [net] under [prefix] (default ["net"]): transmission and

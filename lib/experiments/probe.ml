@@ -1,28 +1,17 @@
-let periodic engine ~interval ~until f =
-  if interval <= 0. then invalid_arg "Probe: non-positive interval";
+let cwnd_series engine connection ~interval ~until =
+  (* A NaN or infinite step, like a NaN horizon, would schedule no
+     sample at all and return an empty series without complaint. *)
+  if not (interval > 0. && Float.is_finite interval) then
+    invalid_arg "Probe.cwnd_series: interval must be positive and finite";
+  if Float.is_nan until then invalid_arg "Probe.cwnd_series: until is NaN";
+  let series = Stats.Timeseries.create () in
   let rec schedule time =
     if time <= until then
       ignore
         (Sim.Engine.schedule_at engine ~time (fun () ->
-             f time;
+             Stats.Timeseries.record series ~time
+               (Tcp.Connection.cwnd connection);
              schedule (time +. interval)))
   in
-  schedule (Sim.Engine.now engine +. interval)
-
-let cwnd_series engine connection ~interval ~until =
-  let series = Stats.Timeseries.create () in
-  periodic engine ~interval ~until (fun time ->
-      Stats.Timeseries.record series ~time (Tcp.Connection.cwnd connection));
-  series
-
-let goodput_series engine connection ~interval ~until =
-  let series = Stats.Timeseries.create () in
-  let previous = ref 0 in
-  periodic engine ~interval ~until (fun time ->
-      let bytes = Tcp.Connection.received_bytes connection in
-      let mbps =
-        float_of_int (bytes - !previous) *. 8. /. interval /. 1e6
-      in
-      previous := bytes;
-      Stats.Timeseries.record series ~time mbps);
+  schedule (Sim.Engine.now engine +. interval);
   series

@@ -1,4 +1,4 @@
-(* Snapshot and time-series sinks for registries.
+(* Snapshot rendering for registries.
 
    Everything here is cold-path: rendering happens once per run, after
    the simulation. All output is deterministic — rows are emitted in
@@ -39,18 +39,6 @@ let rows registry =
       | None -> [])
     (Registry.names registry)
 
-let to_csv registry =
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer "metric,value\n";
-  List.iter
-    (fun (name, value) ->
-      Buffer.add_string buffer name;
-      Buffer.add_char buffer ',';
-      Buffer.add_string buffer value;
-      Buffer.add_char buffer '\n')
-    (rows registry);
-  Buffer.contents buffer
-
 let json_escape s =
   let buffer = Buffer.create (String.length s) in
   String.iter
@@ -76,78 +64,3 @@ let to_json registry =
     (rows registry);
   Buffer.add_string buffer " }";
   Buffer.contents buffer
-
-(* ------------------------------------------------------------------ *)
-(* Time-series sink                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Sampler = struct
-  (* Periodically reads the scalar value of named metrics into columns
-     of (time, value) samples. The scalar of a counter is its count, of
-     a gauge its level, of a histogram its recorded-event count. *)
-
-  type t = {
-    registry : Registry.t;
-    metrics : string list;
-    mutable samples_rev : (float * float list) list;
-    mutable count : int;
-  }
-
-  let create registry metrics =
-    if metrics = [] then invalid_arg "Export.Sampler.create: no metrics";
-    { registry; metrics; samples_rev = []; count = 0 }
-
-  let scalar registry name =
-    match Registry.find registry name with
-    | Some (Registry.Counter c) -> float_of_int (Metrics.Counter.get c)
-    | Some (Registry.Gauge g) -> float_of_int (Metrics.Gauge.get g)
-    | Some (Registry.Histogram h) -> float_of_int (Metrics.Histogram.count h)
-    | Some (Registry.Value v) -> !v
-    | None -> 0.
-
-    let sample t ~time =
-    (match t.samples_rev with
-    | (last, _) :: _ when time < last ->
-      invalid_arg "Export.Sampler.sample: time went backwards"
-    | _ -> ());
-    t.samples_rev <-
-      (time, List.map (scalar t.registry) t.metrics) :: t.samples_rev;
-    t.count <- t.count + 1
-
-  let length t = t.count
-
-  let to_list t = List.rev t.samples_rev
-
-  let to_csv t =
-    let buffer = Buffer.create 1024 in
-    Buffer.add_string buffer ("time," ^ String.concat "," t.metrics);
-    Buffer.add_char buffer '\n';
-    List.iter
-      (fun (time, values) ->
-        Buffer.add_string buffer (Printf.sprintf "%g" time);
-        List.iter
-          (fun v -> Buffer.add_string buffer (Printf.sprintf ",%g" v))
-          values;
-        Buffer.add_char buffer '\n')
-      (to_list t);
-    Buffer.contents buffer
-
-  let to_json t =
-    let buffer = Buffer.create 1024 in
-    Buffer.add_string buffer "{ \"metrics\": [";
-    List.iteri
-      (fun i name ->
-        if i > 0 then Buffer.add_string buffer ", ";
-        Buffer.add_string buffer (Printf.sprintf "\"%s\"" (json_escape name)))
-      t.metrics;
-    Buffer.add_string buffer "], \"samples\": [";
-    List.iteri
-      (fun i (time, values) ->
-        if i > 0 then Buffer.add_string buffer ", ";
-        Buffer.add_string buffer (Printf.sprintf "[%g" time);
-        List.iter (fun v -> Buffer.add_string buffer (Printf.sprintf ", %g" v)) values;
-        Buffer.add_string buffer "]")
-      (to_list t);
-    Buffer.add_string buffer "] }";
-    Buffer.contents buffer
-end

@@ -1,4 +1,4 @@
-(** Deterministic snapshot and time-series sinks for a registry.
+(** Deterministic snapshot of a registry.
 
     Rows are emitted in sorted name order with fixed number formats, so
     two runs that recorded the same events export byte-identical
@@ -11,37 +11,5 @@
 (** [rows r] is the flat [(name, rendered value)] snapshot of [r]. *)
 val rows : Registry.t -> (string * string) list
 
-(** CSV snapshot with a ["metric,value"] header line. *)
-val to_csv : Registry.t -> string
-
 (** Flat one-line JSON object, keys in sorted row order. *)
 val to_json : Registry.t -> string
-
-(** Time-series sink: periodically read the scalar level of named
-    metrics into columns of (time, values) samples. The scalar of a
-    counter is its count, of a gauge its level, of a histogram its
-    recorded-event count, of a value its float. *)
-module Sampler : sig
-  type t
-
-  (** [create r names] samples the metrics called [names] (at least
-      one) from [r]. Metrics may be registered after creation; until
-      then they sample as 0. *)
-  val create : Registry.t -> string list -> t
-
-  (** [sample t ~time] appends one row. Raises [Invalid_argument] if
-      [time] is below the previous sample's time. *)
-  val sample : t -> time:float -> unit
-
-  val length : t -> int
-
-  (** Samples, oldest first. *)
-  val to_list : t -> (float * float list) list
-
-  (** CSV with a ["time,<name>,..."] header. *)
-  val to_csv : t -> string
-
-  (** JSON object with ["metrics"] (column names) and ["samples"]
-      (rows of [[time, v1, ...]]). *)
-  val to_json : t -> string
-end

@@ -4,8 +4,8 @@
    dummy for an arbitrary ['a]); after that a note is two stores and an
    increment, so an armed recorder adds no allocation per event. The
    ring only retains what fits: older events are overwritten, which is
-   exactly the "flight recorder" contract — when a monitor fails or a
-   signal arrives, the last [capacity] events are still there to dump.
+   exactly the "flight recorder" contract — when a monitor fails, the
+   last [capacity] events are still there to render.
 
    Events are stored by reference. Feed it values that stay valid after
    the callback returns (e.g. [Tcp.Probe] events); do NOT attach it to
@@ -40,32 +40,7 @@ let to_list t =
   let n = length t in
   List.init n (fun i -> t.items.((t.total - n + i) mod t.capacity))
 
-let iter t f = List.iter f (to_list t)
-
-let clear t =
-  t.items <- [||];
-  t.total <- 0
-
 let attach ?(capacity = 64) tap =
   let t = create ~capacity in
   Sim.Trace.on tap (note t);
   t
-
-let pp ~render ppf t =
-  (match overwritten t with
-  | 0 -> ()
-  | n -> Format.fprintf ppf "... %d earlier event(s) overwritten@," n);
-  iter t (fun x -> Format.fprintf ppf "%s@," (render x))
-
-(* Signal-triggered dump for long runs: e.g. SIGUSR1 prints the tail of
-   a live simulation to stderr without stopping it. Rendering inside a
-   signal handler is safe here because the simulator is single-threaded
-   per domain and handlers run between OCaml allocations. *)
-let dump_on_signal ?(out = stderr) ~signal ~render t =
-  Sys.set_signal signal
-    (Sys.Signal_handle
-       (fun _ ->
-         Printf.fprintf out "flight recorder: last %d of %d event(s)\n"
-           (length t) (total t);
-         iter t (fun x -> Printf.fprintf out "  %s\n" (render x));
-         flush out))

@@ -1,11 +1,11 @@
-(** Bounded ring over an event stream — keep the last N, dump on
-    demand.
+(** Bounded ring over an event stream — keep the last N.
 
     Typical use: [attach] it to a {!Sim.Trace} tap (e.g. a
-    [Tcp.Probe.t]) with a small capacity; when a monitor fails, a run
-    misbehaves, or a signal arrives, the last [capacity] events are
-    still at hand for a readable tail. Noting an event is two stores
-    and an increment — no allocation after the first note.
+    [Tcp.Probe.t]) with a small capacity; when a monitor fails or a
+    report asks for a tail, the last [capacity] events are still at
+    hand. The renderer is the caller's: the oracle and [report --tail]
+    print [List.map Tcp.Probe.to_line (to_list r)]. Noting an event is
+    two stores and an increment — no allocation after the first note.
 
     Events are retained by reference: feed it values that stay valid
     after the emitting callback returns. Do NOT attach it to a tap that
@@ -39,26 +39,3 @@ val overwritten : 'a t -> int
 
 (** Retained events, oldest first. *)
 val to_list : 'a t -> 'a list
-
-(** [iter t f] applies [f] to the retained events, oldest first. *)
-val iter : 'a t -> ('a -> unit) -> unit
-
-val clear : 'a t -> unit
-
-(** [pp ~render ppf t] prints one rendered line per retained event
-    (oldest first), preceded by a note when events were overwritten. *)
-val pp : render:('a -> string) -> Format.formatter -> 'a t -> unit
-
-(** [dump_on_signal ~signal ~render t] installs a handler that prints
-    the current tail to [out] (default [stderr]) when [signal] arrives,
-    without stopping the run — e.g. [Sys.sigusr1] on a long
-    simulation.
-
-    Multi-domain caveat: OCaml delivers signals to the main domain, so
-    install this only there, and only for a recorder the main domain
-    writes. A recorder fed by a run on a worker domain (a
-    {!Sim.Domain_pool} job) must be rendered after that job returns —
-    never dumped mid-run from a signal handler racing the worker's
-    writes. *)
-val dump_on_signal :
-  ?out:out_channel -> signal:int -> render:('a -> string) -> 'a t -> unit

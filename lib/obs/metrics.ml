@@ -3,10 +3,10 @@
    Every type here is a small record of mutable immediate ints, created
    once at component-construction time; recording writes fields and
    array cells only, so an always-on metric costs a handful of integer
-   stores per event and zero GC pressure (see DESIGN.md §11). Shards
-   recorded on different domains are combined with the [merge_into]
-   functions; all merges are pointwise, so merging in input order keeps
-   parallel runs deterministic. *)
+   stores per event and zero GC pressure (see DESIGN.md §11). The
+   [merge_into] functions lift component metrics into a run's registry
+   after the run (Check.Telemetry); all merges are pointwise, so the
+   lifted total does not depend on visiting order. *)
 
 module Counter = struct
   type t = { mutable value : int }
@@ -47,7 +47,7 @@ module Gauge = struct
     t.peak <- 0
 
   (* A gauge is a level signal, so a merged gauge reports the highest
-     level any shard saw (for both the current value and the peak). *)
+     level any source saw (for both the current value and the peak). *)
   let merge_into ~into t =
     if t.value > into.value then into.value <- t.value;
     if t.peak > into.peak then into.peak <- t.peak

@@ -3,10 +3,12 @@
     Counters, gauges and fixed-bucket log-scale histograms are small
     records of mutable immediate ints, created once when a component is
     built; recording writes integer fields and array cells only, so an
-    always-on metric adds no GC pressure to the hot path. Shards
-    recorded on different domains are combined with [merge_into]; every
-    merge is pointwise, so merging shards in input order keeps
-    [--jobs]-parallel runs deterministic. *)
+    always-on metric adds no GC pressure to the hot path. After a run,
+    collectors ([Check.Telemetry]) lift component metrics into the
+    run's registry with [merge_into] — e.g. every link's occupancy
+    histogram into one [net.queue.occupancy]. Every merge is pointwise,
+    associative and commutative, so the lifted total does not depend on
+    the order the components are visited in. *)
 
 (** Monotone event count. Merge adds. *)
 module Counter : sig
@@ -27,7 +29,7 @@ end
 
 (** Level signal with peak tracking. Merge takes the maximum of both
     the current value and the peak: a merged gauge reports the highest
-    level any shard saw. *)
+    level any source saw. *)
 module Gauge : sig
   type t
 

@@ -1,13 +1,10 @@
 (* Named metric registry.
 
    A registry is per-run state: every simulation (or grid point) builds
-   its own, components record into it (or are read into it by a
-   collector at snapshot time), and parallel runners merge the per-run
-   shards in input order after the parallel map returns — which is what
-   keeps `--jobs N` output byte-identical to `--jobs 1`. Lookup
-   allocates on the miss path only; the returned handles are the same
-   mutable records on every call, so hot code resolves its metric once
-   and records through the handle. *)
+   its own, and components record into it (or are lifted into it by a
+   collector at snapshot time). Lookup allocates on the miss path only;
+   the returned handles are the same mutable records on every call, so
+   hot code resolves its metric once and records through the handle. *)
 
 type metric =
   | Counter of Metrics.Counter.t
@@ -83,27 +80,3 @@ let length t = Hashtbl.length t.metrics
 let names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.metrics []
   |> List.sort String.compare
-
-(* Same-name metrics must agree in kind; counters add, gauges take the
-   max level, histograms add pointwise, and float values (level
-   signals, e.g. a utilisation) take the max, mirroring gauges. *)
-let merge_into ~into t =
-  List.iter
-    (fun name ->
-      match Hashtbl.find t.metrics name with
-      | Counter c -> Metrics.Counter.merge_into ~into:(counter into name) c
-      | Gauge g -> Metrics.Gauge.merge_into ~into:(gauge into name) g
-      | Histogram h ->
-        Metrics.Histogram.merge_into ~into:(histogram into name) h
-      | Value v ->
-        let dst = value_ref into name in
-        if !v > !dst then dst := !v)
-    (names t)
-
-let merge_all = function
-  | [] -> create ()
-  | first :: rest ->
-    let into = create () in
-    merge_into ~into first;
-    List.iter (fun shard -> merge_into ~into shard) rest;
-    into

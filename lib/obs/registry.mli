@@ -1,14 +1,17 @@
-(** Named metric registry — per-run, sharded, mergeable.
+(** Named metric registry — one per run.
 
     A registry is per-run state: every simulation (or grid point)
-    builds its own, components record into it, and parallel runners
-    merge the per-run shards in input order after the parallel map
-    returns, which keeps [--jobs N] output byte-identical to
-    [--jobs 1]. The accessors are find-or-create: the first call under
-    a name allocates the metric, later calls return the same handle, so
-    hot code resolves a metric once and records through the handle
-    (recording itself never allocates — see {!Metrics}). Requesting a
-    name that exists under a different kind raises [Invalid_argument]. *)
+    builds its own and components record into it, or are lifted into
+    it by a collector ([Check.Telemetry]) after the run. Parallel
+    sweeps never share or combine registries: each job renders its own,
+    and results are assembled in input order, which keeps [--jobs N]
+    output byte-identical to [--jobs 1]. The accessors are
+    find-or-create: the first call under a name allocates the metric,
+    later calls return the same handle, so hot code resolves a metric
+    once and records through the handle (recording itself never
+    allocates — see {!Metrics}). Requesting a name that exists under a
+    different kind raises [Invalid_argument]. A registry has no
+    internal synchronisation: never share one between live domains. *)
 
 type metric =
   | Counter of Metrics.Counter.t
@@ -40,21 +43,3 @@ val length : t -> int
 
 (** All registered names, sorted — the deterministic snapshot order. *)
 val names : t -> string list
-
-(** [merge_into ~into t] folds [t]'s metrics into [into]: counters and
-    histograms add, gauges and values take the maximum level. Same-name
-    metrics of different kinds raise [Invalid_argument]. *)
-val merge_into : into:t -> t -> unit
-
-(** [merge_all shards] merges per-domain shards (in list order) into a
-    fresh registry.
-
-    Shard contract: a registry is plain mutable state with no internal
-    synchronisation, so concurrent shards (the jobs of a
-    {!Sim.Domain_pool} map) must each record into their own registry
-    and merge only after the domains have been joined — the join is
-    the happens-before edge that makes every shard's writes visible to
-    the merging domain. Merging in a fixed order (input order, shard
-    index order) keeps the merged output byte-identical at any domain
-    count; never share one registry between live domains. *)
-val merge_all : t list -> t

@@ -33,11 +33,9 @@
      RFC's singleton definition.
 
    Duplicates are evaluated once: callers route repeated sequence
-   numbers to {!observe_duplicate}, which only counts them. Merging is
-   pointwise over the aggregates (counters add, [next_exp] maxes,
-   histograms add buckets); the ring is per-shard scan state and does
-   not merge, which is sound because a flow's arrivals are observed
-   wholly within one shard (each receiver owns its flow's detector). *)
+   numbers to {!observe_duplicate}, which only counts them. Each
+   receiver owns its flow's detector, so a flow's arrivals are always
+   observed by one instance and nothing needs combining. *)
 
 type t = {
   window : int;
@@ -160,17 +158,6 @@ let late_fraction t =
   if t.arrivals = 0 then 0.
   else
     float_of_int (t.reordered + t.late_retx) /. float_of_int t.arrivals
-
-let merge_into ~into t =
-  into.arrivals <- into.arrivals + t.arrivals;
-  into.reordered <- into.reordered + t.reordered;
-  into.late_retx <- into.late_retx + t.late_retx;
-  into.duplicates <- into.duplicates + t.duplicates;
-  into.extent_capped <- into.extent_capped + t.extent_capped;
-  if t.next_exp > into.next_exp then into.next_exp <- t.next_exp;
-  Metrics.Histogram.merge_into ~into:into.extent t.extent;
-  Metrics.Histogram.merge_into ~into:into.late_offset t.late_offset;
-  Metrics.Histogram.merge_into ~into:into.n_reordering t.n_reordering
 
 let reset t =
   t.ring_len <- 0;

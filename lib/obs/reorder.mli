@@ -81,10 +81,4 @@ val density : t -> float
     0 when empty. *)
 val late_fraction : t -> float
 
-(** Pointwise merge of the aggregates (counters add, [next_exp] maxes,
-    histogram buckets add): associative and commutative, so merging
-    shards in input order is deterministic. The scan ring does not
-    merge — a flow must be observed wholly within one shard. *)
-val merge_into : into:t -> t -> unit
-
 val reset : t -> unit

@@ -12,15 +12,9 @@
    [estimate] reads their minimum back.
 
    Memory is fixed at [2 * depth * width] words regardless of flow
-   count — that is the whole point. State is mergeable exactly like
-   {!Registry.merge}: last-seq slots merge by pointwise max, count
-   cells and totals add, both associative and commutative, so shards
-   merged in input order produce byte-identical state at any domain
-   count, as long as the shard list itself does not depend on the
-   domain count. Note the merge combines detector STATE, not a replay:
-   two shards observing interleaved halves of one flow would each miss
-   the other's arrivals — callers must keep a flow's arrivals within
-   one sketch. *)
+   count — that is the whole point. One sketch sees every arrival it
+   judges: a flow's arrivals split across two sketches would each miss
+   the reorderings that span the split. *)
 
 type t = {
   depth : int;
@@ -86,29 +80,6 @@ let width t = t.width
 
 (* Fixed state footprint in words: both arrays, whatever the traffic. *)
 let memory_words t = 2 * t.depth * t.width
-
-let compatible a b = a.depth = b.depth && a.width = b.width
-
-let merge_into ~into t =
-  if not (compatible into t) then
-    invalid_arg "Reorder_sketch.merge_into: dimension mismatch";
-  let n = t.depth * t.width in
-  for i = 0 to n - 1 do
-    if t.last.(i) > into.last.(i) then into.last.(i) <- t.last.(i);
-    into.counts.(i) <- into.counts.(i) + t.counts.(i)
-  done;
-  into.observed <- into.observed + t.observed;
-  into.detected <- into.detected + t.detected
-
-let merge a b =
-  let t = create ~depth:a.depth ~width:a.width () in
-  merge_into ~into:t a;
-  merge_into ~into:t b;
-  t
-
-let equal a b =
-  compatible a b && a.observed = b.observed && a.detected = b.detected
-  && a.last = b.last && a.counts = b.counts
 
 let reset t =
   Array.fill t.last 0 (t.depth * t.width) (-1);

@@ -9,13 +9,9 @@
     unanimity across rows bounds false positives, and {!estimate}
     reads the count-min minimum back per flow.
 
-    State is a fixed [2 * depth * width] words whatever the flow count,
-    and merges exactly like {!Registry.merge}: last-seq by pointwise
-    max, counts by addition — associative and commutative, so shards
-    merged in input order are byte-identical at any domain count. The
-    merge combines detector state, not a replay: keep each flow's
-    arrivals within one sketch, or the merged state misses reorderings
-    that span the split. *)
+    State is a fixed [2 * depth * width] words whatever the flow count.
+    Feed all of a flow's arrivals to one sketch: a flow split across
+    two sketches would miss the reorderings that span the split. *)
 
 type t
 
@@ -46,15 +42,5 @@ val width : t -> int
 
 (** Fixed state footprint in words. *)
 val memory_words : t -> int
-
-(** Pointwise merge; raises [Invalid_argument] on dimension
-    mismatch. *)
-val merge_into : into:t -> t -> unit
-
-val merge : t -> t -> t
-
-(** Structural equality of the full sketch state — what "byte-identical
-    merged metrics" means in the tests. *)
-val equal : t -> t -> bool
 
 val reset : t -> unit

@@ -17,27 +17,3 @@ let rec emit_rev event = function
     handler event
 
 let emit t event = emit_rev event t.handlers_rev
-
-type t = (string, float ref) Hashtbl.t
-
-let create () : t = Hashtbl.create 32
-
-let cell t key =
-  match Hashtbl.find_opt t key with
-  | Some r -> r
-  | None ->
-    let r = ref 0. in
-    Hashtbl.replace t key r;
-    r
-
-let add t key v = cell t key := !(cell t key) +. v
-
-let incr t key = add t key 1.
-
-let get t key = match Hashtbl.find_opt t key with Some r -> !r | None -> 0.
-
-let to_list t =
-  Hashtbl.fold (fun key r acc -> (key, !r) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset t = Hashtbl.reset t

@@ -1,14 +1,13 @@
-(** Named numeric counters and typed event taps for instrumentation.
+(** Typed event taps: the simulator's one instrumentation substrate.
 
-    Components record occurrences ([incr]) or magnitudes ([add]) under a
-    string key; tests and harnesses read them back with [get] /
-    [to_list]. Missing keys read as zero.
-
-    A {!tap} is the event-valued counterpart: a component owns an
-    ['a tap], listeners subscribe with [on], and the component publishes
-    with [emit]. An unarmed tap (no listeners) makes [emit] a no-op, so
-    instrumented code can guard any event-construction cost behind
-    [armed] and stay free when nobody is watching. *)
+    A component owns an ['a tap], listeners subscribe with [on], and the
+    component publishes with [emit]. An unarmed tap (no listeners) makes
+    [emit] a no-op, so instrumented code can guard any event-construction
+    cost behind [armed] and stay free when nobody is watching.
+    [Net.Link.events] and [Tcp.Probe] are taps: the invariant monitors,
+    the golden digests and [Obs.Flight_recorder] subscribe to
+    [Tcp.Probe], and the benchmark's queue-wait probe to
+    [Net.Link.events]. *)
 
 (** A typed event tap: a broadcast point for ['a]-valued events. *)
 type 'a tap
@@ -26,22 +25,3 @@ val armed : 'a tap -> bool
 
 (** [emit t event] delivers [event] to every subscribed handler. *)
 val emit : 'a tap -> 'a -> unit
-
-type t
-
-val create : unit -> t
-
-(** [incr t key] adds 1 to [key]. *)
-val incr : t -> string -> unit
-
-(** [add t key v] adds [v] to [key]. *)
-val add : t -> string -> float -> unit
-
-(** [get t key] is the accumulated value of [key], 0 if never written. *)
-val get : t -> string -> float
-
-(** [to_list t] lists all counters, sorted by key. *)
-val to_list : t -> (string * float) list
-
-(** [reset t] zeroes every counter. *)
-val reset : t -> unit

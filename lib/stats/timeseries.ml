@@ -17,51 +17,3 @@ let is_empty t = t.count = 0
 let to_list t = List.rev t.samples_rev
 
 let last t = match t.samples_rev with [] -> None | sample :: _ -> Some sample
-
-let values_between t ~from ~until =
-  List.filter_map
-    (fun (time, value) ->
-      if time >= from && time < until then Some value else None)
-    (to_list t)
-
-let to_csv ?(header = "time,value") t =
-  let lines =
-    List.map (fun (time, value) -> Printf.sprintf "%g,%g" time value) (to_list t)
-  in
-  String.concat "\n" ((header :: lines) @ [ "" ])
-
-let of_csv text =
-  let t = create () in
-  let lines = String.split_on_char '\n' text in
-  (* The first line is a header whenever it does not parse as data, so
-     both headed and headless CSV round-trip. *)
-  let parse_line n line =
-    match String.split_on_char ',' (String.trim line) with
-    | [ time; value ] -> (
-      match (float_of_string_opt time, float_of_string_opt value) with
-      | Some time, Some value -> record t ~time value
-      | _ ->
-        if n > 0 then
-          invalid_arg
-            (Printf.sprintf "Timeseries.of_csv: bad sample on line %d: %S"
-               (n + 1) line))
-    | [ "" ] -> ()
-    | _ ->
-      if n > 0 then
-        invalid_arg
-          (Printf.sprintf "Timeseries.of_csv: expected 2 fields on line %d: %S"
-             (n + 1) line)
-  in
-  List.iteri parse_line lines;
-  t
-
-let to_json t =
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer "{ \"samples\": [";
-  List.iteri
-    (fun i (time, value) ->
-      if i > 0 then Buffer.add_string buffer ", ";
-      Buffer.add_string buffer (Printf.sprintf "[%g, %g]" time value))
-    (to_list t);
-  Buffer.add_string buffer "] }";
-  Buffer.contents buffer

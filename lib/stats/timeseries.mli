@@ -1,5 +1,5 @@
 (** Append-only time series of (time, value) samples, for tracing
-    quantities like the congestion window or per-interval goodput. *)
+    quantities like the congestion window. *)
 
 type t
 
@@ -18,19 +18,3 @@ val to_list : t -> (float * float) list
 
 (** Most recent sample. *)
 val last : t -> (float * float) option
-
-(** [values_between t ~from ~until] returns the values of samples with
-    [from <= time < until]. *)
-val values_between : t -> from:float -> until:float -> float list
-
-(** [to_csv ?header t] renders ["time,value"] lines. *)
-val to_csv : ?header:string -> t -> string
-
-(** [of_csv text] parses what {!to_csv} produced (an optional header
-    line, then ["time,value"] samples). Raises [Invalid_argument] on a
-    malformed sample line; times must be non-decreasing, as in
-    {!record}. Round trip: [to_csv (of_csv (to_csv t)) = to_csv t]. *)
-val of_csv : string -> t
-
-(** One-line JSON object: [{ "samples": [[time, value], ...] }]. *)
-val to_json : t -> string

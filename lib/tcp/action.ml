@@ -2,10 +2,3 @@ type t =
   | Send of { seq : int; retx : bool }
   | Set_timer of { key : int; delay : float }
   | Cancel_timer of { key : int }
-
-let pp ppf = function
-  | Send { seq; retx } ->
-    Format.fprintf ppf "send(seq=%d%s)" seq (if retx then ", retx" else "")
-  | Set_timer { key; delay } ->
-    Format.fprintf ppf "set_timer(key=%d, delay=%g)" key delay
-  | Cancel_timer { key } -> Format.fprintf ppf "cancel_timer(key=%d)" key

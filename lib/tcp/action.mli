@@ -1,9 +1,10 @@
 (** Effects requested by a sender state machine.
 
-    Senders are pure state machines: event handlers return a list of
-    actions which {!Connection} executes against the simulated network.
-    This keeps every congestion-control algorithm unit-testable without
-    an engine. *)
+    Senders are state machines: event handlers write their actions into
+    an {!Action_buffer.t}, which {!Connection} drains against the
+    simulated network. This keeps every congestion-control algorithm
+    unit-testable without an engine ({!Action_buffer.collect} reads a
+    buffer back as a list of these values). *)
 
 type t =
   | Send of { seq : int; retx : bool }
@@ -12,5 +13,3 @@ type t =
       (** arm (or re-arm, replacing any pending timer with the same
           [key]) a timer that fires [delay] seconds from now *)
   | Cancel_timer of { key : int }  (** disarm the timer with [key] *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,14 +1,9 @@
-(* Debug logging: enable with Logs.Src.set_level (or the CLI's
-   TCP_PR_LOG=debug environment hook) to trace every segment, ACK and
-   timer of a connection. *)
-let log_src = Logs.Src.create "tcp_pr.connection" ~doc:"TCP connection events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-(* [Log.debug] allocates its message closure even when the level is
-   disabled; the hot path guards each call on this check instead. *)
-let debug_on () =
-  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
+(* One TCP connection: a sender variant and the receiver bound to two
+   nodes of a network. Sender handlers write their actions into the
+   connection's reusable [Action_buffer], which is drained against the
+   engine. Per-event tracing is the optional [Tcp.Probe] tap: its
+   events render as [Probe.to_line] lines in [report --tail] and in the
+   oracle's failure tails. *)
 
 type t = {
   network : Net.Network.t;
@@ -100,12 +95,6 @@ let send_data t ~seq ~retx =
   if probing t then
     emit_event t
       (Probe.Sent { time = Sim.Engine.now t.engine; flow = t.flow; seq; retx });
-  if debug_on () then
-    Log.debug (fun m ->
-        m "t=%.4f flow=%d send seq=%d%s"
-          (Sim.Engine.now t.engine)
-          t.flow seq
-          (if retx then " (retx)" else ""));
   let packet =
     Net.Network.make_packet t.network ~flow:t.flow ~src:(Net.Node.id t.src)
       ~dst:(Net.Node.id t.dst) ~size:t.config.Config.mss
@@ -344,9 +333,6 @@ let on_ack_arrival t packet =
   (match packet.Net.Packet.payload with
   | Types.Ack ack ->
     let now = Sim.Engine.now t.engine in
-    if debug_on () then
-      Log.debug (fun m ->
-          m "t=%.4f flow=%d ack %a" now t.flow Types.pp_ack ack);
     if probing t then
       instrumented t
         (fun ~before ~after ~actions ->

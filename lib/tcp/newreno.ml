@@ -2,7 +2,7 @@ let name = "NewReno"
 
 type t = Newreno_core.t
 
-let create config = Newreno_core.create ~strategy:Newreno_core.default_strategy config
+let create config = Newreno_core.create ~style:Newreno_core.Newreno config
 
 let start = Newreno_core.start
 

@@ -1,7 +1,3 @@
-type trigger =
-  | Dupthresh
-  | Time_delayed
-
 (* What happens once loss is inferred from duplicate ACKs:
    - [Tahoe]: retransmit and fall back to slow start (cwnd = 1);
    - [Reno]: fast recovery, but a partial ACK ends it (one loss
@@ -13,33 +9,17 @@ type recovery_style =
   | Reno
   | Newreno
 
-type strategy = {
-  trigger : trigger;
-  limited_transmit_cap : int option;
-  style : recovery_style;
-}
+(* RFC 3042 limited transmit: at most two new segments on the
+   duplicate ACKs that precede recovery. *)
+let limited_transmit_segments = 2
 
-let default_strategy =
-  { trigger = Dupthresh; limited_transmit_cap = Some 2; style = Newreno }
-
-let tahoe_strategy =
-  { trigger = Dupthresh; limited_transmit_cap = Some 2; style = Tahoe }
-
-let reno_strategy =
-  { trigger = Dupthresh; limited_transmit_cap = Some 2; style = Reno }
-
-let td_fr_strategy =
-  { trigger = Time_delayed; limited_transmit_cap = None; style = Newreno }
-
-(* Timer keys. The RTO timer is re-armed by replacement (same key), so a
-   fired timer is always the live one. *)
+(* The only timer. It is re-armed by replacement (same key), so a fired
+   timer is always the live one. *)
 let rto_key = 0
-
-let td_key = 1
 
 type t = {
   config : Config.t;
-  strategy : strategy;
+  style : recovery_style;
   mutable cwnd : float;
   mutable ssthresh : float;
   mutable snd_una : int;
@@ -54,9 +34,6 @@ type t = {
   rto : Rto.t;
   send_times : (int, float) Hashtbl.t;
   retransmitted : (int, unit) Hashtbl.t;
-  (* TD-FR bookkeeping *)
-  mutable first_dup_at : float;
-  mutable td_armed : bool;
   (* metrics *)
   mutable n_sent : int;
   mutable n_retx : int;
@@ -64,10 +41,10 @@ type t = {
   mutable n_timeouts : int;
 }
 
-let create ?(strategy = default_strategy) config =
+let create ~style config =
   Config.validate config;
   { config;
-    strategy;
+    style;
     cwnd = config.Config.initial_cwnd;
     ssthresh = config.Config.initial_ssthresh;
     snd_una = 0;
@@ -84,8 +61,6 @@ let create ?(strategy = default_strategy) config =
     rto = Rto.create config;
     send_times = Hashtbl.create 256;
     retransmitted = Hashtbl.create 64;
-    first_dup_at = 0.;
-    td_armed = false;
     n_sent = 0;
     n_retx = 0;
     n_fast_retx = 0;
@@ -136,10 +111,10 @@ let send t ~now ~seq ~retx buf =
   else Action_buffer.send buf ~seq
 
 (* Effective window (in whole segments): cwnd, plus one segment per
-   duplicate ACK under limited transmit (capped by the strategy) while
-   not yet in recovery. Inside recovery, cwnd itself is inflated per
-   duplicate. Returns an int so the per-ACK send loop never boxes a
-   float return. *)
+   duplicate ACK under limited transmit (at most
+   [limited_transmit_segments]) while not yet in recovery. Inside
+   recovery, cwnd itself is inflated per duplicate. Returns an int so
+   the per-ACK send loop never boxes a float return. *)
 let effective_window t =
   let c = t.cwnd in
   let m = t.config.Config.max_cwnd in
@@ -149,10 +124,7 @@ let effective_window t =
       t.config.Config.limited_transmit
       && (not t.in_recovery)
       && t.dup_count > 0
-    then
-      match t.strategy.limited_transmit_cap with
-      | Some cap -> min t.dup_count cap
-      | None -> t.dup_count
+    then min t.dup_count limited_transmit_segments
     else 0
   in
   int_of_float base + allowance
@@ -189,7 +161,7 @@ let enter_recovery t ~now buf =
   let effective_flight = Float.min (float_of_int (flight t)) t.cwnd in
   t.ssthresh <- Float.max (effective_flight /. 2.) 2.;
   t.recover <- t.snd_next - 1;
-  (match t.strategy.style with
+  (match t.style with
   | Tahoe ->
     (* No fast recovery: retransmit and slow-start from one. *)
     t.in_recovery <- false;
@@ -201,32 +173,6 @@ let enter_recovery t ~now buf =
   send t ~now ~seq:t.snd_una ~retx:true buf;
   arm_rto t buf
 
-let cancel_td t buf =
-  if t.td_armed then begin
-    t.td_armed <- false;
-    Action_buffer.cancel_timer buf ~key:td_key
-  end
-
-(* Duplicate-ACK handling under the [Time_delayed] trigger: arm the
-   delay timer on the first duplicate; once the third arrives, re-arm it
-   so it expires [max(srtt / 2, DT)] after the first duplicate. *)
-let td_on_dup t ~now buf =
-  let half_srtt =
-    Rto.srtt_or t.rto ~default:t.config.Config.initial_rto /. 2.
-  in
-  if t.dup_count = 1 then begin
-    t.first_dup_at <- now;
-    t.td_armed <- true;
-    Action_buffer.set_timer buf ~key:td_key ~delay:half_srtt
-  end
-  else if t.dup_count = 3 then begin
-    let dt = now -. t.first_dup_at in
-    let expires_at = t.first_dup_at +. Float.max half_srtt dt in
-    t.td_armed <- true;
-    Action_buffer.set_timer buf ~key:td_key
-      ~delay:(Float.max (expires_at -. now) 0.)
-  end
-
 let on_dup_ack t ~now buf =
   t.dup_count <- t.dup_count + 1;
   if t.in_recovery then begin
@@ -235,11 +181,8 @@ let on_dup_ack t ~now buf =
     send_new_data t ~now buf
   end
   else begin
-    (match t.strategy.trigger with
-    | Dupthresh ->
-      if t.dup_count = t.config.Config.dupthresh && t.snd_una > t.recover
-      then enter_recovery t ~now buf
-    | Time_delayed -> if t.snd_una > t.recover then td_on_dup t ~now buf);
+    if t.dup_count = t.config.Config.dupthresh && t.snd_una > t.recover then
+      enter_recovery t ~now buf;
     send_new_data t ~now buf
   end
 
@@ -274,7 +217,7 @@ let on_new_ack t ~now ~ack_next buf =
       t.dup_count <- 0
     end
     else begin
-      match t.strategy.style with
+      match t.style with
       | Newreno ->
         (* Partial acknowledgement: retransmit the next hole, deflate
            by the amount acknowledged, stay in recovery. *)
@@ -294,7 +237,6 @@ let on_new_ack t ~now ~ack_next buf =
   end;
   forget_below t ack_next;
   t.snd_una <- ack_next;
-  cancel_td t buf;
   send_new_data t ~now buf;
   if flight t > 0 || not (all_data_sent t) then arm_rto t buf
   else Action_buffer.cancel_timer buf ~key:rto_key
@@ -345,7 +287,6 @@ let on_rto t ~now buf =
     t.in_recovery <- false;
     t.recover <- t.snd_next - 1;
     Rto.backoff t.rto;
-    cancel_td t buf;
     if flight t > 0 then begin
       (* Go-back-N (ns-2 Reno): rewind transmission to the first
          unacknowledged segment. Without a scoreboard the sender has
@@ -357,11 +298,4 @@ let on_rto t ~now buf =
     arm_rto t buf
   end
 
-let on_td_timer t ~now buf =
-  t.td_armed <- false;
-  if (not t.in_recovery) && t.dup_count > 0 && flight t > 0 then
-    enter_recovery t ~now buf
-
-let on_timer t ~now ~key buf =
-  if key = rto_key then on_rto t ~now buf
-  else if key = td_key then on_td_timer t ~now buf
+let on_timer t ~now ~key buf = if key = rto_key then on_rto t ~now buf

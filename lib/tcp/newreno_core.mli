@@ -1,22 +1,14 @@
 (** Reno/NewReno congestion control engine.
 
-    Implements slow start, congestion avoidance, fast retransmit / fast
-    recovery with NewReno partial-ACK handling, RFC 2988 retransmission
-    timeouts with exponential back-off, Karn's rule for RTT sampling,
-    and (optionally) limited transmit.
-
-    The fast-retransmit *trigger* is pluggable so that this one engine
-    also implements time-delayed fast recovery (TD-FR): [`Dupthresh]
-    enters recovery on the Nth duplicate ACK; [`Time_delayed] arms a
-    timer on the first duplicate ACK and enters recovery only if
-    duplicates persist for [max(srtt / 2, DT)], where [DT] is the spread
-    between the first and third duplicate — the scheme of Paxson
-    analysed by Blanton–Allman and compared against in the paper's
-    Fig. 6. *)
-
-type trigger =
-  | Dupthresh
-  | Time_delayed
+    Implements slow start, congestion avoidance, fast retransmit on the
+    [Config.dupthresh]-th duplicate ACK, fast recovery with NewReno
+    partial-ACK handling, RFC 2988 retransmission timeouts with
+    exponential back-off, Karn's rule for RTT sampling, and
+    (optionally, [Config.limited_transmit]) RFC 3042 limited transmit
+    of at most two new segments before recovery. The [Tcp.Tahoe],
+    [Tcp.Reno] and [Tcp.Newreno] senders are this engine with one
+    {!recovery_style} each. The time-delayed fast recovery of the
+    paper's Fig. 6 is [Tcp.Td_fr], on the SACK engine. *)
 
 (** Reaction to duplicate-ACK loss inference: [Tahoe] retransmits and
     slow-starts from one; [Reno] runs fast recovery but ends it at the
@@ -27,27 +19,9 @@ type recovery_style =
   | Reno
   | Newreno
 
-type strategy = {
-  trigger : trigger;
-  limited_transmit_cap : int option;
-      (** max new segments sent on duplicate ACKs before recovery;
-          [None] = one per duplicate (extended limited transmit),
-          [Some 2] = RFC 3042. Ignored when [Config.limited_transmit]
-          is false. *)
-  style : recovery_style;
-}
-
-val default_strategy : strategy
-
-val tahoe_strategy : strategy
-
-val reno_strategy : strategy
-
-val td_fr_strategy : strategy
-
 type t
 
-val create : ?strategy:strategy -> Config.t -> t
+val create : style:recovery_style -> Config.t -> t
 
 val start : t -> now:float -> Action_buffer.t -> unit
 

@@ -2,7 +2,7 @@ let name = "Reno"
 
 type t = Newreno_core.t
 
-let create config = Newreno_core.create ~strategy:Newreno_core.reno_strategy config
+let create config = Newreno_core.create ~style:Newreno_core.Reno config
 
 let start = Newreno_core.start
 

@@ -2,7 +2,7 @@ let name = "Tahoe"
 
 type t = Newreno_core.t
 
-let create config = Newreno_core.create ~strategy:Newreno_core.tahoe_strategy config
+let create config = Newreno_core.create ~style:Newreno_core.Tahoe config
 
 let start = Newreno_core.start
 

@@ -4,8 +4,8 @@ type t = Sack_core.t
 
 (* TD-FR as studied by Blanton–Allman: the SACK engine with loss
    declaration delayed by max(srtt / 2, DT) from the first duplicate
-   ACK. (A NewReno-based variant also exists in Newreno_core, kept for
-   the ablation benches.) *)
+   ACK, where DT is the spread between the first and third duplicate.
+   This is the only TD-FR in the tree. *)
 let create config =
   Sack_core.create ~response:Sack_core.plain_sack ~trigger:Sack_core.Time_delayed
     config

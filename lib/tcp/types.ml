@@ -20,14 +20,3 @@ let max_sack_blocks = 3
 type Net.Packet.payload +=
   | Data of { seq : int; retx : bool }
   | Ack of ack
-
-let pp_sack_block ppf { first; last } = Format.fprintf ppf "[%d,%d]" first last
-
-let pp_ack ppf t =
-  Format.fprintf ppf "ack<next=%d for=%d sacks=%a dsack=%a%t>" t.next t.for_seq
-    (Format.pp_print_list pp_sack_block)
-    t.sacks
-    (Format.pp_print_option pp_sack_block)
-    t.dsack
-    (fun ppf ->
-      if t.rwnd <> rwnd_unbounded then Format.fprintf ppf " rwnd=%d" t.rwnd)

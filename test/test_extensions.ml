@@ -484,10 +484,7 @@ let test_timeseries_basic () =
   Alcotest.(check (option (pair (float 0.) (float 0.))))
     "last"
     (Some (2., 20.))
-    (Stats.Timeseries.last series);
-  Alcotest.(check (list (float 0.)))
-    "window" [ 10. ]
-    (Stats.Timeseries.values_between series ~from:0.5 ~until:1.5)
+    (Stats.Timeseries.last series)
 
 let test_timeseries_rejects_backwards () =
   let series = Stats.Timeseries.create () in
@@ -496,13 +493,7 @@ let test_timeseries_rejects_backwards () =
     (Invalid_argument "Timeseries.record: time went backwards") (fun () ->
       Stats.Timeseries.record series ~time:4. 1.)
 
-let test_timeseries_csv () =
-  let series = Stats.Timeseries.create () in
-  Stats.Timeseries.record series ~time:0.5 42.;
-  Alcotest.(check string) "csv" "time,value\n0.5,42\n"
-    (Stats.Timeseries.to_csv series)
-
-let test_probe_samples_cwnd () =
+let probe_connection () =
   let engine = Sim.Engine.create () in
   let network = Net.Network.create engine in
   let a = Net.Network.add_node network in
@@ -518,6 +509,10 @@ let test_probe_samples_cwnd () =
       ()
   in
   Tcp.Connection.start c ~at:0.;
+  (engine, c)
+
+let test_probe_samples_cwnd () =
+  let engine, c = probe_connection () in
   let series = Experiments.Probe.cwnd_series engine c ~interval:0.5 ~until:5. in
   Sim.Engine.run engine ~until:6.;
   Alcotest.(check int) "ten samples" 10 (Stats.Timeseries.length series);
@@ -526,6 +521,26 @@ let test_probe_samples_cwnd () =
   | (_, first) :: _, Some (_, final) ->
     Alcotest.(check bool) "window grew" true (final > first)
   | _ -> Alcotest.fail "no samples"
+
+(* A NaN or infinite step (or a NaN horizon) would schedule no sample at
+   all: an empty series with no error. *)
+let probe_rejects label ~interval ~until message =
+  let engine, c = probe_connection () in
+  Alcotest.check_raises label (Invalid_argument message) (fun () ->
+      ignore (Experiments.Probe.cwnd_series engine c ~interval ~until))
+
+let bad_interval = "Probe.cwnd_series: interval must be positive and finite"
+
+let test_probe_rejects_nan () =
+  probe_rejects "NaN interval" ~interval:Float.nan ~until:5. bad_interval;
+  probe_rejects "NaN until" ~interval:0.5 ~until:Float.nan
+    "Probe.cwnd_series: until is NaN"
+
+let test_probe_rejects_infinite_interval () =
+  probe_rejects "infinite interval" ~interval:Float.infinity ~until:5.
+    bad_interval;
+  probe_rejects "infinite interval and until" ~interval:Float.infinity
+    ~until:Float.infinity bad_interval
 
 (* ------------------------------------------------------------------ *)
 (* Route flaps                                                         *)
@@ -724,8 +739,10 @@ let () =
         [ Alcotest.test_case "basic" `Quick test_timeseries_basic;
           Alcotest.test_case "rejects backwards" `Quick
             test_timeseries_rejects_backwards;
-          Alcotest.test_case "csv" `Quick test_timeseries_csv;
-          Alcotest.test_case "probe samples cwnd" `Quick test_probe_samples_cwnd ]
+          Alcotest.test_case "probe samples cwnd" `Quick test_probe_samples_cwnd;
+          Alcotest.test_case "probe rejects NaN" `Quick test_probe_rejects_nan;
+          Alcotest.test_case "probe rejects infinite interval" `Quick
+            test_probe_rejects_infinite_interval ]
       );
       ( "route-flap",
         [ Alcotest.test_case "tcp-pr clean" `Quick test_route_flap_pr_clean;

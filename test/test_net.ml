@@ -612,12 +612,25 @@ let test_pool_network_steady_state () =
   Alcotest.(check int) "nothing leaked" 0 (Net.Packet_pool.outstanding pool)
 
 (* ------------------------------------------------------------------ *)
-(* Tracer                                                              *)
+(* Link events                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_tracer_records_lifecycle () =
+(* Subscribes to every link's event tap and copies (kind, uid) out of
+   each note inside the callback: the link reuses one note record per
+   emission. *)
+let record_link_events network =
+  let seen = ref [] in
+  List.iter
+    (fun link ->
+      Sim.Trace.on (Net.Link.events link) (fun (note : Net.Link.note) ->
+          seen := (note.Net.Link.kind, note.Net.Link.packet.Net.Packet.uid)
+                  :: !seen))
+    (Net.Network.links network);
+  fun () -> List.rev !seen
+
+let test_link_events_lifecycle () =
   let engine, network, nodes = line_network () in
-  let tracer = Net.Tracer.attach network in
+  let events = record_link_events network in
   Net.Node.attach nodes.(2) ~flow:0 (fun _ -> ());
   let packet =
     Net.Packet.create ~uid:7 ~flow:0 ~src:0 ~dst:2 ~size:500 ~route:[| 1; 2 |]
@@ -625,17 +638,14 @@ let test_tracer_records_lifecycle () =
   in
   Net.Network.originate network ~from:nodes.(0) packet;
   Sim.Engine.run_to_completion engine;
-  (* Two hops: transmit + deliver on each link. *)
-  let kinds =
-    List.map (fun r -> r.Net.Tracer.kind) (Net.Tracer.records tracer)
-  in
-  Alcotest.(check int) "four events" 4 (List.length kinds);
-  Alcotest.(check bool) "starts with transmission" true
-    (List.nth_opt kinds 0 = Some Net.Link.Transmit_start);
-  Alcotest.(check bool) "ends with delivery" true
-    (List.nth_opt kinds 3 = Some Net.Link.Delivered)
+  (* Two hops: transmit + deliver on each link, the second transmission
+     started by the first delivery's forwarding. *)
+  Alcotest.(check bool) "transmit, deliver, transmit, deliver" true
+    (events ()
+    = [ (Net.Link.Transmit_start, 7); (Net.Link.Delivered, 7);
+        (Net.Link.Transmit_start, 7); (Net.Link.Delivered, 7) ])
 
-let test_tracer_records_queue_drop () =
+let test_link_events_queue_drop () =
   let engine = Sim.Engine.create () in
   let network = Net.Network.create engine in
   let a = Net.Network.add_node network in
@@ -643,7 +653,7 @@ let test_tracer_records_queue_drop () =
   ignore
     (Net.Network.add_link network ~src:a ~dst:b ~bandwidth_bps:1e5
        ~delay_s:0.001 ~capacity:1 ());
-  let tracer = Net.Tracer.attach network in
+  let events = record_link_events network in
   Net.Node.attach b ~flow:0 (fun _ -> ());
   for i = 1 to 5 do
     let packet =
@@ -653,50 +663,49 @@ let test_tracer_records_queue_drop () =
     Net.Network.originate network ~from:a packet
   done;
   Sim.Engine.run_to_completion engine;
-  let count kind =
-    List.length
-      (List.filter
-         (fun r -> r.Net.Tracer.kind = kind)
-         (Net.Tracer.records tracer))
+  let events = events () in
+  let uids kind =
+    List.filter_map (fun (k, uid) -> if k = kind then Some uid else None) events
   in
-  Alcotest.(check int) "drops recorded" 3 (count Net.Link.Queue_dropped);
-  Alcotest.(check int) "buffering recorded" 1 (count Net.Link.Queued);
-  Alcotest.(check int) "deliveries recorded" 2 (count Net.Link.Delivered)
+  Alcotest.(check (list int)) "drops recorded" [ 3; 4; 5 ]
+    (uids Net.Link.Queue_dropped);
+  Alcotest.(check (list int)) "buffering recorded" [ 2 ] (uids Net.Link.Queued);
+  (* A queued packet's wait is the gap from its [Queued] to its
+     [Transmit_start]; transmissions leave the queue in FIFO order. *)
+  Alcotest.(check (list int)) "transmissions in arrival order" [ 1; 2 ]
+    (uids Net.Link.Transmit_start);
+  Alcotest.(check (list int)) "deliveries recorded" [ 1; 2 ]
+    (uids Net.Link.Delivered)
 
-let test_tracer_flow_filter_and_capacity () =
-  let engine, network, nodes = line_network () in
-  let tracer = Net.Tracer.attach ~flow:1 ~capacity:3 network in
-  Net.Node.attach nodes.(2) ~flow:0 (fun _ -> ());
-  Net.Node.attach nodes.(2) ~flow:1 (fun _ -> ());
-  for i = 1 to 4 do
-    let flow = i mod 2 in
-    let packet =
-      Net.Packet.create ~uid:i ~flow ~src:0 ~dst:2 ~size:500 ~route:[| 1; 2 |]
-        ~born:0. (Net.Packet.Raw 0)
-    in
-    Net.Network.originate network ~from:nodes.(0) packet
+(* An injected loss emits [Loss_dropped], and the recycle hook runs only
+   after the tap has seen the packet: once recycled, a pooled record may
+   be reused for another packet. *)
+let test_link_events_loss_before_recycle () =
+  let engine = Sim.Engine.create () in
+  let link =
+    Net.Link.create engine ~id:0 ~src:0 ~dst:1 ~bandwidth_bps:1e7
+      ~delay_s:0.001 ~capacity:100
+      ~loss:(Net.Loss_model.periodic ~period:2) ()
+  in
+  Net.Link.set_deliver link (fun _ -> ());
+  let lost = ref [] in
+  Sim.Trace.on (Net.Link.events link) (fun (note : Net.Link.note) ->
+      if note.Net.Link.kind = Net.Link.Loss_dropped then
+        lost := note.Net.Link.packet.Net.Packet.uid :: !lost);
+  let recycled = ref [] in
+  Net.Link.set_recycle link (fun packet ->
+      let uid = packet.Net.Packet.uid in
+      Alcotest.(check bool)
+        (Printf.sprintf "uid %d seen by the tap before recycling" uid)
+        true (List.mem uid !lost);
+      recycled := uid :: !recycled);
+  for i = 1 to 10 do
+    Net.Link.send link (mk_packet ~uid:i ~src:0 ~dst:1 ~route:[| 1 |] ())
   done;
   Sim.Engine.run_to_completion engine;
-  Alcotest.(check bool) "only flow 1 recorded" true
-    (List.for_all
-       (fun r -> r.Net.Tracer.flow = 1)
-       (Net.Tracer.records tracer));
-  Alcotest.(check int) "capped at capacity" 3 (Net.Tracer.length tracer);
-  Alcotest.(check bool) "overflow counted" true (Net.Tracer.dropped tracer > 0)
-
-let test_tracer_renders () =
-  let engine, network, nodes = line_network () in
-  let tracer = Net.Tracer.attach network in
-  Net.Node.attach nodes.(2) ~flow:0 (fun _ -> ());
-  let packet =
-    Net.Packet.create ~uid:1 ~flow:0 ~src:0 ~dst:2 ~size:500 ~route:[| 1; 2 |]
-      ~born:0. (Net.Packet.Raw 0)
-  in
-  Net.Network.originate network ~from:nodes.(0) packet;
-  Sim.Engine.run_to_completion engine;
-  let rendered = Net.Tracer.to_string tracer in
-  Alcotest.(check bool) "has transmit lines" true
-    (String.length rendered > 0 && rendered.[0] = '+')
+  Alcotest.(check int) "five loss drops" 5 (List.length !lost);
+  Alcotest.(check (list int)) "every loss drop recycled" (List.rev !lost)
+    (List.rev !recycled)
 
 let () =
   Alcotest.run "net"
@@ -758,11 +767,10 @@ let () =
             test_red_occupancy_histogram;
           Alcotest.test_case "marking rate tracks average" `Quick
             test_red_marking_rate_tracks_average ] );
-      ( "tracer",
+      ( "link-events",
         [ Alcotest.test_case "records lifecycle" `Quick
-            test_tracer_records_lifecycle;
+            test_link_events_lifecycle;
           Alcotest.test_case "records queue drop" `Quick
-            test_tracer_records_queue_drop;
-          Alcotest.test_case "flow filter and capacity" `Quick
-            test_tracer_flow_filter_and_capacity;
-          Alcotest.test_case "renders" `Quick test_tracer_renders ] ) ]
+            test_link_events_queue_drop;
+          Alcotest.test_case "loss drop seen before recycle" `Quick
+            test_link_events_loss_before_recycle ] ) ]

@@ -1122,21 +1122,6 @@ let test_trace_tap_armed () =
   Sim.Trace.on tap ignore;
   Alcotest.(check bool) "armed after subscribe" true (Sim.Trace.armed tap)
 
-let test_trace_counters () =
-  let trace = Sim.Trace.create () in
-  Sim.Trace.incr trace "drops";
-  Sim.Trace.incr trace "drops";
-  Sim.Trace.add trace "bytes" 1500.;
-  check_float "incr accumulates" 2. (Sim.Trace.get trace "drops");
-  check_float "add accumulates" 1500. (Sim.Trace.get trace "bytes");
-  check_float "missing is zero" 0. (Sim.Trace.get trace "nope");
-  Alcotest.(check (list (pair string (float 0.))))
-    "sorted listing"
-    [ ("bytes", 1500.); ("drops", 2.) ]
-    (Sim.Trace.to_list trace);
-  Sim.Trace.reset trace;
-  check_float "reset" 0. (Sim.Trace.get trace "drops")
-
 let () =
   Alcotest.run "sim"
     [ ( "rng",
@@ -1200,7 +1185,6 @@ let () =
             (QCheck_alcotest.to_alcotest ~long:false)
             engine_model_props );
       ( "trace",
-        [ Alcotest.test_case "counters" `Quick test_trace_counters;
-          Alcotest.test_case "tap runs in registration order" `Quick
+        [ Alcotest.test_case "tap runs in registration order" `Quick
             test_trace_tap_ordering;
           Alcotest.test_case "tap armed" `Quick test_trace_tap_armed ] ) ]

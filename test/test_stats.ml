@@ -187,63 +187,6 @@ let test_table_rejects_ragged_rows () =
   Alcotest.check_raises "ragged" (Invalid_argument "Table.add_row: wrong cell count")
     (fun () -> Stats.Table.add_row table [ "only one" ])
 
-(* ------------------------------------------------------------------ *)
-(* Timeseries                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let ts_of samples =
-  let t = Stats.Timeseries.create () in
-  List.iter (fun (time, value) -> Stats.Timeseries.record t ~time value) samples;
-  t
-
-let test_timeseries_csv_round_trip () =
-  let t = ts_of [ (0., 1.5); (0.25, 2.); (1., -3.125) ] in
-  let csv = Stats.Timeseries.to_csv t in
-  let back = Stats.Timeseries.of_csv csv in
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "samples survive" (Stats.Timeseries.to_list t)
-    (Stats.Timeseries.to_list back);
-  Alcotest.(check string) "round trip is idempotent" csv
-    (Stats.Timeseries.to_csv back)
-
-let test_timeseries_of_csv_headerless () =
-  let t = Stats.Timeseries.of_csv "0,1\n2,3\n" in
-  Alcotest.(check (list (pair (float 0.) (float 0.))))
-    "data-bearing first line kept"
-    [ (0., 1.); (2., 3.) ]
-    (Stats.Timeseries.to_list t)
-
-let test_timeseries_of_csv_rejects_malformed () =
-  Alcotest.check_raises "bad number"
-    (Invalid_argument "Timeseries.of_csv: bad sample on line 2: \"1,oops\"")
-    (fun () -> ignore (Stats.Timeseries.of_csv "time,value\n1,oops\n"));
-  Alcotest.check_raises "wrong arity"
-    (Invalid_argument "Timeseries.of_csv: expected 2 fields on line 2: \"1,2,3\"")
-    (fun () -> ignore (Stats.Timeseries.of_csv "time,value\n1,2,3\n"))
-
-let test_timeseries_json () =
-  Alcotest.(check string) "shape"
-    "{ \"samples\": [[0, 1.5], [2, 3]] }"
-    (Stats.Timeseries.to_json (ts_of [ (0., 1.5); (2., 3.) ]));
-  Alcotest.(check string) "empty" "{ \"samples\": [] }"
-    (Stats.Timeseries.to_json (Stats.Timeseries.create ()))
-
-let timeseries_round_trip_prop =
-  (* %g parsing is exact for round small floats; use dyadic fractions so
-     equality is exact and times stay non-decreasing. *)
-  QCheck.Test.make ~name:"of_csv inverts to_csv" ~count:300
-    QCheck.(list_of_size (Gen.int_range 0 40) (pair (int_range 0 1000) (int_range (-1000) 1000)))
-    (fun raw ->
-      let samples =
-        List.sort compare
-          (List.map
-             (fun (t, v) -> (float_of_int t /. 8., float_of_int v /. 4.))
-             raw)
-      in
-      let t = ts_of samples in
-      let csv = Stats.Timeseries.to_csv t in
-      Stats.Timeseries.to_csv (Stats.Timeseries.of_csv csv) = csv)
-
 let () =
   Alcotest.run "stats"
     [ ( "summary",
@@ -274,14 +217,4 @@ let () =
         [ Alcotest.test_case "renders" `Quick test_table_renders;
           Alcotest.test_case "csv" `Quick test_table_csv;
           Alcotest.test_case "ragged rejected" `Quick
-            test_table_rejects_ragged_rows ] );
-      ( "timeseries",
-        [ Alcotest.test_case "csv round trip" `Quick
-            test_timeseries_csv_round_trip;
-          Alcotest.test_case "headerless csv" `Quick
-            test_timeseries_of_csv_headerless;
-          Alcotest.test_case "malformed rejected" `Quick
-            test_timeseries_of_csv_rejects_malformed;
-          Alcotest.test_case "json" `Quick test_timeseries_json;
-          QCheck_alcotest.to_alcotest ~long:false timeseries_round_trip_prop ]
-      ) ]
+            test_table_rejects_ragged_rows ] ) ]

@@ -12,9 +12,9 @@
 #
 # Why a standalone recompile: dune offers no per-module -dcmm hook and
 # OCAMLPARAM's dcmm flag is discarded before it reaches the backend.
-# The four modules only depend on each other (the sim library's other
-# deps — fmt — are untouched by them), so copying the sources to a
-# temp dir and compiling in dependency order reproduces exactly the
+# The four modules only depend on each other and the standard library
+# (the sim library has no other dependency), so copying the sources to
+# a temp dir and compiling in dependency order reproduces exactly the
 # code dune's Closure (no-flambda) backend generates.
 #
 # Known-benign float boxes, filtered by the alloc's source location:
