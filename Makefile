@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-quick bench-gate scale-smoke \
+.PHONY: all build test bench bench-gate scale-smoke \
 	hoststack-smoke reorder-smoke figures golden ci doc coverage \
 	coverage-summary lint-box clean
 
@@ -14,31 +14,18 @@ test:
 test-record:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
 
+# Micro-benchmarks, the allocation suite and the engine-only churn
+# suite, printed. Writes nothing; the baseline is rewritten only by
+# `dune exec bench/main.exe -- record`.
 bench:
 	dune exec bench/main.exe
 
-bench-record:
-	dune exec bench/main.exe 2>&1 | tee bench_output.txt
-
-# Quick perf snapshot: bench-scale Figs. 2/3/6, the bechamel
-# micro-benchmarks, the allocation suite (bytes/packet and the PR 8
-# bytes/ACK sweep across all sender variants), the many-flow scale
-# suite and the engine-only churn suite; records wall-clock, ns/run,
-# bytes/simulated-packet, bytes/ACK, events/sec and metrics snapshots
-# in BENCH_PR10.json (repo root and results/). BENCH_JOBS=N
-# parallelises the figure grids.
-bench-quick:
-	dune exec bench/main.exe -- quick
-
-# Perf gate only: re-measure bytes/simulated-packet (fail if any
-# scenario exceeds the recorded baseline by more than the 16 B/packet
-# budget), bytes/ACK per sender variant (fail if any variant exceeds
-# its recorded baseline by more than 16 B/ACK), the events/sec
-# scaling floor at 10k vs 1k flows, the wheel-10000 events/sec floor
-# (>= 0.7x the BENCH_PR6 record) and the raw engine events/sec floor
-# (each engine-churn scenario must hold >= 0.7x its recorded rate).
-# Baselines come from the newest BENCH_PR*.json carrying each block.
-# Does not rewrite the records.
+# Perf gate only: re-measure bytes/simulated-packet for every
+# allocation scenario and bytes/ACK for every sender variant, and fail
+# if any exceeds its bench/baseline.json entry by more than 16 B (a
+# missing file, block or entry fails too); then fail if events/sec at
+# 10k flows drops below 0.4x the 1k-flow rate measured in the same run.
+# Reads bench/baseline.json only and writes nothing.
 bench-gate:
 	dune exec bench/main.exe -- gate
 
@@ -121,15 +108,14 @@ coverage-summary:
 	fi
 
 # Full gate: build everything, run the test suite (which includes the
-# Gc-delta bytes/packet ceilings in test_alloc), a conformance smoke
-# run — fixed random scenarios over every sender variant with the
-# invariant monitors armed, plus the golden-trace digests — the
-# many-flow scale smoke, the host-stack and adaptive-adversary smokes,
-# and the perf regression gate (allocation budgets + events/sec
-# scaling floor + wheel-10000 and raw engine events/sec floors)
-# against the recorded BENCH_PR*.json lineage, then the float-boxing
-# lint over the scheduling core (fatal on the pinned compiler, see
-# lint-box).
+# allocation ceilings of test_alloc, on the bench's own allocation
+# scenarios), a conformance smoke run — fixed random scenarios over
+# every sender variant with the invariant monitors armed, plus the
+# golden-trace digests — the many-flow scale smoke, the host-stack and
+# adaptive-adversary smokes, and the perf regression gate (allocation
+# budgets over bench/baseline.json + the same-run events/sec scaling
+# floor), then the float-boxing lint over the scheduling core (fatal
+# on the pinned compiler, see lint-box).
 ci:
 	dune build @all
 	dune runtest

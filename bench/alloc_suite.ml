@@ -4,8 +4,13 @@
    packets directly off the links: a "simulated packet" here is one
    link-level transmission or drop (a packet-hop), the unit the hot
    path pays for. The suite reports wall-clock, GC-allocated bytes,
-   minor collections, and bytes per simulated packet — the number the
-   bench gate tracks across PRs.
+   minor collections, and bytes per simulated packet.
+
+   One harness, two judges: `bench/main.exe gate` holds every scenario
+   and every sender variant within 16 B of the committed
+   bench/baseline.json (written only by `bench/main.exe record`), and
+   test/test_alloc.ml holds them under fixed portable ceilings on every
+   `dune runtest`.
 
    Every scenario warms up with a throwaway transfer before the
    measured phase: construction and first-use costs (topology, pools
@@ -25,13 +30,12 @@ type measurement = {
   minor_collections : int;
   packets : int;
   bytes_per_packet : float;
-  metrics_json : string;
-      (* network-layer registry snapshot, collected after the GC
-         deltas are read so collection cost never pollutes them *)
 }
 
 (* A scenario is a warmed-up simulation plus the phase left to run:
-   [measured] drives the steady-state traffic the suite charges. *)
+   [measured] drives the steady-state traffic the suite charges, and
+   raises [Failure] if that traffic did not exercise what the scenario
+   exists to charge. *)
 type scenario = {
   network : Net.Network.t;
   measured : unit -> unit;
@@ -66,17 +70,13 @@ let measure scenario f =
   Gc.minor ();
   let allocated_bytes = Gc.allocated_bytes () -. bytes0 in
   let packets = count_packets s.network - packets0 in
-  let registry = Obs.Registry.create () in
-  Check.Telemetry.network registry s.network
-    ~now:(Sim.Engine.now (Net.Network.engine s.network));
   { scenario;
     wall_s;
     allocated_bytes;
     minor_collections;
     packets;
     bytes_per_packet =
-      (if packets = 0 then 0. else allocated_bytes /. float_of_int packets);
-    metrics_json = Obs.Export.to_json registry }
+      (if packets = 0 then 0. else allocated_bytes /. float_of_int packets) }
 
 let bounded_config segments =
   { Tcp.Config.default with
@@ -228,7 +228,17 @@ let analytics_scenario () =
   start ~at:0. 0;
   Sim.Engine.run engine ~until:120.;
   start ~at:120. 1;
-  { network; measured = (fun () -> Sim.Engine.run engine ~until:240.) }
+  let measured () =
+    Sim.Engine.run engine ~until:240.;
+    (* The analytics must actually have seen the reordering they are
+       billed for. *)
+    let detected = Obs.Reorder_sketch.detected sketch in
+    if detected <= 100 then
+      failwith
+        (Printf.sprintf "analytics: the sketch detected %d reorderings, \
+                         want > 100" detected)
+  in
+  { network; measured }
 
 (* The PR9 host-stack layer at full tilt: the dumbbell pair with a
    finite autotuned receive buffer, a paced application reader (which
@@ -306,10 +316,11 @@ type ack_measurement = {
    [Action_buffer] cleared per event — the exact shape [Connection]
    drives. The measured loop constructs the ack record itself (the same
    8-word record the receiver path builds), identical to the loop that
-   produced the frozen pre-PR baseline in bench/main.ml, so the two
-   quotients share the harness constant and their difference is the
-   handler's own allocation. 1000 warmup ACKs grow the buffer and any
-   lazy sender state before the measured window. *)
+   produced the boxed-float-core numbers in EXPERIMENTS.md (564.7 /
+   577.8 / 3936.1 B/ack), so the quotients share the harness constant
+   and their difference is the handler's own allocation. 1000 warmup
+   ACKs grow the buffer and any lazy sender state before the measured
+   window. *)
 let ack_churn = 50_000
 
 let measure_acks (name, (module M : Tcp.Sender.S)) =

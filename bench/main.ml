@@ -1,227 +1,57 @@
-(* Benchmark harness.
+(* Benchmark harness. Every mode only measures and prints, except
+   `record`, the one mode that writes a file.
 
-   Part 1 regenerates every results figure of the paper (Figs. 2, 3, 4
-   and 6 — the two tables in the paper are pseudo-code listings, not
-   results) at bench-friendly scale, plus the design-choice ablations.
-   `dune exec bin/tcp_pr_sim.exe -- <figN>` runs the full-scale
-   versions.
+   Usage: main.exe [micro|alloc|engine|gate|record]
+     micro   bechamel micro-benchmarks of the hot paths: the event
+             queue, the Newton ewrtt update, sender ACK processing, the
+             receiver, epsilon-routing sampling and the pooled link
+             pipeline
+     alloc   bytes per simulated packet for every Alloc_suite scenario
+             and bytes per ACK for every sender variant
+     engine  the engine-only churn suite (Engine_suite): raw scheduler
+             events/sec and bytes/event, print-only
+     gate    FAIL (exit 1) if any of
+               - bytes per simulated packet exceeds its
+                 bench/baseline.json entry by more than 16 B/packet,
+               - bytes per ACK for any sender variant exceeds its
+                 entry by more than 16 B/ACK,
+               - events/sec at 10k flows falls below 0.4x events/sec
+                 at 1k flows in the same run (Scale_suite);
+             a missing baseline file, block or entry fails as well.
+             Reads bench/baseline.json, writes nothing (`make ci`).
+     record  run the allocation suite and write its numbers to
+             bench/baseline.json, the gate's only baseline
+   With no argument: micro, alloc and engine. Anything else prints the
+   usage line and exits 2.
 
-   Part 2 runs bechamel micro-benchmarks of the hot paths: the event
-   queue, the Newton ewrtt update, sender ACK processing, the
-   receiver, and epsilon-routing sampling.
+   The paper's figures are the CLI's job (`tcp_pr_sim figN --quick`,
+   `fig6 --extended --quick`, `jitter --quick`, `flaps --quick`,
+   `ablate all --quick`, `scale --flows N`); bench/e2e is the
+   repository's end-to-end speed benchmark. *)
 
-   Part 3 measures allocation per simulated packet (Alloc_suite) —
-   the number the zero-allocation packet path is judged on.
+type mode = Default | Micro | Alloc | Engine | Gate | Record
 
-   Part 4 runs the many-flow scale suite (Scale_suite): 1k/5k/10k
-   concurrent flows of closed-loop churn over the dumbbell, reporting
-   events/sec and timer ops/sec.
-
-   Part 5 runs the engine-only churn suite (Engine_suite): raw
-   scheduler events/sec with no workload at all, the number the
-   events/sec regression gate tracks.
-
-   Usage: main.exe [all|figures|micro|quick|alloc|scale|engine|gate]
-                   [--jobs N]
-     all      figures + extensions + ablations + micro + alloc + scale
-              + engine (default)
-     figures  Figs. 2/3/4/6 only
-     micro    micro-benchmarks only
-     alloc    allocation-per-packet scenarios only
-     scale    many-flow scale suite only
-     engine   engine-only churn suite only
-     quick    Figs. 2/3/6 + micro + alloc + scale + engine
-              (the `make bench-quick` target)
-     gate     FAIL (exit 1) if any of
-                - bytes per simulated packet exceeds the recorded
-                  baseline (newest of
-                  BENCH_PR10/PR9/PR8/PR7/PR6/PR5/PR3.json with the
-                  block) by more than the budget (16 B/packet),
-                - bytes per ACK for any sender variant exceeds the
-                  recorded baseline by more than the budget
-                  (16 B/ack; absent from records before PR8,
-                  skipped),
-                - events/sec at 10k flows on the wheel falls below
-                  0.4x events/sec at 1k flows (the scale floor), or
-                  below 0.7x the BENCH_PR6 wheel-10000 record (the
-                  no-regress floor for the int-time work; 0.7x is the
-                  hardware-noise tolerance, see the gate stage),
-                - any engine-churn scenario's events/sec falls below
-                  0.7x its recorded value (the raw speed floor;
-                  absent from older records, skipped)
-              reads the records, never writes them (used by `make ci`)
-   --jobs N (or BENCH_JOBS=N) runs figure grid points on N domains;
-   the tables are identical to a sequential run.
-
-   Every run (except gate) records wall-clock seconds per figure,
-   ns/run per micro-benchmark, bytes/packet plus a metrics snapshot
-   per alloc scenario, events/sec plus a metrics snapshot per scale
-   point, events/sec per engine-churn scenario and bytes/ACK per
-   sender variant to results/BENCH_PR10.json and the repo-root
-   BENCH_PR10.json so later PRs can track the perf trajectory. *)
+(* Parsed before any top-level benchmark value below builds an engine,
+   so a misspelt mode costs nothing. *)
+let mode =
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> Default
+  | [ "micro" ] -> Micro
+  | [ "alloc" ] -> Alloc
+  | [ "engine" ] -> Engine
+  | [ "gate" ] -> Gate
+  | [ "record" ] -> Record
+  | _ ->
+    prerr_endline "usage: main.exe [micro|alloc|engine|gate|record]";
+    exit 2
 
 open Bechamel
 open Toolkit
 
-(* ------------------------------------------------------------------ *)
-(* Knobs and perf record                                               *)
-(* ------------------------------------------------------------------ *)
-
-let jobs =
-  let from_env =
-    match Sys.getenv_opt "BENCH_JOBS" with
-    | Some s -> int_of_string_opt s
-    | None -> None
-  in
-  let from_argv =
-    let result = ref None in
-    Array.iteri
-      (fun i arg ->
-        if arg = "--jobs" && i + 1 < Array.length Sys.argv then
-          result := int_of_string_opt Sys.argv.(i + 1))
-      Sys.argv;
-    !result
-  in
-  let requested =
-    match (from_argv, from_env) with
-    | Some n, _ -> n
-    | None, Some n -> n
-    | None, None -> Sim.Domain_pool.default_jobs ()
-  in
-  max 1 requested
-
-let mode =
-  let known =
-    [ "all"; "figures"; "micro"; "quick"; "alloc"; "scale"; "engine"; "gate" ]
-  in
-  let picked = ref "all" in
-  Array.iteri
-    (fun i arg -> if i > 0 && List.mem arg known then picked := arg)
-    Sys.argv;
-  !picked
-
-let figure_seconds : (string * float) list ref = ref []
-
-let micro_ns : (string * float) list ref = ref []
-
-let alloc_measurements : Alloc_suite.measurement list ref = ref []
-
-let ack_measurements : Alloc_suite.ack_measurement list ref = ref []
-
-let scale_measurements : Scale_suite.measurement list ref = ref []
-
-let engine_measurements : Engine_suite.measurement list ref = ref []
-
 let heading title = Printf.printf "\n===== %s =====\n%!" title
 
-let timed name f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  figure_seconds := (name, Unix.gettimeofday () -. t0) :: !figure_seconds
-
 (* ------------------------------------------------------------------ *)
-(* Part 1: figure regeneration                                         *)
-(* ------------------------------------------------------------------ *)
-
-let fig2 () =
-  heading "Fig. 2 - fairness: k TCP-PR + k TCP-SACK flows (mean T ~ 1)";
-  let run topology =
-    Printf.printf "\n--- %s ---\n"
-      (Experiments.Fig2_fairness.topology_name topology);
-    Experiments.Fig2_fairness.series ~seed:1 ~warmup:20. ~window:30.
-      ~counts:[ 1; 4; 16 ] ~jobs topology ()
-    |> Experiments.Fig2_fairness.to_table
-    |> Stats.Table.print
-  in
-  run Experiments.Fig2_fairness.Dumbbell;
-  run Experiments.Fig2_fairness.Parking_lot
-
-let fig3 () =
-  heading "Fig. 3 - CoV of normalized throughput vs loss rate";
-  let run topology =
-    Printf.printf "\n--- %s ---\n"
-      (Experiments.Fig2_fairness.topology_name topology);
-    Experiments.Fig3_cov.series ~seed:1 ~warmup:20. ~window:30.
-      ~flows_per_protocol:4 ~scales:[ 1.0; 0.5; 0.25 ] ~jobs topology ()
-    |> Experiments.Fig3_cov.to_table |> Stats.Table.print
-  in
-  run Experiments.Fig2_fairness.Dumbbell;
-  run Experiments.Fig2_fairness.Parking_lot
-
-let fig4 () =
-  heading "Fig. 4 - TCP-SACK mean normalized throughput vs (alpha, beta)";
-  let run topology =
-    Printf.printf "\n--- %s ---\n"
-      (Experiments.Fig2_fairness.topology_name topology);
-    Experiments.Fig4_param.grid ~seed:1 ~warmup:20. ~window:30.
-      ~flows_per_protocol:4 ~alphas:[ 0.9; 0.995 ] ~betas:[ 1.; 3.; 10. ]
-      ~jobs topology ()
-    |> Experiments.Fig4_param.to_table |> Stats.Table.print
-  in
-  run Experiments.Fig2_fairness.Dumbbell;
-  run Experiments.Fig2_fairness.Parking_lot
-
-let fig6 () =
-  heading "Fig. 6 - throughput under multi-path routing (Mb/s)";
-  let delays = [ 0.010; 0.060 ] in
-  let points =
-    Experiments.Fig6_multipath.grid ~seed:1 ~warmup:20. ~duration:60.
-      ~epsilons:[ 0.; 1.; 4.; 10.; 500. ] ~delays ~jobs ()
-  in
-  List.iter
-    (fun delay_s ->
-      Printf.printf "\n--- per-link delay %g ms ---\n" (delay_s *. 1000.);
-      Experiments.Fig6_multipath.to_table ~delay_s points |> Stats.Table.print)
-    delays
-
-let extensions () =
-  heading "Extensions - schemes beyond the paper's comparison";
-  print_endline
-    "Multi-path throughput (Mb/s), 10 ms links, for Eifel / TCP-DOOR / RACK:";
-  let points =
-    Experiments.Fig6_multipath.grid ~seed:1 ~warmup:20. ~duration:60.
-      ~epsilons:[ 0.; 4.; 500. ] ~delays:[ 0.010 ]
-      ~variants:(Experiments.Variants.tcp_pr :: Experiments.Variants.extensions)
-      ~jobs ()
-  in
-  Experiments.Fig6_multipath.to_table ~delay_s:0.010 points |> Stats.Table.print;
-  print_endline "\nDelay jitter (Mb/s; 2 x 20 ms path, per-packet uniform jitter):";
-  Experiments.Jitter.sweep ~seed:1 ~duration:30. ~jobs ()
-  |> Experiments.Jitter.to_table |> Stats.Table.print;
-  print_endline "\nRoute flaps (1 s residence, 5 ms vs 40 ms paths):";
-  List.iter
-    (fun (label, r) ->
-      Printf.printf "  %-9s %6.2f Mb/s  retx=%-5.0f spurious dups=%d\n" label
-        r.Experiments.Route_flap.mbps r.Experiments.Route_flap.retransmits
-        r.Experiments.Route_flap.spurious_duplicates)
-    (Experiments.Route_flap.compare ~seed:1 ~duration:40. ~jobs ())
-
-let ablations () =
-  heading "Ablations - TCP-PR design choices";
-  print_endline "Newton approximation error vs exact alpha^(1/cwnd):";
-  List.iter
-    (fun (n, cwnd, _, _, err) ->
-      Printf.printf "  iterations=%d cwnd=%-6g rel.err=%.2e\n" n cwnd err)
-    (Experiments.Ablations.newton_accuracy ~iterations:[ 1; 2 ]
-       ~cwnds:[ 2.; 64.; 512. ] ());
-  print_endline "\ncwnd-at-send snapshot halving (multi-path, eps=0):";
-  List.iter
-    (fun (snapshot, mbps) ->
-      Printf.printf "  snapshot=%-5b %6.2f Mb/s\n" snapshot mbps)
-    (Experiments.Ablations.snapshot_halving ~seed:1 ~duration:30. ~jobs ());
-  print_endline "\nmemorize list (bursty 2% loss path):";
-  List.iter
-    (fun (memorize, mbps) ->
-      Printf.printf "  memorize=%-5b %6.2f Mb/s\n" memorize mbps)
-    (Experiments.Ablations.memorize_list ~seed:1 ~duration:30. ~jobs ());
-  print_endline "\nbeta sensitivity (multi-path, eps=0):";
-  List.iter
-    (fun (beta, mbps) -> Printf.printf "  beta=%-4g %6.2f Mb/s\n" beta mbps)
-    (Experiments.Ablations.beta_sweep ~seed:1 ~duration:30.
-       ~betas:[ 1.5; 3.; 10. ] ~jobs ())
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: micro-benchmarks                                            *)
+(* Micro-benchmarks                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let bench_event_queue =
@@ -366,12 +196,6 @@ let microbenchmarks () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
   in
-  let strip_group name =
-    (* bechamel reports "g/<test name>"; drop the group prefix *)
-    match String.index_opt name '/' with
-    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-    | None -> name
-  in
   let print_result test =
     let results = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ]) in
     let analysis = Analyze.all ols Instance.monotonic_clock results in
@@ -379,7 +203,6 @@ let microbenchmarks () =
       (fun name ols_result ->
         match Analyze.OLS.estimates ols_result with
         | Some [ time_per_run ] ->
-          micro_ns := (strip_group name, time_per_run) :: !micro_ns;
           Printf.printf "  %-45s %12.1f ns/run\n%!" name time_per_run
         | Some _ | None -> Printf.printf "  %-45s (no estimate)\n%!" name)
       analysis
@@ -387,198 +210,70 @@ let microbenchmarks () =
   List.iter print_result tests
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: allocation per simulated packet                             *)
+(* Allocation suite and engine suite                                   *)
 (* ------------------------------------------------------------------ *)
 
-let alloc_suite () =
+(* A scenario whose measured phase did not exercise what it charges
+   (see [Alloc_suite.scenario]) has no meaningful quotient: stop. *)
+let alloc_packets () =
   heading "Allocation per simulated packet";
-  let measurements = Alloc_suite.run_all () in
-  List.iter Alloc_suite.pp_measurement measurements;
-  alloc_measurements := measurements;
+  match Alloc_suite.run_all () with
+  | measurements ->
+    List.iter Alloc_suite.pp_measurement measurements;
+    List.map
+      (fun m -> (m.Alloc_suite.scenario, m.Alloc_suite.bytes_per_packet))
+      measurements
+  | exception Failure reason ->
+    Printf.printf "  FAILED: %s\n" reason;
+    exit 1
+
+let alloc_acks () =
   heading "Allocation per ACK (isolated on_ack churn)";
-  let acks = Alloc_suite.run_acks () in
-  List.iter Alloc_suite.pp_ack_measurement acks;
-  ack_measurements := acks
-
-(* ------------------------------------------------------------------ *)
-(* Part 4: many-flow scale suite                                       *)
-(* ------------------------------------------------------------------ *)
-
-let scale_suite () =
-  heading "Many-flow scale: closed-loop churn on the timing wheel";
-  let measurements = Scale_suite.run_all () in
-  List.iter Scale_suite.pp_measurement measurements;
-  scale_measurements := measurements
-
-(* ------------------------------------------------------------------ *)
-(* Part 5: engine-only churn suite                                     *)
-(* ------------------------------------------------------------------ *)
+  let measurements = Alloc_suite.run_acks () in
+  List.iter Alloc_suite.pp_ack_measurement measurements;
+  List.map
+    (fun m -> (m.Alloc_suite.variant, m.Alloc_suite.bytes_per_ack))
+    measurements
 
 let engine_suite () =
   heading "Engine-only churn: raw scheduler events/sec";
-  let measurements = Engine_suite.run_all () in
-  List.iter Engine_suite.pp_measurement measurements;
-  engine_measurements := measurements
+  List.iter Engine_suite.pp_measurement (Engine_suite.run_all ())
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable record                                             *)
+(* The baseline: bench/baseline.json                                   *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' -> Buffer.add_char buffer '\\'; Buffer.add_char buffer c
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
+(* Relative to the repository root, where `dune exec` and `make` run. *)
+let baseline_path = "bench/baseline.json"
 
-let json_object_of buffer ~indent pairs format_value =
-  Buffer.add_string buffer "{";
-  List.iteri
-    (fun i (name, value) ->
-      if i > 0 then Buffer.add_string buffer ",";
-      Buffer.add_string buffer
-        (Printf.sprintf "\n%s\"%s\": %s" indent (json_escape name)
-           (format_value value)))
-    pairs;
-  Buffer.add_string buffer ("\n" ^ String.sub indent 0 (String.length indent - 2));
-  Buffer.add_string buffer "}"
+let record_command = "dune exec bench/main.exe -- record"
 
-(* Pre-PR reference numbers, measured on this machine at jobs=1 at the
-   PR7 tree (sharded engine landed; float times, list-returning
-   senders), immediately before this PR's int-nanosecond time core and
-   Action_buffer work. Kept in the record so the improvement is
-   auditable: the B/packet drop is the action lists and the boxed
-   ~delay/~time crossings, the B/ACK drop is the per-event list spine
-   plus boxed Set_timer payloads. The B/ack quotients were produced by
-   the same churn loop [Alloc_suite.measure_acks] now runs (1000
-   warmup + 50k measured, ack record built in-loop) against the old
-   list API. *)
-let baseline_pre_pr =
-  [ ("dumbbell_bytes_per_packet", 227.4);
-    ("lattice_bytes_per_packet", 226.0);
-    ("jitter-chain_bytes_per_packet", 257.8);
-    ("scale_wheel_10000_events_per_s", 1099897.) ]
+let packet_block = "alloc_bytes_per_packet"
 
-let baseline_pre_pr_bytes_per_ack =
-  [ ("TCP-SACK", 564.7);
-    ("Tahoe", 564.7);
-    ("Reno", 564.7);
-    ("NewReno", 564.7);
-    ("TCP-PR", 577.8);
-    ("TD-FR", 564.7);
-    ("DSACK-NM", 564.7);
-    ("Inc by 1", 564.7);
-    ("Inc by N", 564.7);
-    ("EWMA", 564.7);
-    ("Eifel", 564.7);
-    ("TCP-DOOR", 564.7);
-    ("RACK", 3936.1) ]
+let ack_block = "alloc_bytes_per_ack"
 
-let write_record ~total_s =
-  (try if not (Sys.file_exists "results") then Unix.mkdir "results" 0o755
-   with Unix.Unix_error _ -> ());
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer "{\n";
-  Buffer.add_string buffer (Printf.sprintf "  \"pr\": 10,\n");
-  Buffer.add_string buffer (Printf.sprintf "  \"mode\": \"%s\",\n" mode);
-  Buffer.add_string buffer (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buffer
-    (Printf.sprintf "  \"recommended_domain_count\": %d,\n"
-       (Domain.recommended_domain_count ()));
-  Buffer.add_string buffer (Printf.sprintf "  \"total_wall_clock_s\": %.3f,\n" total_s);
-  Buffer.add_string buffer "  \"figures_wall_clock_s\": ";
-  json_object_of buffer ~indent:"    " (List.rev !figure_seconds)
-    (Printf.sprintf "%.3f");
-  Buffer.add_string buffer ",\n  \"microbenchmarks_ns_per_run\": ";
-  json_object_of buffer ~indent:"    " (List.rev !micro_ns)
-    (Printf.sprintf "%.1f");
-  Buffer.add_string buffer ",\n  \"alloc_bytes_per_packet\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map
-       (fun m -> (m.Alloc_suite.scenario, m.Alloc_suite.bytes_per_packet))
-       !alloc_measurements)
-    (Printf.sprintf "%.1f");
-  Buffer.add_string buffer ",\n  \"alloc_bytes_per_ack\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map
-       (fun m -> (m.Alloc_suite.variant, m.Alloc_suite.bytes_per_ack))
-       !ack_measurements)
-    (Printf.sprintf "%.1f");
-  Buffer.add_string buffer ",\n  \"alloc_scenarios\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map (fun m -> (m.Alloc_suite.scenario, m)) !alloc_measurements)
-    (fun m ->
-      Printf.sprintf
-        "{ \"wall_s\": %.3f, \"allocated_bytes\": %.0f, \
-         \"minor_collections\": %d, \"packets\": %d, \"metrics\": %s }"
-        m.Alloc_suite.wall_s m.Alloc_suite.allocated_bytes
-        m.Alloc_suite.minor_collections m.Alloc_suite.packets
-        m.Alloc_suite.metrics_json);
-  Buffer.add_string buffer ",\n  \"scale_events_per_s\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map
-       (fun m -> (Scale_suite.label m, m.Scale_suite.events_per_s))
-       !scale_measurements)
-    (Printf.sprintf "%.0f");
-  Buffer.add_string buffer ",\n  \"scale_points\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map (fun m -> (Scale_suite.label m, m)) !scale_measurements)
-    (fun m ->
-      Printf.sprintf
-        "{ \"flows\": %d, \"sim_s\": %.1f, \
-         \"wall_s\": %.3f, \"transfers_completed\": %d, \
-         \"goodput_mbps\": %.2f, \"events\": %d, \"timer_ops\": %d, \
-         \"events_per_s\": %.0f, \"timer_ops_per_s\": %.0f, \
-         \"metrics\": %s }"
-        m.Scale_suite.flows m.Scale_suite.duration
-        m.Scale_suite.wall_s m.Scale_suite.transfers_completed
-        m.Scale_suite.goodput_mbps m.Scale_suite.events
-        m.Scale_suite.timer_ops m.Scale_suite.events_per_s
-        m.Scale_suite.timer_ops_per_s m.Scale_suite.metrics_json);
-  Buffer.add_string buffer ",\n  \"engine_events_per_s\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map
-       (fun m -> (m.Engine_suite.name, m.Engine_suite.events_per_s))
-       !engine_measurements)
-    (Printf.sprintf "%.0f");
-  Buffer.add_string buffer ",\n  \"engine_suite_points\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map (fun m -> (m.Engine_suite.name, m)) !engine_measurements)
-    (fun m ->
-      Printf.sprintf
-        "{ \"events\": %d, \"wall_s\": %.3f, \"events_per_s\": %.0f, \
-         \"allocated_bytes\": %.0f, \"bytes_per_event\": %.1f }"
-        m.Engine_suite.events m.Engine_suite.wall_s
-        m.Engine_suite.events_per_s m.Engine_suite.allocated_bytes
-        m.Engine_suite.bytes_per_event);
-  Buffer.add_string buffer ",\n  \"baseline_pre_pr\": ";
-  json_object_of buffer ~indent:"    " baseline_pre_pr (Printf.sprintf "%.3f");
-  Buffer.add_string buffer ",\n  \"baseline_pre_pr_bytes_per_ack\": ";
-  json_object_of buffer ~indent:"    " baseline_pre_pr_bytes_per_ack
-    (Printf.sprintf "%.1f");
-  Buffer.add_string buffer "\n}\n";
-  let contents = Buffer.contents buffer in
-  List.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
-      Printf.printf "Perf record written to %s\n" path)
-    [ "results/BENCH_PR10.json"; "BENCH_PR10.json" ]
+let record () =
+  let packets = alloc_packets () in
+  let acks = alloc_acks () in
+  let block key rows =
+    Printf.sprintf "  \"%s\": {\n%s\n  }" key
+      (String.concat ",\n"
+         (List.map (fun (name, v) -> Printf.sprintf "    \"%s\": %.1f" name v)
+            rows))
+  in
+  let oc = open_out baseline_path in
+  Printf.fprintf oc "{\n%s,\n%s\n}\n" (block packet_block packets)
+    (block ack_block acks);
+  close_out oc;
+  Printf.printf "\nBaseline written to %s\n" baseline_path
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Minimal extraction of "<key>": { "name": nnn, ... } from the
-   checked-in record — no JSON library in the tree, and the file is
-   machine-written by [write_record] above, so a string scan is
-   enough. *)
+   baseline — no JSON library in the tree, and the file is
+   machine-written by [record] above, so a string scan is enough. *)
 let record_block path key =
   let contents =
     let ic = open_in_bin path in
@@ -620,130 +315,66 @@ let record_block path key =
              | _ -> None)
     | _ -> [])
 
-(* Absolute allocation budget for the always-on metrics layer: current
-   bytes/packet may exceed the frozen PR3 baseline by at most this
-   much. Tighter than the old 20% relative tolerance — occupancy
-   histograms, pool gauges and reorder-depth recording are all
-   int-backed, so the expected overhead is zero. *)
-let gate_budget_bytes = 16.
+(* Absolute budget over the baseline, per packet-hop and per ACK: the
+   packet path and the buffer-writing sender API allocate nothing per
+   event beyond the harness constant, so the expected overhead of a
+   correct change is zero. *)
+let budget_bytes = 16.
 
-(* Absolute per-ACK budget over the recorded B/ack baseline: the
-   buffer-writing sender API leaves only the harness ack record and a
-   few sends on the quotient, so as with B/packet the expected
-   overhead of a correct change is zero. *)
-let ack_gate_budget_bytes = 16.
-
-(* Raw-speed floor for the engine-only churn suite: each scenario's
-   events/sec must hold at least this fraction of its recorded value.
-   Wall-clock microbenches are noisier than allocation counts, so the
-   tolerance is wide — 30% — but a real regression (a box back on the
-   sift path, a per-event closure) costs well over that. *)
-let engine_gate_floor = 0.7
-
-let gate () =
-  heading "Bench gate: bytes per simulated packet vs recorded baseline";
-  (* Prefer the newest record carrying the block being checked: a
-     partial record (e.g. written by a single-suite mode) must not
-     shadow an older complete one, so each block falls back
-     independently through the record lineage. PR6 onward measures
-     alloc with the per-scenario warmup in [Alloc_suite], so those
-     numbers are the comparable ones; older records cover trees that
-     predate it. *)
-  let record_paths =
-    List.filter Sys.file_exists
-      [ "BENCH_PR10.json"; "BENCH_PR9.json"; "BENCH_PR8.json";
-        "BENCH_PR7.json"; "BENCH_PR6.json"; "BENCH_PR5.json";
-        "BENCH_PR3.json" ]
-  in
-  if record_paths = [] then begin
-    Printf.printf
-      "  no BENCH_PR*.json found; record one with `dune exec bench/main.exe \
-       -- quick`\n";
+(* [baseline key] is the block [key] of the baseline; a missing file
+   or block fails the gate. *)
+let baseline key =
+  let missing what =
+    Printf.printf "\nGate FAILED: %s %s. Record it with `%s`.\n"
+      baseline_path what record_command;
     exit 1
-  end;
-  let block key =
-    List.find_map
-      (fun path ->
-        match record_block path key with
-        | [] -> None
-        | entries -> Some (path, entries))
-      record_paths
   in
-  let path, baseline =
-    match block "alloc_bytes_per_packet" with
-    | Some found -> found
-    | None ->
-      Printf.printf "  no record has an alloc_bytes_per_packet block\n";
-      exit 1
-  in
-  let measurements = Alloc_suite.run_all () in
-  List.iter Alloc_suite.pp_measurement measurements;
+  if not (Sys.file_exists baseline_path) then missing "does not exist";
+  match record_block baseline_path key with
+  | [] -> missing (Printf.sprintf "has no %s block" key)
+  | entries -> entries
+
+(* [check ~unit base rows] prints each measured row against its
+   baseline entry and exits 1 if any row is over budget or has no
+   entry. *)
+let check ~unit base rows =
   let failed = ref false in
   List.iter
-    (fun m ->
-      let name = m.Alloc_suite.scenario in
-      match List.assoc_opt name baseline with
+    (fun (name, current) ->
+      match List.assoc_opt name base with
       | None ->
-        Printf.printf "  %-14s no recorded baseline -> FAIL\n" name;
+        Printf.printf "  %-14s %7.1f %s, no baseline entry -> FAIL\n" name
+          current unit;
         failed := true
       | Some base ->
-        let current = m.Alloc_suite.bytes_per_packet in
-        let limit = base +. gate_budget_bytes in
+        let limit = base +. budget_bytes in
         let ok = current <= limit in
-        Printf.printf "  %-14s %7.1f B/packet vs baseline %7.1f (limit %7.1f)  %s\n"
-          name current base limit
+        Printf.printf "  %-14s %7.1f %s vs baseline %7.1f (limit %7.1f)  %s\n"
+          name current unit base limit
           (if ok then "ok" else "REGRESSION");
         if not ok then failed := true)
-    measurements;
+    rows;
   if !failed then begin
     Printf.printf
-      "\nGate FAILED: bytes/packet exceeds the %s baseline by more than\n\
-       the %.0f B/packet budget. If the regression is intended,\n\
-       re-record the baseline.\n"
-      path gate_budget_bytes;
+      "\nGate FAILED: %s over the %s baseline plus the %.0f B budget, or\n\
+       missing from it. If the change is intended, re-record with\n\
+       `%s` and commit the file.\n"
+      unit baseline_path budget_bytes record_command;
     exit 1
   end
   else
-    Printf.printf "\nGate passed (budget %.0f B/packet over %s baseline).\n"
-      gate_budget_bytes path;
-  heading "Bench gate: bytes per ACK vs recorded baseline";
-  (match block "alloc_bytes_per_ack" with
-  | None ->
-    (* Records before PR8 predate the B/ack suite; the B/packet gate
-       above already ran, so pass rather than block a fresh tree. *)
-    Printf.printf "  no record has an alloc_bytes_per_ack block; skipping\n"
-  | Some (ack_path, ack_baseline) ->
-    let measurements = Alloc_suite.run_acks () in
-    List.iter Alloc_suite.pp_ack_measurement measurements;
-    let failed = ref false in
-    List.iter
-      (fun m ->
-        let name = m.Alloc_suite.variant in
-        match List.assoc_opt name ack_baseline with
-        | None ->
-          Printf.printf "  %-12s no recorded baseline -> FAIL\n" name;
-          failed := true
-        | Some base ->
-          let current = m.Alloc_suite.bytes_per_ack in
-          let limit = base +. ack_gate_budget_bytes in
-          let ok = current <= limit in
-          Printf.printf
-            "  %-12s %7.1f B/ack vs baseline %7.1f (limit %7.1f)  %s\n" name
-            current base limit
-            (if ok then "ok" else "REGRESSION");
-          if not ok then failed := true)
-      measurements;
-    if !failed then begin
-      Printf.printf
-        "\nGate FAILED: bytes/ACK exceeds the %s baseline by more than\n\
-         the %.0f B/ack budget. If the regression is intended,\n\
-         re-record the baseline.\n"
-        ack_path ack_gate_budget_bytes;
-      exit 1
-    end
-    else
-      Printf.printf "\nGate passed (budget %.0f B/ack over %s baseline).\n"
-        ack_gate_budget_bytes ack_path);
+    Printf.printf "\nGate passed (budget %.0f %s over %s).\n" budget_bytes
+      unit baseline_path
+
+let gate () =
+  let packet_base = baseline packet_block in
+  let ack_base = baseline ack_block in
+  let packets = alloc_packets () in
+  heading "Bench gate: bytes per simulated packet vs baseline";
+  check ~unit:"B/packet" packet_base packets;
+  let acks = alloc_acks () in
+  heading "Bench gate: bytes per ACK vs baseline";
+  check ~unit:"B/ack" ack_base acks;
   heading "Bench gate: events/sec scaling floor at 10x flow count";
   let small, large, ok = Scale_suite.gate_check () in
   Scale_suite.pp_measurement small;
@@ -764,116 +395,19 @@ let gate () =
   end
   else
     Printf.printf "\nGate passed (scale floor %.2f).\n"
-      Scale_suite.gate_scaling_floor;
-  heading "Bench gate: wheel-10000 events/sec vs the BENCH_PR6 record";
-  (* The int-nanosecond time core must not cost scheduler throughput.
-     Read from BENCH_PR6.json itself (the last record before the
-     time-representation change), not the newest record, so
-     re-recording BENCH_PR8 cannot quietly lower this floor. The floor
-     is 0.7x, the same hardware-noise tolerance as the engine-suite
-     stage below, because the record is an absolute ev/s number from
-     another day on shared hardware: re-measured when PR8 landed, the
-     *pre-PR8* binary that produced the 1.10M record only reached
-     ~0.72x of it (787-798k ev/s) while the int-time tree measured
-     835k-1051k on the same runs — the refactor is same-machine
-     faster; only the machine drifts. A real 30% scheduler regression
-     on top of that headroom still trips the floor. *)
-  (if Sys.file_exists "BENCH_PR6.json" then
-     match
-       List.assoc_opt "wheel-10000"
-         (record_block "BENCH_PR6.json" "scale_events_per_s")
-     with
-     | None ->
-       Printf.printf "  BENCH_PR6.json has no wheel-10000 entry; skipping\n"
-     | Some pr6 ->
-       let current = large.Scale_suite.events_per_s in
-       let floor = 0.7 *. pr6 in
-       let ok = current >= floor in
-       Printf.printf
-         "  wheel-10000 %9.0f ev/s vs BENCH_PR6 %9.0f (floor 0.70x = %9.0f)  %s\n"
-         current pr6 floor
-         (if ok then "ok" else "REGRESSION");
-       if not ok then begin
-         Printf.printf
-           "\nGate FAILED: wheel-10000 events/sec fell below 0.7x the BENCH_PR6\n\
-            record — the time-core refactor may not cost raw scheduler\n\
-            throughput.\n";
-         exit 1
-       end
-       else print_endline "\nGate passed (wheel-10000 >= 0.7x BENCH_PR6)."
-   else Printf.printf "  no BENCH_PR6.json; skipping\n");
-  heading "Bench gate: raw engine events/sec vs recorded baseline";
-  (match block "engine_events_per_s" with
-  | None ->
-    (* Older records predate the engine suite; the alloc and scale
-       gates above still ran, so pass rather than block a fresh tree. *)
-    Printf.printf "  no record has an engine_events_per_s block; skipping\n"
-  | Some (engine_path, recorded) ->
-    let measurements = Engine_suite.run_all () in
-    List.iter Engine_suite.pp_measurement measurements;
-    let failed = ref false in
-    List.iter
-      (fun m ->
-        let name = m.Engine_suite.name in
-        match List.assoc_opt name recorded with
-        | None ->
-          Printf.printf "  %-18s no recorded baseline -> FAIL\n" name;
-          failed := true
-        | Some base ->
-          let floor = engine_gate_floor *. base in
-          let ok = m.Engine_suite.events_per_s >= floor in
-          Printf.printf
-            "  %-18s %9.0f ev/s vs recorded %9.0f (floor %9.0f)  %s\n" name
-            m.Engine_suite.events_per_s base floor
-            (if ok then "ok" else "REGRESSION");
-          if not ok then failed := true)
-      measurements;
-    if !failed then begin
-      Printf.printf
-        "\nGate FAILED: raw engine events/sec fell below %.0f%% of the\n\
-         %s record. If the slowdown is intended, re-record the baseline.\n"
-        (100. *. engine_gate_floor) engine_path;
-      exit 1
-    end
-    else
-      Printf.printf "\nGate passed (engine floor %.2f of %s).\n"
-        engine_gate_floor engine_path)
+      Scale_suite.gate_scaling_floor
 
 let () =
-  let t0 = Unix.gettimeofday () in
-  Printf.printf "mode=%s jobs=%d\n%!" mode jobs;
-  (match mode with
-  | "gate" -> gate ()
-  | "figures" ->
-    timed "fig2" fig2;
-    timed "fig3" fig3;
-    timed "fig4" fig4;
-    timed "fig6" fig6
-  | "micro" -> microbenchmarks ()
-  | "alloc" -> alloc_suite ()
-  | "scale" -> scale_suite ()
-  | "engine" -> engine_suite ()
-  | "quick" ->
-    timed "fig2" fig2;
-    timed "fig3" fig3;
-    timed "fig6" fig6;
+  match mode with
+  | Default ->
     microbenchmarks ();
-    alloc_suite ();
-    scale_suite ();
+    ignore (alloc_packets ());
+    ignore (alloc_acks ());
     engine_suite ()
-  | _ ->
-    timed "fig2" fig2;
-    timed "fig3" fig3;
-    timed "fig4" fig4;
-    timed "fig6" fig6;
-    timed "extensions" extensions;
-    timed "ablations" ablations;
-    microbenchmarks ();
-    alloc_suite ();
-    scale_suite ();
-    engine_suite ());
-  if mode <> "gate" then begin
-    let total_s = Unix.gettimeofday () -. t0 in
-    write_record ~total_s;
-    Printf.printf "Total bench time: %.1f s\n" total_s
-  end
+  | Micro -> microbenchmarks ()
+  | Alloc ->
+    ignore (alloc_packets ());
+    ignore (alloc_acks ())
+  | Engine -> engine_suite ()
+  | Gate -> gate ()
+  | Record -> record ()
