@@ -1,6 +1,5 @@
 .PHONY: all build test bench bench-gate scale-smoke \
-	hoststack-smoke reorder-smoke figures golden ci doc coverage \
-	coverage-summary lint-box clean
+	hoststack-smoke reorder-smoke figures golden ci doc lint-box clean
 
 all: build
 
@@ -9,10 +8,6 @@ build:
 
 test:
 	dune runtest
-
-# Full test run with output archived, as used for the release record.
-test-record:
-	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
 
 # Micro-benchmarks, the allocation suite and the engine-only churn
 # suite, printed. Writes nothing; the baseline is rewritten only by
@@ -83,34 +78,11 @@ golden:
 	dune exec -- bin/tcp_pr_sim.exe check --seeds 0 --write-golden test/golden
 	dune exec -- bin/tcp_pr_sim.exe report --jobs 1 --out test/golden/report.txt
 
-# Line-coverage report via bisect_ppx. Every library carries an
-# (instrumentation (backend bisect_ppx)) stanza, which is inert unless
-# the backend is installed and --instrument-with is passed — so this
-# target degrades to a notice on machines without bisect_ppx instead of
-# failing the build.
-coverage:
-	@if ocamlfind query bisect_ppx >/dev/null 2>&1; then \
-	  rm -rf _coverage && mkdir -p _coverage; \
-	  BISECT_FILE=$$(pwd)/_coverage/bisect \
-	    dune runtest --force --instrument-with bisect_ppx && \
-	  bisect-ppx-report html --coverage-path _coverage -o _coverage/html && \
-	  bisect-ppx-report summary --coverage-path _coverage; \
-	  echo "coverage report: _coverage/html/index.html"; \
-	else \
-	  echo "bisect_ppx not installed — skipping coverage"; \
-	fi
-
-coverage-summary:
-	@if ocamlfind query bisect_ppx >/dev/null 2>&1; then \
-	  bisect-ppx-report summary --coverage-path _coverage; \
-	else \
-	  echo "bisect_ppx not installed — no coverage summary"; \
-	fi
-
-# Full gate: build everything, run the test suite (which includes the
-# allocation ceilings of test_alloc, on the bench's own allocation
-# scenarios), a conformance smoke run — fixed random scenarios over
-# every sender variant with the invariant monitors armed, plus the
+# Full gate, every stage fatal: build everything, run the test suite
+# (which includes the allocation ceilings of test_alloc on the bench's
+# own allocation scenarios, the CLI's usage-error exit codes and a run
+# of five examples), a conformance smoke run — fixed random scenarios
+# over every sender variant with the invariant monitors armed, plus the
 # golden-trace digests — the many-flow scale smoke, the host-stack and
 # adaptive-adversary smokes, and the perf regression gate (allocation
 # budgets over bench/baseline.json + the same-run events/sec scaling
@@ -125,7 +97,6 @@ ci:
 	$(MAKE) --no-print-directory reorder-smoke
 	dune exec bench/main.exe -- gate
 	$(MAKE) --no-print-directory lint-box
-	-@$(MAKE) --no-print-directory coverage
 
 doc:
 	dune build @doc

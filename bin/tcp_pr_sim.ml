@@ -3,25 +3,53 @@
 
 open Cmdliner
 
-let topology_conv =
-  let parse = function
-    | "dumbbell" -> Ok Experiments.Fig2_fairness.Dumbbell
-    | "parking-lot" | "parking_lot" | "parkinglot" ->
-      Ok Experiments.Fig2_fairness.Parking_lot
-    | s -> Error (`Msg (Printf.sprintf "unknown topology %S" s))
+(* [checked conv ok what] parses like [conv] but rejects any value
+   [ok] refuses with a usage error naming the admitted range [what]. *)
+let checked conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | Error _ as e -> e
   in
-  let print ppf t =
-    Format.pp_print_string ppf (Experiments.Fig2_fairness.topology_name t)
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let non_negative_int =
+  checked Arg.int (fun n -> n >= 0) "a non-negative integer"
+
+let positive_int = checked Arg.int (fun n -> n > 0) "a positive integer"
+
+let positive_float =
+  checked Arg.float
+    (fun x -> x > 0. && Float.is_finite x)
+    "a positive finite number"
+
+let fraction = checked Arg.float (fun x -> x > 0. && x < 1.) "in (0, 1)"
+
+let variant_conv =
+  let parse name =
+    match Experiments.Variants.find name with
+    | Some variant -> Ok variant
+    | None -> Error (`Msg (Printf.sprintf "unknown variant %S" name))
   in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun ppf (label, _) -> Format.pp_print_string ppf label)
+
+let variants_term ~doc =
+  Arg.(value & opt_all variant_conv [] & info [ "variant" ] ~docv:"NAME" ~doc)
 
 let topologies_term =
   let doc = "Topology: dumbbell or parking-lot (repeatable)." in
+  let open Experiments.Fig2_fairness in
+  let topology =
+    Arg.enum
+      [ ("dumbbell", Dumbbell);
+        ("parking-lot", Parking_lot);
+        ("parking_lot", Parking_lot);
+        ("parkinglot", Parking_lot) ]
+  in
   Arg.(
     value
-    & opt_all topology_conv
-        [ Experiments.Fig2_fairness.Dumbbell;
-          Experiments.Fig2_fairness.Parking_lot ]
+    & opt_all topology [ Dumbbell; Parking_lot ]
     & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
 
 let seed_term =
@@ -32,16 +60,19 @@ let quick_term =
   let doc = "Shrink warmup/measurement windows and flow counts for a fast run." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
+(* Clamped to at least 1 here, so no subcommand re-checks it. *)
 let jobs_term =
   let doc =
     "Run independent grid points on $(docv) domains. Output is \
      byte-identical to --jobs 1 for the same seed: each point builds its \
      own engine and results are collected in input order."
   in
-  Arg.(
-    value
-    & opt int (Sim.Domain_pool.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Term.(
+    const (max 1)
+    $ Arg.(
+        value
+        & opt int (Sim.Domain_pool.default_jobs ())
+        & info [ "jobs"; "j" ] ~docv:"N" ~doc))
 
 let csv_term =
   let doc = "Emit tables as CSV instead of aligned text." in
@@ -53,44 +84,40 @@ let render ~csv table =
 
 let windows ~quick = if quick then (20., 30.) else (40., 60.)
 
-let section topology =
-  Printf.printf "\n--- %s ---\n"
-    (Experiments.Fig2_fairness.topology_name topology)
+(* One section per topology: its header, then the table [run] builds. *)
+let per_topology ~csv topologies run =
+  List.iter
+    (fun topology ->
+      Printf.printf "\n--- %s ---\n"
+        (Experiments.Fig2_fairness.topology_name topology);
+      render ~csv (run topology))
+    topologies
 
 let fig2 seed quick csv jobs topologies =
   let warmup, window = windows ~quick in
-  let jobs = max 1 jobs in
   let counts = if quick then [ 1; 2; 8 ] else [ 1; 2; 4; 8; 16; 32 ] in
   print_endline
     "Fig. 2 - normalized throughput of k TCP-PR + k TCP-SACK flows (mean ~ 1 = fair)";
-  let run topology =
-    section topology;
-    Experiments.Fig2_fairness.series ~seed ~warmup ~window ~counts ~jobs
-      topology ()
-    |> Experiments.Fig2_fairness.to_table |> render ~csv
-  in
-  List.iter run topologies
+  per_topology ~csv topologies (fun topology ->
+      Experiments.Fig2_fairness.series ~seed ~warmup ~window ~counts ~jobs
+        topology ()
+      |> Experiments.Fig2_fairness.to_table)
 
 let fig3 seed quick csv jobs topologies =
   let warmup, window = windows ~quick in
-  let jobs = max 1 jobs in
   let flows_per_protocol = if quick then 4 else 8 in
   let scales =
     if quick then [ 1.0; 0.5; 0.25 ] else [ 1.0; 0.7; 0.5; 0.35; 0.25 ]
   in
   print_endline
     "Fig. 3 - coefficient of variation of normalized throughput vs loss rate";
-  let run topology =
-    section topology;
-    Experiments.Fig3_cov.series ~seed ~warmup ~window ~flows_per_protocol
-      ~scales ~jobs topology ()
-    |> Experiments.Fig3_cov.to_table |> render ~csv
-  in
-  List.iter run topologies
+  per_topology ~csv topologies (fun topology ->
+      Experiments.Fig3_cov.series ~seed ~warmup ~window ~flows_per_protocol
+        ~scales ~jobs topology ()
+      |> Experiments.Fig3_cov.to_table)
 
 let fig4 seed quick csv jobs flows topologies =
   let warmup, window = windows ~quick in
-  let jobs = max 1 jobs in
   let flows_per_protocol =
     match flows with Some n -> n | None -> if quick then 4 else 8
   in
@@ -98,18 +125,14 @@ let fig4 seed quick csv jobs flows topologies =
   let betas = if quick then [ 1.; 3.; 10. ] else [ 1.; 2.; 3.; 5.; 10. ] in
   print_endline
     "Fig. 4 - TCP-SACK mean normalized throughput for TCP-PR parameters (alpha, beta)";
-  let run topology =
-    section topology;
-    Experiments.Fig4_param.grid ~seed ~warmup ~window ~flows_per_protocol
-      ~alphas ~betas ~jobs topology ()
-    |> Experiments.Fig4_param.to_table |> render ~csv
-  in
-  List.iter run topologies
+  per_topology ~csv topologies (fun topology ->
+      Experiments.Fig4_param.grid ~seed ~warmup ~window ~flows_per_protocol
+        ~alphas ~betas ~jobs topology ()
+      |> Experiments.Fig4_param.to_table)
 
 let fig6 seed quick csv jobs extended =
   let warmup = if quick then 20. else 40. in
   let duration = if quick then 60. else 160. in
-  let jobs = max 1 jobs in
   let epsilons = [ 0.; 1.; 4.; 10.; 500. ] in
   let delays = if quick then [ 0.010 ] else [ 0.010; 0.060 ] in
   let variants =
@@ -131,29 +154,31 @@ let fig6 seed quick csv jobs extended =
   in
   List.iter show delays
 
-let flaps seed quick jobs =
-  let duration = if quick then 30. else 60. in
-  let jobs = max 1 jobs in
-  print_endline
-    "Route flaps (paper Section 1): all traffic flips between a 5 ms and a 40 ms";
-  print_endline "path once per second; each flap reorders the packets in flight.";
+(* The single-flow scenarios' table: one row per variant. *)
+let print_flow_results results =
   let table =
     Stats.Table.create
       ~columns:[ "variant"; "Mb/s"; "retransmits"; "spurious dups" ]
   in
   List.iter
-    (fun (label, r) ->
+    (fun (label, (r : Experiments.Runner.flow_result)) ->
       Stats.Table.add_row table
         [ label;
-          Printf.sprintf "%.2f" r.Experiments.Route_flap.mbps;
-          Printf.sprintf "%.0f" r.Experiments.Route_flap.retransmits;
-          string_of_int r.Experiments.Route_flap.spurious_duplicates ])
-    (Experiments.Route_flap.compare ~seed ~duration ~jobs ());
+          Printf.sprintf "%.2f" r.mbps;
+          Printf.sprintf "%.0f" r.retransmits;
+          string_of_int r.spurious_duplicates ])
+    results;
   Stats.Table.print table
+
+let flaps quick jobs =
+  let duration = if quick then 30. else 60. in
+  print_endline
+    "Route flaps (paper Section 1): all traffic flips between a 5 ms and a 40 ms";
+  print_endline "path once per second; each flap reorders the packets in flight.";
+  print_flow_results (Experiments.Route_flap.compare ~duration ~jobs ())
 
 let jitter seed quick jobs =
   let duration = if quick then 20. else 60. in
-  let jobs = max 1 jobs in
   print_endline
     "Delay jitter (wireless-style intra-path reordering): throughput (Mb/s)";
   print_endline
@@ -161,16 +186,13 @@ let jitter seed quick jobs =
   Experiments.Jitter.sweep ~seed ~duration ~jobs ()
   |> Experiments.Jitter.to_table |> Stats.Table.print
 
-let hoststack seed quick jobs =
-  ignore seed;
-  let jobs = max 1 jobs in
+let hoststack quick jobs =
   let total_segments = if quick then 40 else 80 in
   print_endline
     "Host-stack buffer pressure: completion time (s) of a bounded transfer";
   print_endline
     "over the Fig. 2 dumbbell with a 16-segment autotuned receive buffer,";
-  print_endline
-    "GRO coalescing (1 ms / 4) and a paced application reader.";
+  print_endline "GRO coalescing (1 ms / 4) and a paced application reader.";
   let points = Experiments.Hoststack.sweep ~total_segments ~jobs () in
   Experiments.Hoststack.to_table points |> Stats.Table.print;
   let pressured =
@@ -188,23 +210,10 @@ let hoststack seed quick jobs =
        0 points)
 
 let adversary seed quick jobs target tolerance variants =
-  let jobs = max 1 jobs in
   let epoch_s = if quick then 2. else 3. in
   let max_epochs = if quick then 12 else 16 in
   let hold_arrivals = if quick then 16_000 else 25_000 in
-  let variants =
-    match variants with
-    | [] -> Experiments.Variants.all
-    | names ->
-      List.map
-        (fun name ->
-          match Experiments.Variants.find name with
-          | Some variant -> variant
-          | None ->
-            Printf.eprintf "unknown variant %S\n" name;
-            exit 2)
-        names
-  in
+  let variants = if variants = [] then Experiments.Variants.all else variants in
   Printf.printf
     "Adaptive adversary: hold measured reordering density at %.3f (±%.0f%%)\n"
     target (tolerance *. 100.);
@@ -222,19 +231,16 @@ let adversary seed quick jobs target tolerance variants =
       (List.length points)
   else begin
     List.iter
-      (fun p ->
-        if not p.Experiments.Adversary.held then begin
+      (fun (p : Experiments.Adversary.point) ->
+        if not p.held then begin
           Printf.printf "\nMISS: %s settled at density %.4f (target %.4f)\n"
-            p.Experiments.Adversary.variant
-            p.Experiments.Adversary.final_density
-            p.Experiments.Adversary.target;
+            p.variant p.final_density p.target;
           List.iter
-            (fun e ->
-              Printf.printf "  epoch %2d: epsilon=%8.3f arrivals=%6d density=%.4f\n"
-                e.Experiments.Adversary.index e.Experiments.Adversary.epsilon
-                e.Experiments.Adversary.arrivals
-                e.Experiments.Adversary.density)
-            p.Experiments.Adversary.epochs
+            (fun (e : Experiments.Adversary.epoch) ->
+              Printf.printf
+                "  epoch %2d: epsilon=%8.3f arrivals=%6d density=%.4f\n"
+                e.index e.epsilon e.arrivals e.density)
+            p.epochs
         end)
       points;
     exit 1
@@ -242,106 +248,72 @@ let adversary seed quick jobs target tolerance variants =
 
 let manet seed quick jobs =
   let duration = if quick then 20. else 60. in
-  let jobs = max 1 jobs in
   print_endline
     "MANET (paper future work): 12 radios, random-waypoint mobility, pinned";
   print_endline
     "endpoints relayed over 2-3 changing hops. Route changes reorder and";
   print_endline "black-hole packets in flight.";
-  let table =
-    Stats.Table.create
-      ~columns:[ "variant"; "Mb/s"; "retransmits"; "spurious dups" ]
-  in
-  List.iter
-    (fun (label, r) ->
-      Stats.Table.add_row table
-        [ label;
-          Printf.sprintf "%.2f" r.Experiments.Manet_experiment.mbps;
-          Printf.sprintf "%.0f" r.Experiments.Manet_experiment.retransmits;
-          string_of_int r.Experiments.Manet_experiment.spurious_duplicates ])
-    (Experiments.Manet_experiment.compare ~seed ~duration ~jobs ());
-  Stats.Table.print table
+  print_flow_results
+    (Experiments.Manet_experiment.compare ~seed ~duration ~jobs ())
+
+type ablation =
+  | Newton
+  | Snapshot
+  | Memorize
+  | Beta
+  | Beta_fairness
 
 let ablate seed quick jobs which =
   let duration = if quick then 30. else 60. in
-  let jobs = max 1 jobs in
-  let run_newton () =
-    print_endline
-      "Newton approximation of alpha^(1/cwnd) (paper footnote 5; n = 2 in the kernel)";
-    let table =
-      Stats.Table.create
-        ~columns:[ "iterations"; "cwnd"; "approx"; "exact"; "rel. error" ]
-    in
-    List.iter
-      (fun (n, cwnd, approx, exact, err) ->
-        Stats.Table.add_row table
-          [ string_of_int n;
-            Printf.sprintf "%g" cwnd;
-            Printf.sprintf "%.8f" approx;
-            Printf.sprintf "%.8f" exact;
-            Printf.sprintf "%.2e" err ])
-      (Experiments.Ablations.newton_accuracy ());
-    Stats.Table.print table
+  let run = function
+    | Newton ->
+      print_endline
+        "Newton approximation of alpha^(1/cwnd) (paper footnote 5; n = 2 in the kernel)";
+      let table =
+        Stats.Table.create
+          ~columns:[ "iterations"; "cwnd"; "approx"; "exact"; "rel. error" ]
+      in
+      List.iter
+        (fun (n, cwnd, approx, exact, err) ->
+          Stats.Table.add_row table
+            [ string_of_int n;
+              Printf.sprintf "%g" cwnd;
+              Printf.sprintf "%.8f" approx;
+              Printf.sprintf "%.8f" exact;
+              Printf.sprintf "%.2e" err ])
+        (Experiments.Ablations.newton_accuracy ());
+      Stats.Table.print table
+    | Snapshot ->
+      print_endline
+        "\nHalving cwnd-at-send snapshot vs current cwnd (multi-path, eps = 0):";
+      List.iter
+        (fun (snapshot, mbps) ->
+          Printf.printf "  snapshot=%-5b %6.2f Mb/s\n" snapshot mbps)
+        (Experiments.Ablations.snapshot_halving ~seed ~duration ~jobs ())
+    | Memorize ->
+      print_endline "\nMemorize list on a bursty lossy path (2% injected loss):";
+      List.iter
+        (fun (memorize, mbps) ->
+          Printf.printf "  memorize=%-5b %6.2f Mb/s\n" memorize mbps)
+        (Experiments.Ablations.memorize_list ~seed ~duration ~jobs ())
+    | Beta ->
+      print_endline "\nTCP-PR multi-path throughput (eps = 0) vs beta:";
+      List.iter
+        (fun (beta, mbps) -> Printf.printf "  beta=%-4g %6.2f Mb/s\n" beta mbps)
+        (Experiments.Ablations.beta_sweep ~seed ~duration ~jobs ())
+    | Beta_fairness ->
+      print_endline "\nTCP-SACK mean normalized throughput vs TCP-PR beta (dumbbell):";
+      List.iter
+        (fun (beta, mean) -> Printf.printf "  beta=%-4g %6.3f\n" beta mean)
+        (Experiments.Ablations.beta_fairness ~seed
+           ~flows_per_protocol:(if quick then 4 else 8)
+           ~jobs ())
   in
-  let run_snapshot () =
-    print_endline
-      "\nHalving cwnd-at-send snapshot vs current cwnd (multi-path, eps = 0):";
-    List.iter
-      (fun (snapshot, mbps) ->
-        Printf.printf "  snapshot=%-5b %6.2f Mb/s\n" snapshot mbps)
-      (Experiments.Ablations.snapshot_halving ~seed ~duration ~jobs ())
-  in
-  let run_memorize () =
-    print_endline "\nMemorize list on a bursty lossy path (2% injected loss):";
-    List.iter
-      (fun (memorize, mbps) ->
-        Printf.printf "  memorize=%-5b %6.2f Mb/s\n" memorize mbps)
-      (Experiments.Ablations.memorize_list ~seed ~duration ~jobs ())
-  in
-  let run_beta () =
-    print_endline "\nTCP-PR multi-path throughput (eps = 0) vs beta:";
-    List.iter
-      (fun (beta, mbps) -> Printf.printf "  beta=%-4g %6.2f Mb/s\n" beta mbps)
-      (Experiments.Ablations.beta_sweep ~seed ~duration ~jobs ())
-  in
-  let run_beta_fairness () =
-    print_endline "\nTCP-SACK mean normalized throughput vs TCP-PR beta (dumbbell):";
-    List.iter
-      (fun (beta, mean) -> Printf.printf "  beta=%-4g %6.3f\n" beta mean)
-      (Experiments.Ablations.beta_fairness ~seed
-         ~flows_per_protocol:(if quick then 4 else 8)
-         ~jobs ())
-  in
-  match which with
-  | "newton" -> run_newton ()
-  | "snapshot" -> run_snapshot ()
-  | "memorize" -> run_memorize ()
-  | "beta" -> run_beta ()
-  | "beta-fairness" -> run_beta_fairness ()
-  | "all" ->
-    run_newton ();
-    run_snapshot ();
-    run_memorize ();
-    run_beta ();
-    run_beta_fairness ()
-  | other -> Printf.eprintf "unknown ablation %S\n" other
+  List.iter run which
 
 let check seed seeds jobs variants golden write_golden =
-  let jobs = max 1 jobs in
   let failures = ref 0 in
-  let variant_list =
-    match variants with
-    | [] -> Experiments.Variants.all
-    | names ->
-      List.map
-        (fun name ->
-          match Experiments.Variants.find name with
-          | Some variant -> variant
-          | None ->
-            Printf.eprintf "unknown variant %S\n" name;
-            exit 2)
-        names
-  in
+  let variants = if variants = [] then Experiments.Variants.all else variants in
   (match write_golden with
   | Some dir ->
     Check.Golden.write ~dir ~jobs;
@@ -350,11 +322,11 @@ let check seed seeds jobs variants golden write_golden =
   if seeds > 0 then begin
     Printf.printf
       "Differential oracle: %d scenario(s) x %d variant(s), monitors armed\n"
-      seeds (List.length variant_list);
+      seeds (List.length variants);
     let grid =
       List.concat_map
         (fun offset ->
-          List.map (fun variant -> (seed + offset, variant)) variant_list)
+          List.map (fun variant -> (seed + offset, variant)) variants)
         (List.init seeds Fun.id)
     in
     let reports =
@@ -399,23 +371,13 @@ let check seed seeds jobs variants golden write_golden =
   else print_endline "all checks passed"
 
 let report seed jobs csv scenario variants tail out =
-  let jobs = max 1 jobs in
-  let variant_list =
-    match variants with
-    | [] -> [ Experiments.Variants.tcp_pr; Experiments.Variants.tcp_sack ]
-    | names ->
-      List.map
-        (fun name ->
-          match Experiments.Variants.find name with
-          | Some variant -> variant
-          | None ->
-            Printf.eprintf "unknown variant %S\n" name;
-            exit 2)
-        names
+  let variants =
+    if variants = [] then
+      [ Experiments.Variants.tcp_pr; Experiments.Variants.tcp_sack ]
+    else variants
   in
   let text =
-    Check.Report.render ~csv ~tail ~seed ~jobs ~scenario ~variants:variant_list
-      ()
+    Check.Report.render ~csv ~tail ~seed ~jobs ~scenario ~variants ()
   in
   match out with
   | None -> print_string text
@@ -423,41 +385,7 @@ let report seed jobs csv scenario variants tail out =
     Out_channel.with_open_bin path (fun oc -> output_string oc text);
     Printf.printf "report written to %s\n" path
 
-let demo seed jobs =
-  let jobs = max 1 jobs in
-  print_endline "Demo: TCP-PR vs TCP-SACK, single shared 15 Mb/s bottleneck";
-  let result =
-    Experiments.Runner.dumbbell_fairness ~seed ~warmup:10. ~window:30.
-      ~specs:
-        [ { Experiments.Runner.label = "TCP-PR";
-            sender = (module Core.Tcp_pr);
-            count = 1 };
-          { Experiments.Runner.label = "TCP-SACK";
-            sender = (module Tcp.Sack);
-            count = 1 } ]
-      ()
-  in
-  List.iter
-    (fun (label, mbps) -> Printf.printf "  %-10s %6.2f Mb/s\n" label mbps)
-    result.Experiments.Runner.throughputs;
-  print_endline "\nDemo: the same pair under full multi-path routing (eps = 0)";
-  Experiments.Runner.parallel_map ~jobs
-    (fun (label, sender) ->
-      ( label,
-        Experiments.Runner.multipath_throughput ~seed ~duration:30. ~epsilon:0.
-          ~sender () ))
-    [ Experiments.Variants.tcp_pr; Experiments.Variants.tcp_sack ]
-  |> List.iter (fun (label, mbps) ->
-         Printf.printf "  %-10s %6.2f Mb/s\n" label mbps)
-
-let scale seed csv flows_list duration variant =
-  let sender =
-    match Experiments.Variants.find variant with
-    | Some v -> v
-    | None ->
-      Printf.eprintf "unknown variant %S\n" variant;
-      exit 2
-  in
+let scale seed csv flows_list duration sender =
   let table =
     Stats.Table.create
       ~columns:
@@ -484,8 +412,7 @@ let scale seed csv flows_list duration variant =
   List.iter run_one flows_list;
   render ~csv table
 
-let cmd_of name ~doc term =
-  Cmd.v (Cmd.info name ~doc) term
+let cmd_of name ~doc term = Cmd.v (Cmd.info name ~doc) term
 
 let fig2_cmd =
   cmd_of "fig2" ~doc:"Reproduce Fig. 2 (fairness vs number of flows)."
@@ -503,7 +430,7 @@ let fig4_cmd =
   let flows =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "flows" ] ~docv:"N" ~doc:"Flows per protocol (paper: 32).")
   in
   cmd_of "fig4" ~doc:"Reproduce Fig. 4 (alpha/beta parameter grid)."
@@ -524,7 +451,7 @@ let fig6_cmd =
 
 let flaps_cmd =
   cmd_of "flaps" ~doc:"Route-flap reordering scenario (extension)."
-    Term.(const flaps $ seed_term $ quick_term $ jobs_term)
+    Term.(const flaps $ quick_term $ jobs_term)
 
 let jitter_cmd =
   cmd_of "jitter" ~doc:"Delay-jitter reordering sweep (extension)."
@@ -535,12 +462,12 @@ let hoststack_cmd =
     ~doc:
       "Host-stack realism sweep: finite receive buffer, rwnd autotuning, \
        GRO coalescing (extension)."
-    Term.(const hoststack $ seed_term $ quick_term $ jobs_term)
+    Term.(const hoststack $ quick_term $ jobs_term)
 
 let adversary_cmd =
   let target =
     Arg.(
-      value & opt float 0.05
+      value & opt fraction 0.05
       & info [ "target" ] ~docv:"DENSITY"
           ~doc:
             "Target measured reordering density (late arrivals / arrivals) \
@@ -548,17 +475,12 @@ let adversary_cmd =
   in
   let tolerance =
     Arg.(
-      value & opt float 0.1
+      value
+      & opt (checked float (fun x -> x >= 0.) "non-negative") 0.1
       & info [ "tolerance" ] ~docv:"FRACTION"
           ~doc:
             "Relative tolerance on the final held density; exit 1 if any \
              variant misses it.")
-  in
-  let variants =
-    Arg.(
-      value & opt_all string []
-      & info [ "variant" ] ~docv:"NAME"
-          ~doc:"Restrict to this sender variant (repeatable; default all).")
   in
   cmd_of "adversary"
     ~doc:
@@ -567,7 +489,9 @@ let adversary_cmd =
        (extension)."
     Term.(
       const adversary $ seed_term $ quick_term $ jobs_term $ target
-      $ tolerance $ variants)
+      $ tolerance
+      $ variants_term
+          ~doc:"Restrict to this sender variant (repeatable; default all).")
 
 let manet_cmd =
   cmd_of "manet" ~doc:"Mobile ad-hoc network scenario (paper future work)."
@@ -577,7 +501,15 @@ let ablate_cmd =
   let which =
     Arg.(
       value
-      & pos 0 string "all"
+      & pos 0
+          (enum
+             [ ("newton", [ Newton ]);
+               ("snapshot", [ Snapshot ]);
+               ("memorize", [ Memorize ]);
+               ("beta", [ Beta ]);
+               ("beta-fairness", [ Beta_fairness ]);
+               ("all", [ Newton; Snapshot; Memorize; Beta; Beta_fairness ]) ])
+          [ Newton; Snapshot; Memorize; Beta; Beta_fairness ]
       & info [] ~docv:"WHICH"
           ~doc:"newton | snapshot | memorize | beta | beta-fairness | all")
   in
@@ -587,17 +519,11 @@ let ablate_cmd =
 let check_cmd =
   let seeds =
     Arg.(
-      value & opt int 10
+      value & opt non_negative_int 10
       & info [ "seeds" ] ~docv:"N"
           ~doc:
             "Run $(docv) generated scenarios (seeds SEED..SEED+N-1); 0 skips \
              the differential harness.")
-  in
-  let variants =
-    Arg.(
-      value & opt_all string []
-      & info [ "variant" ] ~docv:"NAME"
-          ~doc:"Restrict to this sender variant (repeatable; default all).")
   in
   let golden =
     Arg.(
@@ -618,8 +544,10 @@ let check_cmd =
       "Conformance oracle: differential torture scenarios with invariant \
        monitors, plus golden-trace verification."
     Term.(
-      const check $ seed_term $ seeds $ jobs_term $ variants $ golden
-      $ write_golden)
+      const check $ seed_term $ seeds $ jobs_term
+      $ variants_term
+          ~doc:"Restrict to this sender variant (repeatable; default all)."
+      $ golden $ write_golden)
 
 let report_cmd =
   let scenario_conv =
@@ -640,17 +568,9 @@ let report_cmd =
       & info [ "scenario" ] ~docv:"NAME"
           ~doc:"Scenario: dumbbell, lattice or jitter-chain.")
   in
-  let variants =
-    Arg.(
-      value & opt_all string []
-      & info [ "variant" ] ~docv:"NAME"
-          ~doc:
-            "Report on this sender variant (repeatable; default TCP-PR and \
-             TCP-SACK).")
-  in
   let tail =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "tail" ] ~docv:"N"
           ~doc:"Also render the last $(docv) probe events per variant.")
   in
@@ -665,25 +585,30 @@ let report_cmd =
       "Metrics snapshot: run a fixed-seed scenario per variant and print \
        every registry metric (byte-identical for any --jobs)."
     Term.(
-      const report $ seed_term $ jobs_term $ csv_term $ scenario $ variants
+      const report $ seed_term $ jobs_term $ csv_term $ scenario
+      $ variants_term
+          ~doc:
+            "Report on this sender variant (repeatable; default TCP-PR and \
+             TCP-SACK)."
       $ tail $ out)
 
 let scale_cmd =
   let flows =
     Arg.(
       value
-      & opt_all int [ 1000; 5000; 10000 ]
+      & opt_all positive_int [ 1000; 5000; 10000 ]
       & info [ "flows" ] ~docv:"N"
           ~doc:"Concurrent flow slots (repeatable; default 1000 5000 10000).")
   in
   let duration =
     Arg.(
-      value & opt float 2.
+      value & opt positive_float 2.
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated seconds per run.")
   in
   let variant =
     Arg.(
-      value & opt string "TCP-PR"
+      value
+      & opt variant_conv Experiments.Variants.tcp_pr
       & info [ "variant" ] ~docv:"NAME" ~doc:"Sender variant (default TCP-PR).")
   in
   cmd_of "scale"
@@ -691,10 +616,6 @@ let scale_cmd =
       "Many-flow churn scenario: closed-loop transfers at 1k-10k concurrent \
        flows, reporting events/sec and timer ops/sec."
     Term.(const scale $ seed_term $ csv_term $ flows $ duration $ variant)
-
-let demo_cmd =
-  cmd_of "demo" ~doc:"Two-minute tour: fairness and reordering robustness."
-    Term.(const demo $ seed_term $ jobs_term)
 
 let () =
   let doc = "TCP-PR (ICDCS 2003) reproduction driver" in
@@ -704,4 +625,4 @@ let () =
        (Cmd.group info
           [ fig2_cmd; fig3_cmd; fig4_cmd; fig6_cmd; flaps_cmd; jitter_cmd;
             hoststack_cmd; adversary_cmd; manet_cmd; ablate_cmd; check_cmd;
-            report_cmd; scale_cmd; demo_cmd ]))
+            report_cmd; scale_cmd ]))

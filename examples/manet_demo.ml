@@ -13,9 +13,9 @@ let () =
   List.iter
     (fun (label, r) ->
       Printf.printf "%-10s %8.2f %12.0f %14d\n" label
-        r.Experiments.Manet_experiment.mbps
-        r.Experiments.Manet_experiment.retransmits
-        r.Experiments.Manet_experiment.spurious_duplicates)
+        r.Experiments.Runner.mbps
+        r.Experiments.Runner.retransmits
+        r.Experiments.Runner.spurious_duplicates)
     (Experiments.Manet_experiment.compare ~seed:1 ~duration:60. ());
   print_endline
     "\nRoute breaks here mostly *lose* packets (stale hops black-hole\n\

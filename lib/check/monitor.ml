@@ -328,7 +328,7 @@ let tcp_pr ~config =
   let alpha = config.Tcp.Config.pr_alpha in
   let beta = config.Tcp.Config.pr_beta in
   let max_rto = config.Tcp.Config.max_rto in
-  let min_mxrtt = config.Tcp.Config.pr_min_mxrtt in
+  let min_mxrtt = Core.Tcp_pr.min_mxrtt in
   let metric = Tcp.Probe.metric in
   let round x = int_of_float (Float.round x) in
   let check_envelope ~time ~flow (after : Tcp.Probe.sender_view) =
@@ -340,7 +340,7 @@ let tcp_pr ~config =
       report ~time ~flow "mxrtt=%.6f below beta*ewrtt=%.6f" mxrtt
         (beta *. ewrtt);
     if mxrtt < Float.min min_mxrtt max_rto -. eps then
-      report ~time ~flow "mxrtt=%.6f below pr_min_mxrtt=%.6f" mxrtt min_mxrtt
+      report ~time ~flow "mxrtt=%.6f below min_mxrtt=%.6f" mxrtt min_mxrtt
   in
   let settle ~time ~flow ~what state before after actions =
     let delta key = round (metric after key -. metric before key) in

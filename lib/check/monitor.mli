@@ -75,7 +75,7 @@ val rto_sanity : config:Tcp.Config.t -> t
       processing;
     - envelope soundness under the 2-iteration Newton approximation:
       [mxrtt >= beta * ewrtt] (up to the [max_rto] cap) and
-      [mxrtt >= pr_min_mxrtt];
+      [mxrtt >= Tcp_pr.min_mxrtt];
     - [ewrtt] decays by at most the factor [alpha] per acknowledgement
       (Newton from x = 1 over-approximates [alpha^(1/cwnd)] from above,
       so one sample can never shrink the envelope faster than [alpha]);

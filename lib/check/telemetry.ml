@@ -7,7 +7,8 @@
    into bare int-backed metrics and only the snapshot pays for hashing
    and name construction. *)
 
-let network ?(prefix = "net") registry net ~now =
+let network registry net ~now =
+  let prefix = "net" in
   let add_counter name v =
     Obs.Metrics.Counter.add (Obs.Registry.counter registry (prefix ^ name)) v
   in
@@ -75,7 +76,8 @@ let network ?(prefix = "net") registry net ~now =
     ~into:(Obs.Registry.gauge registry (prefix ^ ".pool.in_pool"))
     (Net.Packet_pool.in_pool_gauge pool)
 
-let engine ?(prefix = "engine") registry eng =
+let engine registry eng =
+  let prefix = "engine" in
   let add_counter name v =
     Obs.Metrics.Counter.add (Obs.Registry.counter registry (prefix ^ name)) v
   in
@@ -84,7 +86,8 @@ let engine ?(prefix = "engine") registry eng =
   add_counter ".timer.cancels" (Sim.Engine.timer_cancels eng);
   add_counter ".timer.fires" (Sim.Engine.timer_fires eng)
 
-let churn ?(prefix = "churn") registry w =
+let churn registry w =
+  let prefix = "churn" in
   let add_counter name v =
     Obs.Metrics.Counter.add (Obs.Registry.counter registry (prefix ^ name)) v
   in
@@ -104,7 +107,8 @@ let churn ?(prefix = "churn") registry w =
     ~into:(Obs.Registry.histogram registry (prefix ^ ".transfer.ms"))
     (Workload.Flow_churn.transfer_ms w)
 
-let connection ?(prefix = "conn") registry c =
+let connection registry c =
+  let prefix = "conn" in
   let set_counter name v =
     Obs.Metrics.Counter.add (Obs.Registry.counter registry (prefix ^ name)) v
   in
@@ -161,7 +165,8 @@ let connection ?(prefix = "conn") registry c =
       Obs.Registry.set_value registry (prefix ^ ".sender." ^ key) v)
     (Tcp.Connection.sender_metrics c)
 
-let reorder_sketch ?(prefix = "reorder_sketch") registry sk =
+let reorder_sketch registry sk =
+  let prefix = "reorder_sketch" in
   (* Rendered only when the detector both saw traffic and flagged
      something — an armed-but-quiet sketch leaves the report alone. *)
   if Obs.Reorder_sketch.detected sk > 0 then begin

@@ -9,43 +9,41 @@
     not depend on [--jobs]. *)
 
 (** [network registry net ~now] aggregates link, queue, node and pool
-    metrics of [net] under [prefix] (default ["net"]): transmission and
-    drop counters ([.tx.packets], [.tx.bytes], [.drops.queue],
-    [.drops.early], [.drops.loss], [.queue.enqueued], [.stranded]), the
-    merged queue-occupancy histogram ([.queue.occupancy]), link
+    metrics of [net] under ["net"]: transmission and drop counters
+    ([.tx.packets], [.tx.bytes], [.drops.queue], [.drops.early],
+    [.drops.loss], [.queue.enqueued], [.stranded]), the merged
+    queue-occupancy histogram ([.queue.occupancy]), link
     utilisations against horizon [now] ([.util.max], [.util.mean]) and
     packet-pool population ([.pool.created], [.pool.outstanding],
     [.pool.in_pool]). *)
-val network : ?prefix:string -> Obs.Registry.t -> Net.Network.t -> now:float -> unit
+val network : Obs.Registry.t -> Net.Network.t -> now:float -> unit
 
-(** [engine registry eng] lifts the scheduler's counters under [prefix]
-    (default ["engine"]): [.events], [.timer.arms], [.timer.cancels]
-    and [.timer.fires]. *)
-val engine : ?prefix:string -> Obs.Registry.t -> Sim.Engine.t -> unit
+(** [engine registry eng] lifts the scheduler's counters under
+    ["engine"]: [.events], [.timer.arms], [.timer.cancels] and
+    [.timer.fires]. *)
+val engine : Obs.Registry.t -> Sim.Engine.t -> unit
 
 (** [churn registry w] lifts a {!Workload.Flow_churn} workload's
-    counters under [prefix] (default ["churn"]): [.flows],
-    [.transfers.started], [.transfers.completed], [.segments],
-    [.bytes], the [.active] gauge and the [.transfer.segments] /
-    [.transfer.ms] histograms. *)
-val churn : ?prefix:string -> Obs.Registry.t -> Workload.Flow_churn.t -> unit
+    counters under ["churn"]: [.flows], [.transfers.started],
+    [.transfers.completed], [.segments], [.bytes], the [.active] gauge
+    and the [.transfer.segments] / [.transfer.ms] histograms. *)
+val churn : Obs.Registry.t -> Workload.Flow_churn.t -> unit
 
 (** [connection registry c] lifts one connection's counters under
-    [prefix] (default ["conn"]): [.sent], [.timer_fires],
-    [.delack_timeouts], [.received], [.duplicates], the receiver's
-    [.reorder_depth] histogram, and every sender diagnostic as
-    [.sender.<key>] (including [.sender.cwnd]). When the arrival
-    stream had late arrivals, the streaming RFC 4737 rows join them:
+    ["conn"]: [.sent], [.timer_fires], [.delack_timeouts], [.received],
+    [.duplicates], the receiver's [.reorder_depth] histogram, and
+    every sender diagnostic as [.sender.<key>] (including
+    [.sender.cwnd]). When the arrival stream had late arrivals, the
+    streaming RFC 4737 rows join them:
     [.reorder.arrivals], [.reorder.reordered], [.reorder.late_retx],
     [.reorder.extent_capped], [.reorder.density] and the
     [.reorder.extent] / [.reorder.late_offset] /
     [.reorder.n_reordering] histograms — reordering-free runs render
     byte-identically to before. *)
-val connection : ?prefix:string -> Obs.Registry.t -> Tcp.Connection.t -> unit
+val connection : Obs.Registry.t -> Tcp.Connection.t -> unit
 
 (** [reorder_sketch registry sk] lifts a data-plane reorder detector's
-    counters under [prefix] (default ["reorder_sketch"]): [.observed],
-    [.detected], [.memory_words]. Rendered only when the sketch
-    flagged at least one reordered arrival. *)
-val reorder_sketch :
-  ?prefix:string -> Obs.Registry.t -> Obs.Reorder_sketch.t -> unit
+    counters under ["reorder_sketch"]: [.observed], [.detected],
+    [.memory_words]. Rendered only when the sketch flagged at least one
+    reordered arrival. *)
+val reorder_sketch : Obs.Registry.t -> Obs.Reorder_sketch.t -> unit

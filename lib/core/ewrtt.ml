@@ -1,7 +1,6 @@
 type t = {
   alpha : float;
   beta : float;
-  iterations : int;
   (* Two-slot [floatarray]: slot 0 is the envelope ([on_sample] writes
      it once per ACK, and a [mutable float] field in this mixed record
      would box every write); slot 1 is the Newton iterate scratch ([ref]
@@ -10,12 +9,17 @@ type t = {
   mutable has_sample : bool;
 }
 
+(* The paper's Linux implementation runs two Newton iterations; the
+   envelope starts at 1 s until the first RTT sample replaces it. *)
+let newton_iterations = 2
+
+let initial_ewrtt = 1.0
+
 let create config =
   Tcp.Config.validate config;
   { alpha = config.Tcp.Config.pr_alpha;
     beta = config.Tcp.Config.pr_beta;
-    iterations = config.Tcp.Config.pr_newton_iterations;
-    ewrtt = Float.Array.make 2 config.Tcp.Config.pr_initial_ewrtt;
+    ewrtt = Float.Array.make 2 initial_ewrtt;
     has_sample = false }
 
 (* Newton's method on f(x) = x^cwnd - alpha, started at x = 1:
@@ -37,7 +41,7 @@ let decay_factor t ~cwnd =
   let cwnd = if cwnd > 1. then cwnd else 1. in
   let f = t.ewrtt in
   Float.Array.unsafe_set f 1 1.;
-  for _ = 1 to t.iterations do
+  for _ = 1 to newton_iterations do
     let x = Float.Array.unsafe_get f 1 in
     Float.Array.unsafe_set f 1
       ((((cwnd -. 1.) /. cwnd) *. x)
@@ -51,8 +55,8 @@ let on_sample t ~cwnd ~sample =
   assert (sample >= 0.);
   if not t.has_sample then begin
     (* Like Jacobson's srtt, the envelope starts from the first real
-       measurement; the configured initial value only covers the period
-       before any ACK has arrived. *)
+       measurement; the initial value only covers the period before
+       any ACK has arrived. *)
     t.has_sample <- true;
     Float.Array.unsafe_set t.ewrtt 0 sample
   end

@@ -19,7 +19,7 @@ type t
 val create : Tcp.Config.t -> t
 
 (** [decay_factor t ~cwnd] is the per-ACK decay [alpha^(1/cwnd)],
-    computed with the configured number of Newton iterations. *)
+    computed with two Newton iterations. *)
 val decay_factor : t -> cwnd:float -> float
 
 (** [exact_decay_factor t ~cwnd] computes [alpha^(1/cwnd)] via

@@ -4,6 +4,8 @@ let drop_timer_key = 0
 
 let backoff_timer_key = 1
 
+let min_mxrtt = 0.01
+
 type mode =
   | Slow_start
   | Cong_avoid
@@ -108,7 +110,7 @@ let create config =
   Tcp.Config.validate config;
   let fs = Float.Array.make fs_slots 0. in
   Float.Array.unsafe_set fs cwnd_ config.Tcp.Config.initial_cwnd;
-  Float.Array.unsafe_set fs ssthr_ config.Tcp.Config.initial_ssthresh;
+  Float.Array.unsafe_set fs ssthr_ Tcp.Config.initial_ssthresh;
   { config;
     envelope = Ewrtt.create config;
     mode = Slow_start;
@@ -207,8 +209,7 @@ let mxrtt t =
   if ov > 0. then ov
   else begin
     let e = Ewrtt.mxrtt t.envelope in
-    let m = t.config.Tcp.Config.pr_min_mxrtt in
-    if e > m then e else m
+    if e > min_mxrtt then e else min_mxrtt
   end
 
 let ewrtt t = Ewrtt.ewrtt t.envelope

@@ -39,6 +39,12 @@
 
 include Tcp.Sender.S
 
+(** Hard floor on the drop threshold, 10 ms (one classic kernel
+    jiffy): keeps a pathological parameterisation such as [beta = 1]
+    with a fast-decaying envelope from declaring a packet dropped in
+    the very instant it was sent. *)
+val min_mxrtt : float
+
 (** Current drop threshold [mxrtt], exposed for tests. *)
 val mxrtt : t -> float
 

@@ -1,5 +1,5 @@
-let newton_accuracy ?(alpha = 0.995) ?(iterations = [ 1; 2; 4 ])
-    ?(cwnds = [ 1.; 2.; 8.; 64.; 512. ]) () =
+let newton_accuracy () =
+  let alpha = Tcp.Config.default.Tcp.Config.pr_alpha in
   List.concat_map
     (fun n ->
       List.map
@@ -7,8 +7,8 @@ let newton_accuracy ?(alpha = 0.995) ?(iterations = [ 1; 2; 4 ])
           let approx = Core.Ewrtt.newton ~alpha ~cwnd ~iterations:n in
           let exact = exp (log alpha /. cwnd) in
           (n, cwnd, approx, exact, Float.abs (approx -. exact) /. exact))
-        cwnds)
-    iterations
+        [ 1.; 2.; 8.; 64.; 512. ])
+    [ 1; 2; 4 ]
 
 let multipath_pr ?seed ?duration ~config () =
   Runner.multipath_throughput ?seed ~warmup:5. ?duration ~epsilon:0.
@@ -62,16 +62,14 @@ let memorize_list ?seed ?duration ?(jobs = 1) () =
     (fun memorize -> (memorize, memorize_run ?seed ?duration ~memorize ()))
     [ true; false ]
 
-let beta_sweep ?seed ?duration ?(betas = [ 1.0; 1.5; 2.; 3.; 5.; 10. ])
-    ?(jobs = 1) () =
+let beta_sweep ?seed ?duration ?(jobs = 1) () =
   Runner.parallel_map ~jobs
     (fun beta ->
       let config = { Tcp.Config.default with Tcp.Config.pr_beta = beta } in
       (beta, multipath_pr ?seed ?duration ~config ()))
-    betas
+    [ 1.0; 1.5; 2.; 3.; 5.; 10. ]
 
-let beta_fairness ?seed ?(flows_per_protocol = 8)
-    ?(betas = [ 1.0; 2.; 3.; 5.; 10. ]) ?(jobs = 1) () =
+let beta_fairness ?seed ?(flows_per_protocol = 8) ?(jobs = 1) () =
   Runner.parallel_map ~jobs
     (fun beta ->
       let point =
@@ -79,4 +77,4 @@ let beta_fairness ?seed ?(flows_per_protocol = 8)
           ~alpha:Tcp.Config.default.Tcp.Config.pr_alpha ~beta ()
       in
       (beta, point.Fig4_param.mean_sack))
-    betas
+    [ 1.0; 2.; 3.; 5.; 10. ]

@@ -6,14 +6,10 @@
     the beta safety margin. *)
 
 (** Accuracy of the Newton approximation against
-    [exp (log alpha / cwnd)]: rows of
+    [exp (log alpha / cwnd)] at the default [alpha] (0.995), for 1, 2
+    and 4 iterations and cwnd 1, 2, 8, 64 and 512: rows of
     [(iterations, cwnd, approx, exact, relative error)]. *)
-val newton_accuracy :
-  ?alpha:float ->
-  ?iterations:int list ->
-  ?cwnds:float list ->
-  unit ->
-  (int * float * float * float * float) list
+val newton_accuracy : unit -> (int * float * float * float * float) list
 
 (** Throughput over the multi-path lattice (epsilon = 0) with and
     without the cwnd-at-send snapshot:
@@ -27,24 +23,19 @@ val snapshot_halving :
 val memorize_list :
   ?seed:int -> ?duration:float -> ?jobs:int -> unit -> (bool * float) list
 
-(** TCP-PR multi-path throughput (epsilon = 0) as beta varies:
-    [(beta, mbps)] rows. A beta near 1 misreads path-delay spread as
-    loss; large beta only slows detection of real drops. *)
+(** TCP-PR multi-path throughput (epsilon = 0) as beta varies over 1,
+    1.5, 2, 3, 5 and 10: [(beta, mbps)] rows. A beta near 1 misreads
+    path-delay spread as loss; large beta only slows detection of real
+    drops. *)
 val beta_sweep :
-  ?seed:int ->
-  ?duration:float ->
-  ?betas:float list ->
-  ?jobs:int ->
-  unit ->
-  (float * float) list
+  ?seed:int -> ?duration:float -> ?jobs:int -> unit -> (float * float) list
 
-(** Fairness cost of beta on the dumbbell: [(beta, mean normalized
-    TCP-SACK throughput)] — the paper's observation that SACK gains
-    only around beta = 1 and beta >= 10. *)
+(** Fairness cost of beta (1, 2, 3, 5, 10) on the dumbbell: [(beta,
+    mean normalized TCP-SACK throughput)] — the paper's observation
+    that SACK gains only around beta = 1 and beta >= 10. *)
 val beta_fairness :
   ?seed:int ->
   ?flows_per_protocol:int ->
-  ?betas:float list ->
   ?jobs:int ->
   unit ->
   (float * float) list

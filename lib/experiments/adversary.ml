@@ -63,7 +63,7 @@ type point = {
    controller: ~75 reordered events at the default 5% target, i.e.
    ~12% relative noise per epoch, which the Polyak average then
    divides down. *)
-let default_epoch_arrivals = 1500
+let epoch_arrivals = 1500
 
 (* Window-limited transfer (see the header): [max_cwnd] = 24 segments
    against a ~50 Mb/s, ~41 ms-RTT shortest path keeps utilisation under
@@ -80,8 +80,7 @@ let adversary_config =
 
 let lattice_bandwidth_bps = 50e6
 
-let run ?(seed = 1) ?(epoch_s = 3.) ?(max_epochs = 16)
-    ?(epoch_arrivals = default_epoch_arrivals) ?(hold_arrivals = 20_000)
+let run ?(seed = 1) ?(epoch_s = 3.) ?(max_epochs = 16) ?(hold_arrivals = 20_000)
     ?(target = 0.05) ?(tolerance = 0.1) ~variant ~sender () =
   let engine = Sim.Engine.create () in
   let topo =
@@ -190,13 +189,12 @@ let run ?(seed = 1) ?(epoch_s = 3.) ?(max_epochs = 16)
       && Float.abs (final_density -. target) <= tolerance *. target }
 
 let sweep ?(seed = 1) ?(epoch_s = 3.) ?(max_epochs = 16)
-    ?(epoch_arrivals = default_epoch_arrivals) ?(hold_arrivals = 20_000)
-    ?(target = 0.05) ?(tolerance = 0.1) ?(variants = Variants.all)
-    ?(jobs = 1) () =
+    ?(hold_arrivals = 20_000) ?(target = 0.05) ?(tolerance = 0.1)
+    ?(variants = Variants.all) ?(jobs = 1) () =
   Runner.parallel_map ~jobs
     (fun (variant, sender) ->
-      run ~seed ~epoch_s ~max_epochs ~epoch_arrivals ~hold_arrivals ~target
-        ~tolerance ~variant ~sender ())
+      run ~seed ~epoch_s ~max_epochs ~hold_arrivals ~target ~tolerance ~variant
+        ~sender ())
     variants
 
 let all_held points = List.for_all (fun p -> p.held) points

@@ -8,9 +8,9 @@
     An epoch is a minimum-arrival span: the run advances in [epoch_s]
     time slices and the {!Workload.Adversary} controller is fed (and
     the live epsilon-routing samplers retuned in place) only once the
-    span has accumulated [epoch_arrivals] arrivals, so every variant's
-    epochs carry equally meaningful density estimates regardless of
-    how fast its congestion control lets it deliver.
+    span has accumulated 1500 arrivals, so every variant's epochs
+    carry equally meaningful density estimates regardless of how fast
+    its congestion control lets it deliver.
     The verdict comes from a hold phase: the dial freezes at the
     Polyak average of the last conclusive dials and density is
     measured over one span of at least [hold_arrivals] arrivals. *)
@@ -37,7 +37,6 @@ val run :
   ?seed:int ->
   ?epoch_s:float ->
   ?max_epochs:int ->
-  ?epoch_arrivals:int ->
   ?hold_arrivals:int ->
   ?target:float ->
   ?tolerance:float ->
@@ -53,7 +52,6 @@ val sweep :
   ?seed:int ->
   ?epoch_s:float ->
   ?max_epochs:int ->
-  ?epoch_arrivals:int ->
   ?hold_arrivals:int ->
   ?target:float ->
   ?tolerance:float ->

@@ -28,13 +28,12 @@ let fairness_specs ~flows_per_protocol : Runner.flow_spec list =
       sender = sack_module;
       count = flows_per_protocol } ]
 
-let run ?seed ?config ?warmup ?window topology ~flows_per_protocol () =
+let run ?seed ?warmup ?window topology ~flows_per_protocol () =
   let specs = fairness_specs ~flows_per_protocol in
   let result =
     match topology with
-    | Dumbbell -> Runner.dumbbell_fairness ?seed ?config ?warmup ?window ~specs ()
-    | Parking_lot ->
-      Runner.parking_lot_fairness ?seed ?config ?warmup ?window ~specs ()
+    | Dumbbell -> Runner.dumbbell_fairness ?seed ?warmup ?window ~specs ()
+    | Parking_lot -> Runner.parking_lot_fairness ?seed ?warmup ?window ~specs ()
   in
   let all = Runner.all_throughputs result in
   let normalize label =
@@ -51,11 +50,11 @@ let run ?seed ?config ?warmup ?window topology ~flows_per_protocol () =
     mean_pr = mean pr_normalized;
     mean_sack = mean sack_normalized }
 
-let series ?seed ?config ?warmup ?window ?(counts = [ 1; 2; 4; 8; 16; 32 ])
-    ?(jobs = 1) topology () =
+let series ?seed ?warmup ?window ?(counts = [ 1; 2; 4; 8; 16; 32 ]) ?(jobs = 1)
+    topology () =
   Runner.parallel_map ~jobs
     (fun flows_per_protocol ->
-      run ?seed ?config ?warmup ?window topology ~flows_per_protocol ())
+      run ?seed ?warmup ?window topology ~flows_per_protocol ())
     counts
 
 let to_table points =

@@ -24,7 +24,6 @@ type point = {
 (** [run topology ~flows_per_protocol ()] produces one x-axis point. *)
 val run :
   ?seed:int ->
-  ?config:Tcp.Config.t ->
   ?warmup:float ->
   ?window:float ->
   topology ->
@@ -38,7 +37,6 @@ val run :
     the result is identical to the sequential default. *)
 val series :
   ?seed:int ->
-  ?config:Tcp.Config.t ->
   ?warmup:float ->
   ?window:float ->
   ?counts:int list ->

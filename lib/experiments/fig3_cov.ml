@@ -8,7 +8,7 @@ type point = {
   mean_sack : float;
 }
 
-let run ?seed ?config ?warmup ?window ?(flows_per_protocol = 8) topology
+let run ?seed ?warmup ?window ?(flows_per_protocol = 8) topology
     ~bandwidth_scale () =
   let specs =
     [ { Runner.label = "TCP-PR";
@@ -21,11 +21,11 @@ let run ?seed ?config ?warmup ?window ?(flows_per_protocol = 8) topology
   let result =
     match topology with
     | Fig2_fairness.Dumbbell ->
-      Runner.dumbbell_fairness ?seed ?config ?warmup ?window
+      Runner.dumbbell_fairness ?seed ?warmup ?window
         ~bottleneck_bandwidth_bps:(15e6 *. bandwidth_scale) ~specs ()
     | Fig2_fairness.Parking_lot ->
-      Runner.parking_lot_fairness ?seed ?config ?warmup ?window
-        ~bandwidth_scale ~specs ()
+      Runner.parking_lot_fairness ?seed ?warmup ?window ~bandwidth_scale
+        ~specs ()
   in
   let all = Runner.all_throughputs result in
   let pr = Runner.group result ~label:"TCP-PR" in
@@ -38,12 +38,12 @@ let run ?seed ?config ?warmup ?window ?(flows_per_protocol = 8) topology
     mean_pr = Stats.Fairness.mean_normalized ~group:pr ~all;
     mean_sack = Stats.Fairness.mean_normalized ~group:sack ~all }
 
-let series ?seed ?config ?warmup ?window ?flows_per_protocol
+let series ?seed ?warmup ?window ?flows_per_protocol
     ?(scales = [ 1.0; 0.7; 0.5; 0.35; 0.25 ]) ?(jobs = 1) topology () =
   Runner.parallel_map ~jobs
     (fun bandwidth_scale ->
-      run ?seed ?config ?warmup ?window ?flows_per_protocol topology
-        ~bandwidth_scale ())
+      run ?seed ?warmup ?window ?flows_per_protocol topology ~bandwidth_scale
+        ())
     scales
 
 let to_table points =

@@ -20,7 +20,6 @@ type point = {
     [flows_per_protocol] flows of each protocol (default 8). *)
 val run :
   ?seed:int ->
-  ?config:Tcp.Config.t ->
   ?warmup:float ->
   ?window:float ->
   ?flows_per_protocol:int ->
@@ -35,7 +34,6 @@ val run :
     the result. *)
 val series :
   ?seed:int ->
-  ?config:Tcp.Config.t ->
   ?warmup:float ->
   ?window:float ->
   ?flows_per_protocol:int ->

@@ -6,8 +6,7 @@ type point = {
 }
 
 let grid ?seed ?(warmup = 0.) ?(duration = 60.) ?(epsilons = [ 0.; 1.; 4.; 10.; 500. ])
-    ?(delays = [ 0.010; 0.060 ]) ?(variants = Variants.fig6) ?config
-    ?(jobs = 1) () =
+    ?(delays = [ 0.010; 0.060 ]) ?(variants = Variants.fig6) ?(jobs = 1) () =
   let cells =
     List.concat_map
       (fun delay_s ->
@@ -21,8 +20,8 @@ let grid ?seed ?(warmup = 0.) ?(duration = 60.) ?(epsilons = [ 0.; 1.; 4.; 10.; 
   Runner.parallel_map ~jobs
     (fun (delay_s, variant, sender, epsilon) ->
       let mbps =
-        Runner.multipath_throughput ?seed ~delay_s ?config ~warmup ~duration
-          ~epsilon ~sender ()
+        Runner.multipath_throughput ?seed ~delay_s ~warmup ~duration ~epsilon
+          ~sender ()
       in
       { variant; epsilon; delay_s; mbps })
     cells

@@ -24,7 +24,6 @@ val grid :
   ?epsilons:float list ->
   ?delays:float list ->
   ?variants:Variants.t list ->
-  ?config:Tcp.Config.t ->
   ?jobs:int ->
   unit ->
   point list

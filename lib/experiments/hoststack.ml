@@ -10,23 +10,23 @@ type point = {
 }
 
 (* One bounded transfer over the Fig. 2 dumbbell with the host-stack
-   layer on: a finite (optionally autotuned) receive buffer, a paced
-   application reader, and GRO coalescing on the sink's ingress links.
-   The application rate is the independent variable: as it drops below
-   the path rate the buffer fills, the advertised window — not cwnd —
+   layer on: a 16-segment receive buffer autotuned up to 24 segments, a
+   paced application reader ([app_rate <= 0.] = instant), and GRO
+   coalescing (1 ms / 4 segments) on the sink's ingress links. The
+   application rate is the independent variable: as it drops below the
+   path rate the buffer fills, the advertised window — not cwnd —
    becomes the binding constraint, and the run exercises zero-window
    persistence and reopening. *)
-let run ?(total_segments = 80) ?(rcv_buf = 16) ?(max_buf = 24)
-    ?(autotune = true) ?(coalesce = Some (0.001, 4)) ~app_rate ~sender () =
+let run ~total_segments ~app_rate ~sender =
   let config =
     { Tcp.Config.default with
       Tcp.Config.total_segments = Some total_segments;
       min_rto = 0.2;
       initial_rto = 1.;
       max_rto = 16.;
-      rcv_buf_segments = Some rcv_buf;
-      rcv_buf_max_segments = max max_buf rcv_buf;
-      rcv_autotune = autotune;
+      rcv_buf_segments = Some 16;
+      rcv_buf_max_segments = 24;
+      rcv_autotune = true;
       rcv_app_rate = (if app_rate > 0. then Some app_rate else None) }
   in
   let engine = Sim.Engine.create () in
@@ -35,15 +35,12 @@ let run ?(total_segments = 80) ?(rcv_buf = 16) ?(max_buf = 24)
       ~queue_capacity:10 ()
   in
   let network = topo.Topo.Dumbbell.network in
-  (match coalesce with
-  | Some (timer_s, max_burst) ->
-    let sink = Net.Node.id topo.Topo.Dumbbell.sinks.(0) in
-    List.iter
-      (fun link ->
-        if Net.Link.dst link = sink then
-          Net.Link.set_coalescing link ~timer_s ~max_burst)
-      (Net.Network.links network)
-  | None -> ());
+  let sink = Net.Node.id topo.Topo.Dumbbell.sinks.(0) in
+  List.iter
+    (fun link ->
+      if Net.Link.dst link = sink then
+        Net.Link.set_coalescing link ~timer_s:0.001 ~max_burst:4)
+    (Net.Network.links network);
   let connection =
     Tcp.Connection.create network ~flow:0
       ~src:topo.Topo.Dumbbell.sources.(0)
@@ -57,15 +54,14 @@ let run ?(total_segments = 80) ?(rcv_buf = 16) ?(max_buf = 24)
   Sim.Engine.run engine ~until:600.;
   connection
 
-let default_variants =
+let variants =
   [ Variants.tcp_pr;
     Variants.tcp_sack;
     ("NewReno", (module Tcp.Newreno : Tcp.Sender.S)) ]
 
-let default_rates = [ 0.; 120.; 60.; 30.; 10. ]
+let rates = [ 0.; 120.; 60.; 30.; 10. ]
 
-let sweep ?(total_segments = 80) ?(rcv_buf = 16)
-    ?(variants = default_variants) ?(rates = default_rates) ?(jobs = 1) () =
+let sweep ?(total_segments = 80) ?(jobs = 1) () =
   let cells =
     List.concat_map
       (fun (variant, sender) ->
@@ -74,7 +70,7 @@ let sweep ?(total_segments = 80) ?(rcv_buf = 16)
   in
   Runner.parallel_map ~jobs
     (fun (variant, sender, app_rate) ->
-      let c = run ~total_segments ~rcv_buf ~app_rate ~sender () in
+      let c = run ~total_segments ~app_rate ~sender in
       { variant;
         app_rate;
         completion_s =

@@ -1,12 +1,12 @@
-(** Host-stack buffer-pressure scenario (extension, PR9).
+(** Host-stack buffer-pressure scenario (extension).
 
     One bounded transfer over the Fig. 2 dumbbell with the host-stack
-    realism layer enabled: a finite receive socket buffer (DRS
-    autotuning on by default), a paced application reader, and GRO
-    coalescing on the sink's ingress links. Sweeping the application
-    read rate below the path rate moves the binding constraint from the
-    congestion window to the advertised window and exercises
-    zero-window persistence and window-reopen announcements. *)
+    realism layer enabled: a finite receive socket buffer with DRS
+    autotuning, a paced application reader, and GRO coalescing on the
+    sink's ingress links. Sweeping the application read rate below the
+    path rate moves the binding constraint from the congestion window
+    to the advertised window and exercises zero-window persistence and
+    window-reopen announcements. *)
 
 type point = {
   variant : string;
@@ -19,33 +19,12 @@ type point = {
   retransmissions : int;
 }
 
-(** [run ~app_rate ~sender ()] executes one transfer and returns the
-    finished connection for inspection. [app_rate <= 0.] selects the
-    instant reader. [coalesce = Some (timer_s, max_burst)] (default
-    1 ms / 4) puts GRO on the sink's ingress links. *)
-val run :
-  ?total_segments:int ->
-  ?rcv_buf:int ->
-  ?max_buf:int ->
-  ?autotune:bool ->
-  ?coalesce:(float * int) option ->
-  app_rate:float ->
-  sender:(module Tcp.Sender.S) ->
-  unit ->
-  Tcp.Connection.t
-
-val default_variants : Variants.t list
-
-val default_rates : float list
-
-val sweep :
-  ?total_segments:int ->
-  ?rcv_buf:int ->
-  ?variants:Variants.t list ->
-  ?rates:float list ->
-  ?jobs:int ->
-  unit ->
-  point list
+(** [sweep ()] runs one transfer of [total_segments] (default 80) per
+    variant (TCP-PR, TCP-SACK, NewReno) and application read rate (an
+    instant reader, then 120, 60, 30 and 10 segments/s), each with a
+    16-segment receive buffer autotuned up to 24 segments and GRO
+    coalescing (1 ms / 4 segments) on the sink's ingress links. *)
+val sweep : ?total_segments:int -> ?jobs:int -> unit -> point list
 
 (** Completion time (s) per variant and application rate. *)
 val to_table : point list -> Stats.Table.t

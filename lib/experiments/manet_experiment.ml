@@ -1,11 +1,8 @@
-type result = {
-  mbps : float;
-  retransmits : float;
-  spurious_duplicates : int;
-}
+let nodes = 12
 
-let run ?(seed = 1) ?(nodes = 12) ?(speed = 8.) ?(duration = 60.)
-    ?(config = Tcp.Config.default) ~sender () =
+let speed = 8.
+
+let run ?(seed = 1) ?(duration = 60.) ~sender () =
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create seed in
   let width = 300. and height = 300. and range = 120. in
@@ -23,30 +20,22 @@ let run ?(seed = 1) ?(nodes = 12) ?(speed = 8.) ?(duration = 60.)
   let connection =
     Tcp.Connection.create (Manet.Adhoc.network adhoc) ~flow:0
       ~src:(Manet.Adhoc.node adhoc src) ~dst:(Manet.Adhoc.node adhoc dst)
-      ~sender ~config
+      ~sender ~config:Tcp.Config.default
       ~route_data:(Manet.Adhoc.route_fn adhoc ~src ~dst)
       ~route_ack:(Manet.Adhoc.route_fn adhoc ~src:dst ~dst:src)
       ()
   in
   Tcp.Connection.start connection ~at:0.;
   Sim.Engine.run engine ~until:duration;
-  { mbps =
-      Stats.Throughput.mbps
-        ~bytes:(Tcp.Connection.received_bytes connection)
-        ~seconds:duration;
-    retransmits =
-      List.assoc "retransmits" (Tcp.Connection.sender_metrics connection);
-    spurious_duplicates = Tcp.Connection.receiver_duplicates connection }
+  Runner.flow_result connection ~duration
 
-let default_variants =
+let variants =
   [ Variants.tcp_pr;
     Variants.tcp_sack;
     ("TCP-DOOR", (module Tcp.Tcp_door : Tcp.Sender.S));
     ("RACK", (module Tcp.Rack : Tcp.Sender.S)) ]
 
-let compare ?seed ?nodes ?speed ?duration ?(variants = default_variants)
-    ?(jobs = 1) () =
+let compare ?seed ?duration ?(jobs = 1) () =
   Runner.parallel_map ~jobs
-    (fun (label, sender) ->
-      (label, run ?seed ?nodes ?speed ?duration ~sender ()))
+    (fun (label, sender) -> (label, run ?seed ?duration ~sender ()))
     variants

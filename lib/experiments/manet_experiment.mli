@@ -1,42 +1,27 @@
 (** MANET scenario — the paper's future-work environment.
 
-    Source and destination radios are pinned at opposite ends of the
-    plane, farther apart than one radio hop, so every packet relays
-    through mobile intermediate nodes. Node movement changes the
-    relaying path every few seconds: packets in flight on the old path
-    are reordered against the new one, and a stale hop occasionally
-    black-holes a burst — the MANET conditions of Holland–Vaidya and
-    Wang–Zhang. *)
-
-type result = {
-  mbps : float;
-  retransmits : float;
-  spurious_duplicates : int;
-}
+    Twelve radios: source and destination pinned at opposite ends of
+    the plane, farther apart than one radio hop, so every packet relays
+    through the ten mobile nodes between them (speeds up to 8 units/s).
+    Node movement changes the relaying path every few seconds: packets
+    in flight on the old path are reordered against the new one, and a
+    stale hop occasionally black-holes a burst — the MANET conditions
+    of Holland–Vaidya and Wang–Zhang. *)
 
 (** [run ~sender ()] measures one flow.
-    @param nodes radios including the two pinned endpoints
-    (default 12).
-    @param speed mobile-node speed upper bound, units/s (default 8).
     @param duration simulated seconds (default 60). *)
 val run :
   ?seed:int ->
-  ?nodes:int ->
-  ?speed:float ->
   ?duration:float ->
-  ?config:Tcp.Config.t ->
   sender:(module Tcp.Sender.S) ->
   unit ->
-  result
+  Runner.flow_result
 
-(** [compare ()] runs the given variants (default TCP-PR, TCP-SACK,
-    TCP-DOOR, RACK — the MANET-relevant set). *)
+(** [compare ()] runs TCP-PR, TCP-SACK, TCP-DOOR and RACK (the
+    MANET-relevant set). *)
 val compare :
   ?seed:int ->
-  ?nodes:int ->
-  ?speed:float ->
   ?duration:float ->
-  ?variants:Variants.t list ->
   ?jobs:int ->
   unit ->
-  (string * result) list
+  (string * Runner.flow_result) list

@@ -1,14 +1,10 @@
-type result = {
-  mbps : float;
-  retransmits : float;
-  spurious_duplicates : int;
-}
+let fast_delay = 0.005
 
-let run ?(seed = 1) ?(fast_delay = 0.005) ?(slow_delay = 0.040)
-    ?(flap_interval = 1.) ?(duration = 60.) ?(config = Tcp.Config.default)
-    ~sender () =
-  ignore seed;
-  if flap_interval <= 0. then invalid_arg "Route_flap.run: bad interval";
+let slow_delay = 0.040
+
+let flap_interval = 1.
+
+let run ?(duration = 60.) ~sender () =
   let engine = Sim.Engine.create () in
   let network = Net.Network.create engine in
   let source = Net.Network.add_node network in
@@ -39,28 +35,20 @@ let run ?(seed = 1) ?(fast_delay = 0.005) ?(slow_delay = 0.040)
   let route_data () = if fast_active () then data_fast else data_slow in
   let route_ack () = if fast_active () then ack_fast else ack_slow in
   let connection =
-    Tcp.Connection.create network ~flow:0 ~src:source ~dst:sink ~sender ~config
-      ~route_data ~route_ack ()
+    Tcp.Connection.create network ~flow:0 ~src:source ~dst:sink ~sender
+      ~config:Tcp.Config.default ~route_data ~route_ack ()
   in
   Tcp.Connection.start connection ~at:0.;
   Sim.Engine.run engine ~until:duration;
-  { mbps =
-      Stats.Throughput.mbps
-        ~bytes:(Tcp.Connection.received_bytes connection)
-        ~seconds:duration;
-    retransmits =
-      List.assoc "retransmits" (Tcp.Connection.sender_metrics connection);
-    spurious_duplicates = Tcp.Connection.receiver_duplicates connection }
+  Runner.flow_result connection ~duration
 
-let default_variants =
+let variants =
   [ Variants.tcp_pr;
     Variants.tcp_sack;
     ("TD-FR", (module Tcp.Td_fr : Tcp.Sender.S));
     ("RACK", (module Tcp.Rack : Tcp.Sender.S)) ]
 
-let compare ?seed ?flap_interval ?duration ?(variants = default_variants)
-    ?(jobs = 1) () =
+let compare ?duration ?(jobs = 1) () =
   Runner.parallel_map ~jobs
-    (fun (label, sender) ->
-      (label, run ?seed ?flap_interval ?duration ~sender ()))
+    (fun (label, sender) -> (label, run ?duration ~sender ()))
     variants

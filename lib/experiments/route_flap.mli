@@ -5,39 +5,16 @@
 
     Unlike the Fig. 6 lattice, where every packet samples a path
     independently, here *all* traffic follows one route at a time and
-    the route flips between a fast and a slow path every
-    [flap_interval] seconds. Each flap from slow to fast reorders the
-    packets in flight. *)
-
-type result = {
-  mbps : float;
-  retransmits : float;
-  spurious_duplicates : int;  (** duplicate arrivals at the sink *)
-}
+    the route flips between a fast path (5 ms links) and a slow one
+    (40 ms links) once per second. Each flap from slow to fast reorders
+    the packets in flight. No randomness is involved. *)
 
 (** [run ~sender ()] measures one flow under flapping routes.
-    @param fast_delay per-link delay of the fast path (default 5 ms).
-    @param slow_delay per-link delay of the slow path (default 40 ms).
-    @param flap_interval route residence time (default 1 s).
     @param duration simulated seconds (default 60). *)
 val run :
-  ?seed:int ->
-  ?fast_delay:float ->
-  ?slow_delay:float ->
-  ?flap_interval:float ->
-  ?duration:float ->
-  ?config:Tcp.Config.t ->
-  sender:(module Tcp.Sender.S) ->
-  unit ->
-  result
+  ?duration:float -> sender:(module Tcp.Sender.S) -> unit -> Runner.flow_result
 
-(** [compare ()] runs the given variants (default: TCP-PR, TCP-SACK,
-    TD-FR, RACK) and returns labelled results. *)
+(** [compare ()] runs TCP-PR, TCP-SACK, TD-FR and RACK and returns
+    labelled results. *)
 val compare :
-  ?seed:int ->
-  ?flap_interval:float ->
-  ?duration:float ->
-  ?variants:Variants.t list ->
-  ?jobs:int ->
-  unit ->
-  (string * result) list
+  ?duration:float -> ?jobs:int -> unit -> (string * Runner.flow_result) list

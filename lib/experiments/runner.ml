@@ -20,6 +20,21 @@ let group result ~label =
 
 let all_throughputs result = List.map snd result.throughputs
 
+type flow_result = {
+  mbps : float;
+  retransmits : float;
+  spurious_duplicates : int;
+}
+
+let flow_result connection ~duration =
+  { mbps =
+      Stats.Throughput.mbps
+        ~bytes:(Tcp.Connection.received_bytes connection)
+        ~seconds:duration;
+    retransmits =
+      List.assoc "retransmits" (Tcp.Connection.sender_metrics connection);
+    spurious_duplicates = Tcp.Connection.receiver_duplicates connection }
+
 (* Fraction of data-sized packets lost to queue overflow anywhere in the
    network, over the whole run. *)
 let measure_loss_rate network =
@@ -71,8 +86,7 @@ let dumbbell_fairness ?(seed = 1) ?(bottleneck_bandwidth_bps = 15e6)
   { throughputs; loss_rate = measure_loss_rate network }
 
 let parking_lot_fairness ?(seed = 1) ?(bandwidth_scale = 1.)
-    ?(config = Tcp.Config.default) ?(warmup = 40.) ?(window = 60.)
-    ?(cross_flows_per_pair = 1) ~specs () =
+    ?(config = Tcp.Config.default) ?(warmup = 40.) ?(window = 60.) ~specs () =
   let engine = Sim.Engine.create () in
   let lot = Topo.Parking_lot.create engine ~bandwidth_scale () in
   let network = lot.Topo.Parking_lot.network in
@@ -87,7 +101,7 @@ let parking_lot_fairness ?(seed = 1) ?(bandwidth_scale = 1.)
       ~start_window:5.
   in
   let _cross =
-    Workload.Cross_traffic.spawn lot ~flows_per_pair:cross_flows_per_pair
+    Workload.Cross_traffic.spawn lot ~flows_per_pair:1
       ~first_flow:!next_flow ~config
       ~start_rng:(Sim.Rng.split rng "cross-starts")
       ~start_window:5. ()
@@ -97,11 +111,10 @@ let parking_lot_fairness ?(seed = 1) ?(bandwidth_scale = 1.)
 
 (* Several flows over the same lattice, every packet epsilon-routed
    independently per flow. *)
-let multipath_fairness ?(seed = 1) ?(delay_s = 0.010) ?path_hops
-    ?(config = Tcp.Config.default) ?(warmup = 20.) ?(duration = 80.) ~epsilon
+let multipath_fairness ?(seed = 1) ?(warmup = 20.) ?(duration = 80.) ~epsilon
     ~specs () =
   let engine = Sim.Engine.create () in
-  let lattice = Topo.Multipath_lattice.create engine ?path_hops ~delay_s () in
+  let lattice = Topo.Multipath_lattice.create engine ~delay_s:0.010 () in
   let network = lattice.Topo.Multipath_lattice.network in
   let rng = Sim.Rng.create seed in
   let next_flow = ref 0 in
@@ -122,7 +135,7 @@ let multipath_fairness ?(seed = 1) ?(delay_s = 0.010) ?path_hops
           Tcp.Connection.create network ~flow
             ~src:lattice.Topo.Multipath_lattice.source
             ~dst:lattice.Topo.Multipath_lattice.destination ~sender:spec.sender
-            ~config
+            ~config:Tcp.Config.default
             ~route_data:(fun () ->
               Multipath.Epsilon_routing.route forward
                 lattice.Topo.Multipath_lattice.forward_routes)
@@ -139,11 +152,11 @@ let multipath_fairness ?(seed = 1) ?(delay_s = 0.010) ?path_hops
   let throughputs = measure_window engine flows ~warmup ~window:(duration -. warmup) in
   { throughputs; loss_rate = measure_loss_rate network }
 
-let multipath_throughput ?(seed = 1) ?(delay_s = 0.010) ?path_hops
+let multipath_throughput ?(seed = 1) ?(delay_s = 0.010)
     ?(config = Tcp.Config.default) ?(warmup = 0.) ?(duration = 60.) ~epsilon
     ~sender () =
   let engine = Sim.Engine.create () in
-  let lattice = Topo.Multipath_lattice.create engine ?path_hops ~delay_s () in
+  let lattice = Topo.Multipath_lattice.create engine ~delay_s () in
   let network = lattice.Topo.Multipath_lattice.network in
   let rng = Sim.Rng.create seed in
   let forward =

@@ -36,6 +36,18 @@ val group : fairness_result -> label:string -> float list
 (** [all_throughputs result] lists every main flow's throughput. *)
 val all_throughputs : fairness_result -> float list
 
+(** One flow's outcome in the single-flow scenarios ({!Route_flap},
+    {!Manet_experiment}). *)
+type flow_result = {
+  mbps : float;  (** goodput over the whole run *)
+  retransmits : float;
+  spurious_duplicates : int;  (** duplicate arrivals at the sink *)
+}
+
+(** [flow_result connection ~duration] reads a finished run of
+    [duration] simulated seconds. *)
+val flow_result : Tcp.Connection.t -> duration:float -> flow_result
+
 (** [dumbbell_fairness ~specs ()] runs competing flow batches over the
     dumbbell.
     @param seed deterministic root seed (default 1).
@@ -56,30 +68,25 @@ val dumbbell_fairness :
 
 (** [parking_lot_fairness ~specs ()] runs competing flow batches S -> D
     across the parking lot of Fig. 1, with long-lived TCP-SACK cross
-    traffic on the paper's six cross pairs.
+    traffic (one flow) on each of the paper's six cross pairs.
     @param bandwidth_scale scales every link bandwidth (Fig. 3's
-    loss-rate sweep).
-    @param cross_flows_per_pair default 1. *)
+    loss-rate sweep). *)
 val parking_lot_fairness :
   ?seed:int ->
   ?bandwidth_scale:float ->
   ?config:Tcp.Config.t ->
   ?warmup:float ->
   ?window:float ->
-  ?cross_flows_per_pair:int ->
   specs:flow_spec list ->
   unit ->
   fairness_result
 
 (** [multipath_fairness ~epsilon ~specs ()] runs competing flow batches
-    over the Fig. 5 lattice, every packet epsilon-routed independently:
-    fairness *under* persistent reordering (an extension; the paper
-    measures multi-path throughput for one flow at a time). *)
+    over the Fig. 5 lattice (10 ms links), every packet epsilon-routed
+    independently: fairness *under* persistent reordering (an extension;
+    the paper measures multi-path throughput for one flow at a time). *)
 val multipath_fairness :
   ?seed:int ->
-  ?delay_s:float ->
-  ?path_hops:int list ->
-  ?config:Tcp.Config.t ->
   ?warmup:float ->
   ?duration:float ->
   epsilon:float ->
@@ -98,7 +105,6 @@ val multipath_fairness :
 val multipath_throughput :
   ?seed:int ->
   ?delay_s:float ->
-  ?path_hops:int list ->
   ?config:Tcp.Config.t ->
   ?warmup:float ->
   ?duration:float ->

@@ -34,7 +34,7 @@ let default_churn ~flows ~duration =
     ramp_s = Float.min 1.0 (duration /. 4.) }
 
 let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
-    ?(config = default_config) ?churn ?(duration = 5.) ~flows () =
+    ?(duration = 5.) ~flows () =
   if flows < 1 then invalid_arg "Scale.run: flows must be >= 1";
   if not (duration > 0.) then
     invalid_arg "Scale.run: duration must be positive";
@@ -43,9 +43,8 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
   if not (Float.is_finite duration) then
     invalid_arg "Scale.run: duration must be finite";
   let _, sender_module = sender in
-  let churn =
-    match churn with Some c -> c | None -> default_churn ~flows ~duration
-  in
+  let config = default_config in
+  let churn = default_churn ~flows ~duration in
   let timer_granularity =
     if config.Tcp.Config.timer_granularity > 0. then
       config.Tcp.Config.timer_granularity
@@ -81,7 +80,7 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
     transfers_completed = Workload.Flow_churn.transfers_completed workload;
     segments_completed = segments;
     goodput_mbps =
-      float_of_int (segments * config.Tcp.Config.mss)
+      float_of_int (segments * Tcp.Config.mss)
       *. 8. /. duration /. 1e6;
     events_executed = Sim.Engine.events_executed engine;
     timer_arms = Sim.Engine.timer_arms engine;

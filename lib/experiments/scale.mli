@@ -28,22 +28,21 @@ type result = {
     delayed ACKs on. *)
 val default_config : Tcp.Config.t
 
-(** The churn used when none is supplied: 0.2 s mean think, 4..256
-    segment transfers, ramp capped at 1 s. *)
+(** The churn {!run} drives: 0.2 s mean think, 4..256 segment
+    transfers, ramp capped at 1 s. *)
 val default_churn : flows:int -> duration:float -> Workload.Flow_churn.config
 
 (** [run ~flows ()] builds the topology (32 host pairs, ~1 Mb/s of
     bottleneck per slot), spawns the churn workload and runs [duration]
-    simulated seconds (default 5). [sender] defaults to TCP-PR — the
-    all-timer protocol, the wheel's worst case. Raises
-    [Invalid_argument] when [flows < 1] or [duration] is not positive
-    and finite (NaN and [infinity] included: closed-loop churn never
-    drains, so an unbounded run would never return). *)
+    simulated seconds (default 5) with {!default_config} and
+    {!default_churn}. [sender] defaults to TCP-PR — the all-timer
+    protocol, the wheel's worst case. Raises [Invalid_argument] when
+    [flows < 1] or [duration] is not positive and finite (NaN and
+    [infinity] included: closed-loop churn never drains, so an
+    unbounded run would never return). *)
 val run :
   ?seed:int ->
   ?sender:Variants.t ->
-  ?config:Tcp.Config.t ->
-  ?churn:Workload.Flow_churn.config ->
   ?duration:float ->
   flows:int ->
   unit ->

@@ -6,7 +6,7 @@ type t = {
 }
 
 let create engine rng ~nodes ~width ~height ~range ~speed_range
-    ?(bandwidth_bps = 2e6) ?(delay_s = 0.003) ?(capacity = 50) () =
+    ?(bandwidth_bps = 2e6) ?(delay_s = 0.003) () =
   if nodes < 2 then invalid_arg "Adhoc.create: need at least two nodes";
   if range <= 0. then invalid_arg "Adhoc.create: bad range";
   let network = Net.Network.create engine in
@@ -27,7 +27,7 @@ let create engine rng ~nodes ~width ~height ~range ~speed_range
         in
         ignore
           (Net.Network.add_link network ~src:radios.(i) ~dst:radios.(j)
-             ~bandwidth_bps ~delay_s ~capacity ~loss ())
+             ~bandwidth_bps ~delay_s ~capacity:50 ~loss ())
       end
     done
   done;

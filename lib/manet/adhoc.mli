@@ -16,8 +16,7 @@ type t
 (** [create engine rng ~nodes ~width ~height ~range ~speed_range ()]
     builds the radios, mesh and mobility process.
     @param bandwidth_bps per link (default 2 Mb/s, early-802.11-like).
-    @param delay_s per hop (default 3 ms).
-    @param capacity per-link queue (default 50). *)
+    @param delay_s per hop (default 3 ms). *)
 val create :
   Sim.Engine.t ->
   Sim.Rng.t ->
@@ -28,7 +27,6 @@ val create :
   speed_range:float * float ->
   ?bandwidth_bps:float ->
   ?delay_s:float ->
-  ?capacity:int ->
   unit ->
   t
 

@@ -25,13 +25,8 @@ type t = {
   mutable detected : int;
 }
 
-let default_depth = 2
-
-let default_width = 512
-
-let create ?(depth = default_depth) ?(width = default_width) () =
-  if depth < 1 then invalid_arg "Reorder_sketch.create: depth must be >= 1";
-  if width < 1 then invalid_arg "Reorder_sketch.create: width must be >= 1";
+let create () =
+  let depth = 2 and width = 512 in
   { depth;
     width;
     last = Array.make (depth * width) (-1);

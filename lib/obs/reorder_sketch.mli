@@ -9,17 +9,14 @@
     unanimity across rows bounds false positives, and {!estimate}
     reads the count-min minimum back per flow.
 
-    State is a fixed [2 * depth * width] words whatever the flow count.
-    Feed all of a flow's arrivals to one sketch: a flow split across
-    two sketches would miss the reorderings that span the split. *)
+    Two rows of 512 slots: state is a fixed [2 * depth * width] = 2048
+    words whatever the flow count. Feed all of a flow's arrivals to one
+    sketch: a flow split across two sketches would miss the reorderings
+    that span the split. *)
 
 type t
 
-val default_depth : int
-
-val default_width : int
-
-val create : ?depth:int -> ?width:int -> unit -> t
+val create : unit -> t
 
 (** [observe t ~flow ~seq] feeds one data arrival. Integer stores
     only — no allocation. Raises [Invalid_argument] on negative

@@ -36,8 +36,8 @@ let op_set_timer = 2
 
 let op_cancel_timer = 3
 
-let create ?(capacity = 16) () =
-  let capacity = if capacity < 4 then 4 else capacity in
+let create () =
+  let capacity = 16 in
   { ops = Array.make capacity 0;
     args = Array.make capacity 0;
     delays = Array.make capacity 0;

@@ -12,10 +12,9 @@
 
 type t
 
-(** [create ()] returns an empty buffer. [capacity] (default 16) is the
-    initial number of action slots; the buffer grows by doubling, so
-    steady state never reallocates. *)
-val create : ?capacity:int -> unit -> t
+(** [create ()] returns an empty buffer of 16 action slots; the buffer
+    grows by doubling, so steady state never reallocates. *)
+val create : unit -> t
 
 (** Actions currently buffered. *)
 val length : t -> int

@@ -1,13 +1,7 @@
 type t = {
-  mss : int;
-  ack_size : int;
   initial_cwnd : float;
-  initial_ssthresh : float;
   max_cwnd : float;
-  dupthresh : int;
-  limited_transmit : bool;
   delayed_ack : bool;
-  delack_timeout : float;
   total_segments : int option;
   initial_rto : float;
   min_rto : float;
@@ -15,13 +9,8 @@ type t = {
   timer_granularity : float;
   pr_alpha : float;
   pr_beta : float;
-  pr_newton_iterations : int;
-  pr_initial_ewrtt : float;
-  pr_min_mxrtt : float;
   pr_memorize : bool;
   pr_snapshot_cwnd : bool;
-  ba_ewma_gain : float;
-  ba_max_dupthresh : int;
   rcv_buf_segments : int option;
   rcv_buf_max_segments : int;
   rcv_autotune : bool;
@@ -29,15 +18,9 @@ type t = {
 }
 
 let default =
-  { mss = 1000;
-    ack_size = 40;
-    initial_cwnd = 1.;
-    initial_ssthresh = infinity;
+  { initial_cwnd = 1.;
     max_cwnd = 100_000.;
-    dupthresh = 3;
-    limited_transmit = true;
     delayed_ack = false;
-    delack_timeout = 0.2;
     total_segments = None;
     initial_rto = 3.;
     min_rto = 1.;
@@ -45,17 +28,18 @@ let default =
     timer_granularity = 0.;
     pr_alpha = 0.995;
     pr_beta = 3.0;
-    pr_newton_iterations = 2;
-    pr_initial_ewrtt = 1.0;
-    pr_min_mxrtt = 0.01;
     pr_memorize = true;
     pr_snapshot_cwnd = true;
-    ba_ewma_gain = 0.25;
-    ba_max_dupthresh = 1_000;
     rcv_buf_segments = None;
     rcv_buf_max_segments = 1_024;
     rcv_autotune = false;
     rcv_app_rate = None }
+
+let mss = 1000
+
+let dupthresh = 3
+
+let initial_ssthresh = infinity
 
 (* The host-stack realism layer is strictly opt-in: with the default
    [rcv_buf_segments = None] the receive buffer is unbounded, every
@@ -65,25 +49,14 @@ let hoststack_enabled t = t.rcv_buf_segments <> None
 
 let validate t =
   let check cond message = if not cond then invalid_arg ("Config: " ^ message) in
-  check (t.mss > 0) "mss must be positive";
-  check (t.ack_size > 0) "ack_size must be positive";
   check (t.initial_cwnd >= 1.) "initial_cwnd must be >= 1";
   check (t.max_cwnd >= 1.) "max_cwnd must be >= 1";
-  check (t.dupthresh >= 1) "dupthresh must be >= 1";
-  check (t.delack_timeout > 0.) "delack_timeout must be positive";
   check (t.initial_rto > 0.) "initial_rto must be positive";
   check (t.min_rto >= 0.) "min_rto must be non-negative";
   check (t.max_rto >= t.min_rto) "max_rto must be >= min_rto";
   check (t.timer_granularity >= 0.) "timer_granularity must be non-negative";
   check (t.pr_alpha > 0. && t.pr_alpha < 1.) "pr_alpha must be in (0, 1)";
   check (t.pr_beta >= 1.) "pr_beta must be >= 1";
-  check (t.pr_newton_iterations >= 1) "pr_newton_iterations must be >= 1";
-  check (t.pr_initial_ewrtt > 0.) "pr_initial_ewrtt must be positive";
-  check (t.pr_min_mxrtt > 0.) "pr_min_mxrtt must be positive";
-  check
-    (t.ba_ewma_gain > 0. && t.ba_ewma_gain <= 1.)
-    "ba_ewma_gain must be in (0, 1]";
-  check (t.ba_max_dupthresh >= 3) "ba_max_dupthresh must be >= 3";
   (match t.rcv_buf_segments with
   | Some n ->
     check (n >= 1) "rcv_buf_segments must be >= 1";

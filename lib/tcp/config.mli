@@ -1,27 +1,19 @@
 (** Per-connection configuration shared by every sender variant.
 
-    One record carries all knobs; each variant reads the fields it
-    understands. Defaults reproduce the paper's setup: 1000-byte
-    segments, TCP-PR [alpha = 0.995] and [beta = 3.0], dupthresh 3,
-    RFC 2988 timers with a 1-second floor. *)
+    One record carries every knob some experiment varies; each variant
+    reads the fields it understands. Defaults reproduce the paper's
+    setup: TCP-PR [alpha = 0.995] and [beta = 3.0], RFC 2988 timers
+    with a 1-second floor. The parts of that setup no experiment
+    varies are the constants below the record. *)
 
 type t = {
-  mss : int;  (** data segment wire size in bytes *)
-  ack_size : int;  (** ACK packet wire size in bytes *)
   initial_cwnd : float;  (** congestion window at start, in segments *)
-  initial_ssthresh : float;  (** slow-start threshold at start *)
   max_cwnd : float;  (** receiver-window cap, in segments *)
-  dupthresh : int;  (** duplicate-ACK threshold for fast retransmit *)
-  limited_transmit : bool;
-      (** send new data on the first duplicate ACKs (RFC 3042), as the
-          Blanton–Allman study assumes *)
   delayed_ack : bool;
       (** RFC 1122 delayed ACKs: acknowledge every second in-order
           segment (out-of-order and duplicate arrivals are always acked
           immediately). Off by default, matching the paper's ns-2
           sinks. *)
-  delack_timeout : float;
-      (** deadline for a deferred acknowledgement (default 200 ms) *)
   total_segments : int option;
       (** [None] = unbounded (long-lived FTP); [Some n] = transfer of
           exactly [n] segments *)
@@ -33,21 +25,9 @@ type t = {
   (* --- TCP-PR --- *)
   pr_alpha : float;  (** per-RTT memory factor, 0 < alpha < 1 *)
   pr_beta : float;  (** mxrtt = beta * ewrtt, beta > 1 *)
-  pr_newton_iterations : int;
-      (** iterations approximating [alpha ** (1 /. cwnd)]; the paper's
-          Linux implementation uses 2 *)
-  pr_initial_ewrtt : float;  (** ewrtt before the first sample *)
-  pr_min_mxrtt : float;
-      (** hard floor on the drop threshold (default 10 ms, one classic
-          kernel jiffy): keeps a pathological parameterisation such as
-          [beta = 1] with a fast-decaying envelope from declaring a
-          packet dropped in the very instant it was sent *)
   pr_memorize : bool;  (** ablation: disable the memorize list *)
   pr_snapshot_cwnd : bool;
       (** ablation: halve cwnd-at-send (paper) vs. current cwnd *)
-  (* --- Blanton–Allman dupthresh adaptation --- *)
-  ba_ewma_gain : float;  (** gain of the EWMA dupthresh policy *)
-  ba_max_dupthresh : int;  (** safety cap on adapted dupthresh *)
   (* --- host-stack realism layer (strictly opt-in) --- *)
   rcv_buf_segments : int option;
       (** [None] (default) = unbounded receive socket buffer, the
@@ -70,6 +50,16 @@ type t = {
 }
 
 val default : t
+
+(** Data segment wire size in bytes (1000). *)
+val mss : int
+
+(** Duplicate-ACK threshold for fast retransmit (3); the SACK senders'
+    adaptive dupthresh starts here. *)
+val dupthresh : int
+
+(** Slow-start threshold at start ([infinity]). *)
+val initial_ssthresh : float
 
 (** True when the finite receive buffer (and with it the whole realism
     layer) is switched on. *)

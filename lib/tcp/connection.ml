@@ -65,6 +65,12 @@ type Sim.Engine.event +=
   | Delack of t
   | Appdrain of t
 
+(* Wire size of an ACK packet in bytes, and the deadline of a deferred
+   acknowledgement (RFC 1122 delayed ACKs). *)
+let ack_size = 40
+
+let delack_timeout = 0.2
+
 let timer_cell t key =
   if key >= Array.length t.timer_cells then begin
     let bigger = Array.make (key + 1) None in
@@ -97,7 +103,7 @@ let send_data t ~seq ~retx =
       (Probe.Sent { time = Sim.Engine.now t.engine; flow = t.flow; seq; retx });
   let packet =
     Net.Network.make_packet t.network ~flow:t.flow ~src:(Net.Node.id t.src)
-      ~dst:(Net.Node.id t.dst) ~size:t.config.Config.mss
+      ~dst:(Net.Node.id t.dst) ~size:Config.mss
       ~route:(t.route_data ())
       ~born:(Sim.Engine.now t.engine)
       (Types.Data { seq; retx })
@@ -111,7 +117,7 @@ let send_ack t ack =
          { time = Sim.Engine.now t.engine; flow = t.flow; ack });
   let packet =
     Net.Network.make_packet t.network ~flow:t.flow ~src:(Net.Node.id t.dst)
-      ~dst:(Net.Node.id t.src) ~size:t.config.Config.ack_size
+      ~dst:(Net.Node.id t.src) ~size:ack_size
       ~route:(t.route_ack ())
       ~born:(Sim.Engine.now t.engine)
       (Types.Ack ack)
@@ -321,8 +327,7 @@ let on_data_arrival t packet =
       t.pending_ack <- Some ack;
       let tm = delack_cell t in
       if not (Sim.Engine.timer_armed tm) then
-        Sim.Engine.arm_timer t.engine tm
-          ~delay:t.config.Config.delack_timeout);
+        Sim.Engine.arm_timer t.engine tm ~delay:delack_timeout);
     maybe_arm_drain t)
   | _ -> ());
   (* The payload has been fully consumed (the ack record, if any, is a
@@ -431,7 +436,7 @@ let sender_name t = Sender.name t.sender
 
 let received_segments t = Receiver.in_order_segments t.receiver
 
-let received_bytes t = received_segments t * t.config.Config.mss
+let received_bytes t = received_segments t * Config.mss
 
 let cwnd t = Sender.cwnd t.sender
 

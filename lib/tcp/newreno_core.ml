@@ -46,7 +46,7 @@ let create ~style config =
   { config;
     style;
     cwnd = config.Config.initial_cwnd;
-    ssthresh = config.Config.initial_ssthresh;
+    ssthresh = Config.initial_ssthresh;
     snd_una = 0;
     snd_next = 0;
     dup_count = 0;
@@ -111,7 +111,7 @@ let send t ~now ~seq ~retx buf =
   else Action_buffer.send buf ~seq
 
 (* Effective window (in whole segments): cwnd, plus one segment per
-   duplicate ACK under limited transmit (at most
+   duplicate ACK under RFC 3042 limited transmit (at most
    [limited_transmit_segments]) while not yet in recovery. Inside
    recovery, cwnd itself is inflated per duplicate. Returns an int so
    the per-ACK send loop never boxes a float return. *)
@@ -120,11 +120,8 @@ let effective_window t =
   let m = t.config.Config.max_cwnd in
   let base = if c < m then c else m in
   let allowance =
-    if
-      t.config.Config.limited_transmit
-      && (not t.in_recovery)
-      && t.dup_count > 0
-    then min t.dup_count limited_transmit_segments
+    if (not t.in_recovery) && t.dup_count > 0 then
+      min t.dup_count limited_transmit_segments
     else 0
   in
   int_of_float base + allowance
@@ -181,7 +178,7 @@ let on_dup_ack t ~now buf =
     send_new_data t ~now buf
   end
   else begin
-    if t.dup_count = t.config.Config.dupthresh && t.snd_una > t.recover then
+    if t.dup_count = Config.dupthresh && t.snd_una > t.recover then
       enter_recovery t ~now buf;
     send_new_data t ~now buf
   end

@@ -3,11 +3,10 @@
     Implements slow start, congestion avoidance, fast retransmit on the
     [Config.dupthresh]-th duplicate ACK, fast recovery with NewReno
     partial-ACK handling, RFC 2988 retransmission timeouts with
-    exponential back-off, Karn's rule for RTT sampling, and
-    (optionally, [Config.limited_transmit]) RFC 3042 limited transmit
-    of at most two new segments before recovery. The [Tcp.Tahoe],
-    [Tcp.Reno] and [Tcp.Newreno] senders are this engine with one
-    {!recovery_style} each. The time-delayed fast recovery of the
+    exponential back-off, Karn's rule for RTT sampling, and RFC 3042
+    limited transmit of at most two new segments before recovery. The
+    [Tcp.Tahoe], [Tcp.Reno] and [Tcp.Newreno] senders are this engine
+    with one {!recovery_style} each. The time-delayed fast recovery of the
     paper's Fig. 6 is [Tcp.Td_fr], on the SACK engine. *)
 
 (** Reaction to duplicate-ACK loss inference: [Tahoe] retransmits and

@@ -57,7 +57,7 @@ let create config =
     | None -> None
     | Some capacity_segments ->
       Some
-        (Rcv_buffer.create ~mss:config.Config.mss ~capacity_segments
+        (Rcv_buffer.create ~mss:Config.mss ~capacity_segments
            ~max_segments:config.Config.rcv_buf_max_segments
            ~autotune:config.Config.rcv_autotune)
   in
@@ -228,7 +228,7 @@ let receive t ?(retx = false) ?(now = 0.) ~seq () =
            behind it moves from parked to readable. *)
         Rcv_buffer.promote buf ~segments:(delivered - 1);
         Rcv_buffer.on_delivered buf ~now
-          ~bytes:(delivered * t.config.Config.mss);
+          ~bytes:(delivered * Config.mss);
         if t.app_instant then
           Rcv_buffer.app_read buf ~segments:(Rcv_buffer.unread_segments buf)
     end

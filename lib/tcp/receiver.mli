@@ -19,7 +19,7 @@ type t
 (** Whether the acknowledgement should go out immediately or may be
     deferred under RFC 1122 delayed ACKs. A deferred acknowledgement
     must be transmitted when the next segment arrives or when the
-    delayed-ACK timer ([Config.delack_timeout]) fires, whichever comes
+    delayed-ACK timer (200 ms) fires, whichever comes
     first; {!Connection} implements the timer. [Drop] reports a segment
     refused by the finite socket buffer: the data was discarded, and
     the carried acknowledgement (not advancing past the drop, with the

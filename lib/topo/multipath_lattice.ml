@@ -7,8 +7,11 @@ type t = {
   reverse_routes : int array array;
 }
 
+(* Packets per link queue, as in Fig. 5. *)
+let queue_capacity = 100
+
 let create engine ?(path_hops = [ 3; 4; 5 ]) ?(bandwidth_bps = 10e6)
-    ?(delay_s = 0.010) ?(queue_capacity = 100) ?loss ?jitter () =
+    ?(delay_s = 0.010) ?loss ?jitter () =
   if path_hops = [] then invalid_arg "Multipath_lattice.create: no paths";
   List.iter
     (fun h ->

@@ -24,8 +24,6 @@ type t = {
     @param path_hops links per path, each >= 2 (default [\[3; 4; 5\]]).
     @param bandwidth_bps per link (default 10 Mb/s).
     @param delay_s per link (default 10 ms).
-    @param queue_capacity per link (default 100 packets, as in
-    Fig. 5).
     @param loss optional loss injector shared by every link (e.g.
     {!Net.Loss_model.bernoulli} for lossy-environment scenarios).
     @param jitter optional per-packet extra delay on every link, uniform
@@ -35,7 +33,6 @@ val create :
   ?path_hops:int list ->
   ?bandwidth_bps:float ->
   ?delay_s:float ->
-  ?queue_capacity:int ->
   ?loss:Net.Loss_model.t ->
   ?jitter:Sim.Rng.t * float ->
   unit ->

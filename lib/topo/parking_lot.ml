@@ -18,8 +18,13 @@ type t = {
 
 let mbps x = x *. 1e6
 
-let create engine ?(core_delay_s = 0.010) ?(access_delay_s = 0.005)
-    ?(queue_capacity = 50) ?(bandwidth_scale = 1.) () =
+let core_delay_s = 0.010
+
+let access_delay_s = 0.005
+
+let queue_capacity = 50
+
+let create engine ?(bandwidth_scale = 1.) () =
   if bandwidth_scale <= 0. then
     invalid_arg "Parking_lot.create: bandwidth_scale must be positive";
   let network = Net.Network.create engine in

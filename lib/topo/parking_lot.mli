@@ -5,9 +5,10 @@
     destination D hangs off node 4. Cross-traffic sources CS1..CS3 feed
     nodes 1..3 with bandwidths 5 / 1.66 / 2.5 Mb/s; cross destinations
     CD1..CD3 hang off nodes 2..4. All other links are 15 Mb/s, making
-    1->2, 2->3 and 3->4 the bottlenecks. The cross-traffic matrix is the
-    paper's: CS1->CD1, CS1->CD2, CS1->CD3, CS2->CD2, CS2->CD3,
-    CS3->CD3.
+    1->2, 2->3 and 3->4 the bottlenecks. Core links delay 10 ms, access
+    links 5 ms, and every queue holds 50 packets. The cross-traffic
+    matrix is the paper's: CS1->CD1, CS1->CD2, CS1->CD3, CS2->CD2,
+    CS2->CD3, CS3->CD3.
 
     [bandwidth_scale] multiplies every bandwidth, implementing the
     Fig. 3 loss-rate sweep ("the variation in loss probability was
@@ -32,18 +33,8 @@ type t = {
 }
 
 (** [create engine ()] builds the topology.
-    @param core_delay_s per core link (default 10 ms).
-    @param access_delay_s per access link (default 5 ms).
-    @param queue_capacity packets per queue (default 50).
     @param bandwidth_scale multiplies all bandwidths (default 1). *)
-val create :
-  Sim.Engine.t ->
-  ?core_delay_s:float ->
-  ?access_delay_s:float ->
-  ?queue_capacity:int ->
-  ?bandwidth_scale:float ->
-  unit ->
-  t
+val create : Sim.Engine.t -> ?bandwidth_scale:float -> unit -> t
 
 (** Main-flow data route S -> 1 -> 2 -> 3 -> 4 -> D (shared array). *)
 val route_forward : t -> int array

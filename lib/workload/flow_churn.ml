@@ -189,7 +189,7 @@ let transfers_completed t = t.completed
 
 let segments_completed t = t.segments_completed
 
-let bytes_completed t = t.segments_completed * t.base_config.Tcp.Config.mss
+let bytes_completed t = t.segments_completed * Tcp.Config.mss
 
 let active t = t.started - t.completed
 

@@ -551,16 +551,16 @@ let test_route_flap_pr_clean () =
     Experiments.Route_flap.run ~duration:20. ~sender:(module Core.Tcp_pr) ()
   in
   Alcotest.(check int) "no spurious duplicates" 0
-    r.Experiments.Route_flap.spurious_duplicates;
+    r.Experiments.Runner.spurious_duplicates;
   Alcotest.(check bool) "meaningful throughput" true
-    (r.Experiments.Route_flap.mbps > 3.)
+    (r.Experiments.Runner.mbps > 3.)
 
 let test_route_flap_sack_spurious () =
   let r =
     Experiments.Route_flap.run ~duration:20. ~sender:(module Tcp.Sack) ()
   in
   Alcotest.(check bool) "sack retransmits spuriously" true
-    (r.Experiments.Route_flap.spurious_duplicates > 0)
+    (r.Experiments.Runner.spurious_duplicates > 0)
 
 
 (* ------------------------------------------------------------------ *)

@@ -166,7 +166,7 @@ let test_coalescing_timer0_identity () =
 
 (* --- qcheck: buffer accounting invariants --------------------------- *)
 
-let mss = Tcp.Config.default.Tcp.Config.mss
+let mss = Tcp.Config.mss
 
 let buffer_accounting_prop =
   QCheck.Test.make ~count:200 ~name:"rcv_buffer accounting invariants"

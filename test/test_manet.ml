@@ -139,7 +139,7 @@ let test_manet_scenario_moves_data () =
       Alcotest.(check bool)
         (label ^ " makes progress")
         true
-        (r.Experiments.Manet_experiment.mbps > 0.5))
+        (r.Experiments.Runner.mbps > 0.5))
     [ Experiments.Variants.tcp_pr; Experiments.Variants.tcp_sack ]
 
 let test_manet_pr_never_spurious () =
@@ -148,7 +148,7 @@ let test_manet_pr_never_spurious () =
       ~sender:(module Core.Tcp_pr) ()
   in
   Alcotest.(check int) "no spurious duplicates" 0
-    r.Experiments.Manet_experiment.spurious_duplicates
+    r.Experiments.Runner.spurious_duplicates
 
 let () =
   Alcotest.run "manet"

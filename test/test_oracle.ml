@@ -352,6 +352,37 @@ let differential_case (name, sender) =
           if not (Check.Oracle.passed report) then report_failure report)
         differential_seeds)
 
+(* Every [--variant] flag resolves through [Variants.find], and
+   [canonical] names the golden trace files and the bench cells: each
+   label resolves from itself, its canonical form and its upper-cased
+   form, and the canonical names are distinct file names. *)
+let test_variant_lookup () =
+  let labels = List.map fst Experiments.Variants.all in
+  Alcotest.(check int) "variant count" 13 (List.length labels);
+  List.iter
+    (fun label ->
+      List.iter
+        (fun spelling ->
+          match Experiments.Variants.find spelling with
+          | Some (found, _) ->
+            Alcotest.(check string) (Printf.sprintf "find %S" spelling) label
+              found
+          | None -> Alcotest.failf "find %S: no variant" spelling)
+        [ label;
+          Experiments.Variants.canonical label;
+          String.uppercase_ascii label ])
+    labels;
+  let canonicals = List.map Experiments.Variants.canonical labels in
+  Alcotest.(check int) "canonical names distinct" (List.length canonicals)
+    (List.length (List.sort_uniq compare canonicals));
+  List.iter
+    (String.iter (function
+      | 'a' .. 'z' | '0' .. '9' | '-' -> ()
+      | c -> Alcotest.failf "%C in a canonical name" c))
+    canonicals;
+  Alcotest.(check bool) "find \"bogus\"" true
+    (Option.is_none (Experiments.Variants.find "bogus"))
+
 (* qcheck layer on top of the fixed seed sweep: scenarios are generated
    deterministically from the drawn seed, so any failure reproduces
    from the printed counterexample. *)
@@ -544,6 +575,9 @@ let () =
             test_oracle_catches_dupack_retransmit;
           Alcotest.test_case "honest TCP-PR passes same scenario" `Quick
             test_honest_pr_passes_broken_scenario ] );
+      ( "variants",
+        [ Alcotest.test_case "find by label and canonical name" `Quick
+            test_variant_lookup ] );
       ( "differential",
         List.map differential_case Experiments.Variants.all );
       ( "differential-qcheck",

@@ -103,11 +103,7 @@ let newton_vs_exact_prop =
   QCheck.Test.make ~name:"newton tracks exact alpha^(1/cwnd)" ~count:500
     QCheck.(pair (float_range 0.9 0.9999) (float_range 1. 10_000.))
     (fun (alpha, cwnd) ->
-      let config =
-        { Tcp.Config.default with
-          Tcp.Config.pr_alpha = alpha;
-          pr_newton_iterations = 2 }
-      in
+      let config = { Tcp.Config.default with Tcp.Config.pr_alpha = alpha } in
       let e = Core.Ewrtt.create config in
       let approx = Core.Ewrtt.decay_factor e ~cwnd in
       let exact = Core.Ewrtt.exact_decay_factor e ~cwnd in

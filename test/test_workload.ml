@@ -195,8 +195,7 @@ let test_churn_population_invariants () =
     (Workload.Flow_churn.transfers_started w)
     (Workload.Flow_churn.transfers_completed w + Workload.Flow_churn.active w);
   Alcotest.(check int) "bytes follow segments"
-    (Workload.Flow_churn.segments_completed w
-    * Experiments.Scale.default_config.Tcp.Config.mss)
+    (Workload.Flow_churn.segments_completed w * Tcp.Config.mss)
     (Workload.Flow_churn.bytes_completed w)
 
 (* The invariant monitors over churn traffic, where every transfer
