@@ -81,7 +81,7 @@ golden:
 # Full gate, every stage fatal: build everything, run the test suite
 # (which includes the allocation ceilings of test_alloc on the bench's
 # own allocation scenarios, the CLI's usage-error exit codes and a run
-# of five examples), a conformance smoke run — fixed random scenarios
+# of five examples), a conformance run — 1000 seeded random scenarios
 # over every sender variant with the invariant monitors armed, plus the
 # golden-trace digests — the many-flow scale smoke, the host-stack and
 # adaptive-adversary smokes, and the perf regression gate (allocation
@@ -91,7 +91,7 @@ golden:
 ci:
 	dune build @all
 	dune runtest
-	dune exec -- bin/tcp_pr_sim.exe check --seeds 30 --golden test/golden
+	dune exec -- bin/tcp_pr_sim.exe check --seeds 1000 --jobs 2 --golden test/golden
 	$(MAKE) --no-print-directory scale-smoke
 	$(MAKE) --no-print-directory hoststack-smoke
 	$(MAKE) --no-print-directory reorder-smoke

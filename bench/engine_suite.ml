@@ -53,7 +53,7 @@ let closure_churn () =
   let rec tick () =
     if !budget > 0 then begin
       decr budget;
-      ignore (Sim.Engine.schedule_after engine ~delay:1e-5 tick)
+      Sim.Engine.schedule_after engine ~delay:1e-5 tick
     end
   in
   let start n =
@@ -67,7 +67,7 @@ let closure_churn () =
 
 (* Pipeline churn: every tick schedules two extra events at computed
    (dynamic-float) delays, one short and one long — the schedule shape
-   of a link transmission (Tx_done + Arrive), which keeps ~100 events
+   of a link transmission (completion + arrival), which keeps ~100 events
    in flight so the heap sifts at real depth. *)
 let pipeline_churn () =
   let engine = Sim.Engine.create () in
@@ -78,9 +78,9 @@ let pipeline_churn () =
     if !budget > 0 then begin
       decr budget;
       let tx = float_of_int !size *. 8. /. 1e9 in
-      ignore (Sim.Engine.schedule_after engine ~delay:tx nop);
-      ignore (Sim.Engine.schedule_after engine ~delay:(tx +. 0.001) nop);
-      ignore (Sim.Engine.schedule_after engine ~delay:1e-5 tick)
+      Sim.Engine.schedule_after engine ~delay:tx nop;
+      Sim.Engine.schedule_after engine ~delay:(tx +. 0.001) nop;
+      Sim.Engine.schedule_after engine ~delay:1e-5 tick
     end
   in
   let start n =
@@ -109,7 +109,7 @@ let timer_churn () =
             Sim.Engine.arm_timer engine tm ~delay:period
           | Some _ | None -> ()
         in
-        let tm = Sim.Engine.make_timer engine (Sim.Engine.Closure fire) in
+        let tm = Sim.Engine.make_timer engine fire in
         timer := Some tm;
         (tm, period))
   in

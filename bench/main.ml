@@ -59,10 +59,10 @@ let bench_event_queue =
     (Staged.stage (fun () ->
          let q = Sim.Event_queue.create () in
          for i = 0 to 255 do
-           ignore (Sim.Event_queue.push q ~time:(i * 7919 mod 256) i)
+           Sim.Event_queue.push q ~time:(i * 7919 mod 256) ~seq:i i
          done;
-         while Sim.Event_queue.pop q <> None do
-           ()
+         while not (Sim.Event_queue.is_empty q) do
+           ignore (Sim.Event_queue.pop_head q)
          done))
 
 let bench_newton =

@@ -175,10 +175,9 @@ let build s engine rng =
         let period = 0.75 in
         let flips = int_of_float (s.time_limit /. period) in
         for k = 1 to flips do
-          ignore
-            (Sim.Engine.schedule_at engine
-               ~time:(float_of_int k *. period)
-               (fun () -> current := (!current + 1) mod paths))
+          Sim.Engine.schedule_at engine
+            ~time:(float_of_int k *. period)
+            (fun () -> current := (!current + 1) mod paths)
         done;
         ((fun () -> forward.(!current)), fun () -> reverse.(!current))
       end

@@ -76,37 +76,6 @@ let network registry net ~now =
     ~into:(Obs.Registry.gauge registry (prefix ^ ".pool.in_pool"))
     (Net.Packet_pool.in_pool_gauge pool)
 
-let engine registry eng =
-  let prefix = "engine" in
-  let add_counter name v =
-    Obs.Metrics.Counter.add (Obs.Registry.counter registry (prefix ^ name)) v
-  in
-  add_counter ".events" (Sim.Engine.events_executed eng);
-  add_counter ".timer.arms" (Sim.Engine.timer_arms eng);
-  add_counter ".timer.cancels" (Sim.Engine.timer_cancels eng);
-  add_counter ".timer.fires" (Sim.Engine.timer_fires eng)
-
-let churn registry w =
-  let prefix = "churn" in
-  let add_counter name v =
-    Obs.Metrics.Counter.add (Obs.Registry.counter registry (prefix ^ name)) v
-  in
-  add_counter ".flows" (Workload.Flow_churn.flows w);
-  add_counter ".transfers.started" (Workload.Flow_churn.transfers_started w);
-  add_counter ".transfers.completed"
-    (Workload.Flow_churn.transfers_completed w);
-  add_counter ".segments" (Workload.Flow_churn.segments_completed w);
-  add_counter ".bytes" (Workload.Flow_churn.bytes_completed w);
-  Obs.Metrics.Gauge.set
-    (Obs.Registry.gauge registry (prefix ^ ".active"))
-    (Workload.Flow_churn.active w);
-  Obs.Metrics.Histogram.merge_into
-    ~into:(Obs.Registry.histogram registry (prefix ^ ".transfer.segments"))
-    (Workload.Flow_churn.transfer_segments w);
-  Obs.Metrics.Histogram.merge_into
-    ~into:(Obs.Registry.histogram registry (prefix ^ ".transfer.ms"))
-    (Workload.Flow_churn.transfer_ms w)
-
 let connection registry c =
   let prefix = "conn" in
   let set_counter name v =

@@ -18,17 +18,6 @@
     [.pool.in_pool]). *)
 val network : Obs.Registry.t -> Net.Network.t -> now:float -> unit
 
-(** [engine registry eng] lifts the scheduler's counters under
-    ["engine"]: [.events], [.timer.arms], [.timer.cancels] and
-    [.timer.fires]. *)
-val engine : Obs.Registry.t -> Sim.Engine.t -> unit
-
-(** [churn registry w] lifts a {!Workload.Flow_churn} workload's
-    counters under ["churn"]: [.flows], [.transfers.started],
-    [.transfers.completed], [.segments], [.bytes], the [.active] gauge
-    and the [.transfer.segments] / [.transfer.ms] histograms. *)
-val churn : Obs.Registry.t -> Workload.Flow_churn.t -> unit
-
 (** [connection registry c] lifts one connection's counters under
     ["conn"]: [.sent], [.timer_fires], [.delack_timeouts], [.received],
     [.duplicates], the receiver's [.reorder_depth] histogram, and

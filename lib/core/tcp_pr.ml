@@ -590,4 +590,11 @@ let check_drops t ~now buf =
 let on_timer t ~now ~key buf =
   if finished t then ()
   else if key = drop_timer_key then check_drops t ~now buf
-  else if key = backoff_timer_key then flush_then_arm t ~now buf
+  else if key = backoff_timer_key then begin
+    (* The back-off is over when its timer fires. The timer fires at
+       its ns-rounded deadline, but [now] read back in float seconds
+       can sit one ulp below [backoff_until]; [flush] would then send
+       nothing and no timer would be left to wake the sender. *)
+    if now < fget t backoff_until_ then fset t backoff_until_ now;
+    flush_then_arm t ~now buf
+  end

@@ -7,11 +7,10 @@ let cwnd_series engine connection ~interval ~until =
   let series = Stats.Timeseries.create () in
   let rec schedule time =
     if time <= until then
-      ignore
-        (Sim.Engine.schedule_at engine ~time (fun () ->
-             Stats.Timeseries.record series ~time
-               (Tcp.Connection.cwnd connection);
-             schedule (time +. interval)))
+      Sim.Engine.schedule_at engine ~time (fun () ->
+          Stats.Timeseries.record series ~time
+            (Tcp.Connection.cwnd connection);
+          schedule (time +. interval))
   in
   schedule (Sim.Engine.now engine +. interval);
   series

@@ -9,9 +9,6 @@ type result = {
   timer_arms : int;
   timer_cancels : int;
   timer_fires : int;
-  pending_at_end : int;
-  engine : Sim.Engine.t;
-  network : Net.Network.t;
   workload : Workload.Flow_churn.t;
 }
 
@@ -86,9 +83,6 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
     timer_arms = Sim.Engine.timer_arms engine;
     timer_cancels = Sim.Engine.timer_cancels engine;
     timer_fires = Sim.Engine.timer_fires engine;
-    pending_at_end = Sim.Engine.pending engine;
-    engine;
-    network = dumbbell.Topo.Dumbbell.network;
     workload }
 
 let timer_ops r = r.timer_arms + r.timer_cancels + r.timer_fires

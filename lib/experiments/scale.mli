@@ -18,9 +18,6 @@ type result = {
   timer_arms : int;
   timer_cancels : int;
   timer_fires : int;
-  pending_at_end : int;
-  engine : Sim.Engine.t;  (** for {!Check.Telemetry.engine}-style collectors *)
-  network : Net.Network.t;
   workload : Workload.Flow_churn.t;
 }
 

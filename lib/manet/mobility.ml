@@ -68,9 +68,9 @@ let create engine rng ~nodes ~width ~height ~speed_range ?(dt = 0.1) () =
   Array.iter (fun node -> pick_waypoint t node) t.nodes;
   let rec tick () =
     step t;
-    ignore (Sim.Engine.schedule_after engine ~delay:t.dt tick)
+    Sim.Engine.schedule_after engine ~delay:t.dt tick
   in
-  ignore (Sim.Engine.schedule_after engine ~delay:t.dt tick);
+  Sim.Engine.schedule_after engine ~delay:t.dt tick;
   t
 
 let node_count t = Array.length t.nodes

@@ -36,8 +36,8 @@ type t = {
   jitter : (Sim.Rng.t * float) option;
   mutable busy : bool;
   (* Size of the packet currently on the wire. A link serialises
-     transmissions, so one slot suffices; it lets [Tx_done] carry only
-     the link instead of capturing the packet. *)
+     transmissions, so one slot suffices; it lets [tx_done] capture only
+     the link instead of the packet. *)
   mutable tx_size : int;
   mutable deliver : Packet.t -> unit;
   mutable recycle : Packet.t -> unit;
@@ -49,16 +49,16 @@ type t = {
   (* Cumulative wire time in integer nanoseconds: a plain mutable int
      field never boxes, unlike the one-slot floatarray this replaces. *)
   mutable busy_time_ns : int;
-  (* The [Tx_done] completion event for this link, allocated once: the
-     link serialises transmissions, so the same block can sit in the
-     event queue for every one of them. *)
-  mutable tx_done_event : Sim.Engine.event;
+  (* The transmission-complete event for this link, one closure
+     allocated at creation: the link serialises transmissions, so the
+     same closure can sit in the event queue for every one of them. *)
+  mutable tx_done : unit -> unit;
   (* Free arrival cells (stack of [arrive_free] cells). Unlike
-     [Tx_done], many arrivals can be in flight on one link at once
+     [tx_done], many arrivals can be in flight on one link at once
      (one per packet inside [delay_s]), so each carries its own cell —
-     pooled, with the [Arrive] event block cached inside, so the
+     pooled, with its arrival closure cached inside, so the
      steady-state per-transmission cost is two stores instead of a
-     fresh variant block per packet. *)
+     fresh closure per packet. *)
   mutable arrive_cells : arrive_cell array;
   mutable arrive_free : int;
   (* GRO/interrupt coalescing at the receiving NIC: arrivals are parked
@@ -78,19 +78,9 @@ type t = {
 }
 
 and arrive_cell = {
-  ar_link : t;
   mutable ar_packet : Packet.t;
-  mutable ar_event : Sim.Engine.event;
+  mutable ar_fire : unit -> unit;
 }
-
-(* Typed scheduler events: transmitting a packet reuses pooled event
-   blocks (completion via [tx_done_event], arrival via a pooled cell)
-   instead of allocating two heap closures per packet (see DESIGN.md
-   §10). *)
-type Sim.Engine.event +=
-  | Tx_done of t
-  | Arrive of arrive_cell
-  | Co_flush of t
 
 let id t = t.id
 
@@ -119,61 +109,6 @@ let set_bandwidth t bps =
   assert (bps > 0.);
   t.bandwidth_bps <- bps
 
-let alloc_arrive t packet =
-  if t.arrive_free = 0 then begin
-    let cell =
-      { ar_link = t; ar_packet = packet; ar_event = Sim.Engine.Closure ignore }
-    in
-    cell.ar_event <- Arrive cell;
-    cell
-  end
-  else begin
-    t.arrive_free <- t.arrive_free - 1;
-    let cell = Array.unsafe_get t.arrive_cells t.arrive_free in
-    cell.ar_packet <- packet;
-    cell
-  end
-
-let release_arrive t cell =
-  let cap = Array.length t.arrive_cells in
-  if t.arrive_free = cap then begin
-    let bigger = Array.make (max 4 (2 * cap)) cell in
-    Array.blit t.arrive_cells 0 bigger 0 cap;
-    t.arrive_cells <- bigger
-  end;
-  Array.unsafe_set t.arrive_cells t.arrive_free cell;
-  t.arrive_free <- t.arrive_free + 1
-
-let rec transmit t packet =
-  observe t Transmit_start packet;
-  let tx_ns =
-    Sim.Time.of_sec (float_of_int packet.Packet.size *. 8. /. t.bandwidth_bps)
-  in
-  t.busy <- true;
-  t.busy_time_ns <- t.busy_time_ns + tx_ns;
-  t.tx_size <- packet.Packet.size;
-  let extra_ns =
-    match t.jitter with
-    | Some (rng, j) when j > 0. ->
-      Sim.Time.of_sec (Sim.Rng.float_range rng ~lo:0. ~hi:j)
-    | Some _ | None -> 0
-  in
-  (* Tx_done is pushed first so that when [delay_ns] and [extra_ns] are
-     both zero it still runs before the arrival, as the seed's closures
-     did. *)
-  ignore
-    (Sim.Engine.schedule_event_after_ns t.engine ~delay:tx_ns t.tx_done_event);
-  ignore
-    (Sim.Engine.schedule_event_after_ns t.engine
-       ~delay:(tx_ns + t.delay_ns + extra_ns)
-       (alloc_arrive t packet).ar_event)
-
-and finish_transmission t =
-  t.transmitted_packets <- t.transmitted_packets + 1;
-  t.transmitted_bytes <- t.transmitted_bytes + t.tx_size;
-  if Qdisc.is_empty t.queue then t.busy <- false
-  else transmit t (Qdisc.pop_exn t.queue)
-
 let deliver_one t packet =
   packet.Packet.hops <- packet.Packet.hops + 1;
   observe t Delivered packet;
@@ -196,7 +131,7 @@ let co_cell t =
   match t.co_cell with
   | Some tm -> tm
   | None ->
-    let tm = Sim.Engine.make_timer t.engine (Co_flush t) in
+    let tm = Sim.Engine.make_timer t.engine (fun () -> co_flush t) in
     t.co_cell <- Some tm;
     tm
 
@@ -223,20 +158,62 @@ let arrive t packet =
     end
   end
 
-let dispatch = function
-  | Tx_done link ->
-    finish_transmission link;
-    true
-  | Arrive cell ->
-    let link = cell.ar_link in
-    let packet = cell.ar_packet in
-    release_arrive link cell;
-    arrive link packet;
-    true
-  | Co_flush link ->
-    co_flush link;
-    true
-  | _ -> false
+let release_arrive t cell =
+  let cap = Array.length t.arrive_cells in
+  if t.arrive_free = cap then begin
+    let bigger = Array.make (max 4 (2 * cap)) cell in
+    Array.blit t.arrive_cells 0 bigger 0 cap;
+    t.arrive_cells <- bigger
+  end;
+  Array.unsafe_set t.arrive_cells t.arrive_free cell;
+  t.arrive_free <- t.arrive_free + 1
+
+(* The body of every arrival closure: free the cell, then deliver its
+   packet. *)
+let on_arrive t cell =
+  let packet = cell.ar_packet in
+  release_arrive t cell;
+  arrive t packet
+
+let alloc_arrive t packet =
+  if t.arrive_free = 0 then begin
+    let cell = { ar_packet = packet; ar_fire = ignore } in
+    cell.ar_fire <- (fun () -> on_arrive t cell);
+    cell
+  end
+  else begin
+    t.arrive_free <- t.arrive_free - 1;
+    let cell = Array.unsafe_get t.arrive_cells t.arrive_free in
+    cell.ar_packet <- packet;
+    cell
+  end
+
+let rec transmit t packet =
+  observe t Transmit_start packet;
+  let tx_ns =
+    Sim.Time.of_sec (float_of_int packet.Packet.size *. 8. /. t.bandwidth_bps)
+  in
+  t.busy <- true;
+  t.busy_time_ns <- t.busy_time_ns + tx_ns;
+  t.tx_size <- packet.Packet.size;
+  let extra_ns =
+    match t.jitter with
+    | Some (rng, j) when j > 0. ->
+      Sim.Time.of_sec (Sim.Rng.float_range rng ~lo:0. ~hi:j)
+    | Some _ | None -> 0
+  in
+  (* [tx_done] is pushed first so that when [delay_ns] and [extra_ns]
+     are both zero it still runs before the arrival. *)
+  Sim.Engine.schedule_after_ns t.engine ~delay:tx_ns t.tx_done;
+  Sim.Engine.schedule_after_ns t.engine
+    ~delay:(tx_ns + t.delay_ns + extra_ns)
+    (alloc_arrive t packet).ar_fire
+
+and finish_transmission t =
+  t.transmitted_packets <- t.transmitted_packets + 1;
+  t.transmitted_bytes <- t.transmitted_bytes + t.tx_size;
+  if Qdisc.is_empty t.queue then t.busy <- false
+  else transmit t (Qdisc.pop_exn t.queue)
 
 let create engine ~id ~src ~dst ~bandwidth_bps ~delay_s ~capacity
     ?(loss = Loss_model.perfect) ?qdisc ?jitter () =
@@ -250,7 +227,6 @@ let create engine ~id ~src ~dst ~bandwidth_bps ~delay_s ~capacity
   (match jitter with
   | Some (_, j) when j < 0. -> invalid_arg "Link.create: negative jitter"
   | Some _ | None -> ());
-  Sim.Engine.add_dispatcher engine ~key:"net.link" dispatch;
   (* Placeholder packet behind the reused note, replaced on the first
      emission; the route trivially ends at its destination 0. *)
   let dummy_packet =
@@ -283,7 +259,7 @@ let create engine ~id ~src ~dst ~bandwidth_bps ~delay_s ~capacity
       transmitted_bytes = 0;
       injected_losses = 0;
       busy_time_ns = 0;
-      tx_done_event = Sim.Engine.Closure ignore;
+      tx_done = ignore;
       arrive_cells = [||];
       arrive_free = 0;
       co_timer_ns = 0;
@@ -293,7 +269,7 @@ let create engine ~id ~src ~dst ~bandwidth_bps ~delay_s ~capacity
       co_cell = None;
       co_bursts = Obs.Metrics.Histogram.create () }
   in
-  t.tx_done_event <- Tx_done t;
+  t.tx_done <- (fun () -> finish_transmission t);
   t
 
 let send t packet =

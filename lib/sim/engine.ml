@@ -1,21 +1,10 @@
-type event_id = Event_queue.id
-
-(* The payload of a scheduled event. [Closure] is the general form;
-   higher layers extend [event] with unboxed constructors for their hot
-   paths (link transmissions, connection timers) so that scheduling a
-   packet costs one small variant block instead of one or two heap
-   closures. *)
-type event = ..
-
-type event += Closure of (unit -> unit)
-
 (* A recurring-timer cell. [t_seq] is the engine-global rank of the
    pending armament (-1 when unarmed); [t_widx] is that armament's
    wheel entry index, meaningful only while [t_seq >= 0]. *)
 type timer = {
   mutable t_seq : int;
   mutable t_widx : int;
-  t_payload : event;
+  t_fire : unit -> unit;
 }
 
 let nothing () = ()
@@ -25,31 +14,25 @@ type t = {
      field: int stores never box (the float-clock ancestor needed a
      one-slot floatarray to avoid boxing per executed event). *)
   mutable clock : Time.t;
-  queue : event Event_queue.t;
+  (* One-shot events: closures, run once, never cancelled. *)
+  queue : (unit -> unit) Event_queue.t;
   (* Second scheduling substrate: high-churn recurring timers. Both
      substrates draw ranks from [next_seq], so the merged pop order is
      exactly the (time, rank) order a single heap would produce. *)
   wheel : timer Timer_wheel.t;
   mutable next_seq : int;
-  (* Chain of typed-event dispatchers, installed once per (engine,
-     layer) by [add_dispatcher]. [Closure] never reaches it. *)
-  mutable dispatch : event -> unit;
-  dispatcher_keys : (string, unit) Hashtbl.t;
   (* End-of-instant flush hooks (see [at_instant_end]): closures to run
      after every event at the current instant has executed, before the
      clock advances past it. Stored in a flat stack reused across
      instants, so registering is two stores. *)
   mutable flushes : (unit -> unit) array;
   mutable flush_len : int;
-  (* Scheduler counters, for the scale suite and telemetry. *)
+  (* Scheduler counters, for the scale scenario and the benchmarks. *)
   mutable events_executed : int;
   mutable timer_arms : int;
   mutable timer_cancels : int;
   mutable timer_fires : int;
 }
-
-let unhandled _ =
-  invalid_arg "Engine: typed event has no registered dispatcher"
 
 let create ?(timer_granularity = 1e-3) () =
   let granularity =
@@ -61,8 +44,6 @@ let create ?(timer_granularity = 1e-3) () =
     queue = Event_queue.create ();
     wheel = Timer_wheel.create ~granularity ();
     next_seq = 0;
-    dispatch = unhandled;
-    dispatcher_keys = Hashtbl.create 4;
     flushes = [||];
     flush_len = 0;
     events_executed = 0;
@@ -82,47 +63,31 @@ let timer_cancels t = t.timer_cancels
 
 let timer_fires t = t.timer_fires
 
-let add_dispatcher t ~key f =
-  if not (Hashtbl.mem t.dispatcher_keys key) then begin
-    Hashtbl.add t.dispatcher_keys key ();
-    let next = t.dispatch in
-    t.dispatch <- (fun ev -> if not (f ev) then next ev)
-  end
-
-let execute t = function Closure f -> f () | ev -> t.dispatch ev
-
 let next_seq t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   seq
 
-let schedule_event_at_ns t ~time ev =
+let schedule_at_ns t ~time f =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is before now %g"
          (Time.to_sec time) (now t));
-  let seq = next_seq t in
-  Event_queue.push_seq t.queue ~time ~seq ev;
-  seq
+  Event_queue.push t.queue ~time ~seq:(next_seq t) f
 
-let schedule_event_after_ns t ~delay ev =
+let schedule_after_ns t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";
-  let seq = next_seq t in
-  Event_queue.push_seq t.queue ~time:(Time.add t.clock delay) ~seq ev;
-  seq
+  Event_queue.push t.queue ~time:(Time.add t.clock delay) ~seq:(next_seq t) f
 
-let schedule_at t ~time f =
-  schedule_event_at_ns t ~time:(Time.of_sec time) (Closure f)
+let schedule_at t ~time f = schedule_at_ns t ~time:(Time.of_sec time) f
 
 let schedule_after t ~delay f =
   if delay < 0. then invalid_arg "Engine.schedule_after: negative delay";
-  schedule_event_after_ns t ~delay:(Time.of_sec_delay delay) (Closure f)
-
-let cancel t id = Event_queue.cancel t.queue id
+  schedule_after_ns t ~delay:(Time.of_sec_delay delay) f
 
 (* --- timer cells ----------------------------------------------------- *)
 
-let make_timer _t payload = { t_seq = -1; t_widx = -1; t_payload = payload }
+let make_timer _t f = { t_seq = -1; t_widx = -1; t_fire = f }
 
 let timer_armed tm = tm.t_seq >= 0
 
@@ -176,7 +141,8 @@ let run_flushes t =
    evaluated when flushes are pending, which is rare relative to event
    dispatch. *)
 let due_at_clock t =
-  (Event_queue.head t.queue && Event_queue.head_time t.queue = t.clock)
+  ((not (Event_queue.is_empty t.queue))
+   && Event_queue.head_time t.queue = t.clock)
   || Timer_wheel.due t.wheel ~up_to:t.clock
 
 (* --- run loop -------------------------------------------------------- *)
@@ -188,8 +154,9 @@ let due_at_clock t =
    - While the wheel's due head is covered ([head_ready]: provably the
      wheel's global minimum, a couple of integer loads), events from
      both substrates are merged with direct head-key comparisons only.
-     Handlers may push heap events, arm/cancel timers, and cancel due
-     entries; [head_ready] re-checks liveness between pops.
+     Handlers may push heap events, arm timers, and cancel timers
+     sitting in the wheel's due bucket; [head_ready] re-checks liveness
+     between pops.
 
    - When the wheel has nothing due, heap events are drained in a run
      while they lie strictly below the wheel's [lower_bound], without
@@ -218,7 +185,7 @@ let run_loop t ~until =
   while !continue do
     if t.flush_len > 0 && not (due_at_clock t) then run_flushes t
     else begin
-      let qh = Event_queue.head q in
+      let qh = not (Event_queue.is_empty q) in
       let qt = if qh then Event_queue.head_time q else Time.never in
       let wlimit = if qt < until then qt else until in
       if Timer_wheel.due w ~up_to:wlimit then begin
@@ -234,7 +201,7 @@ let run_loop t ~until =
           if not (Timer_wheel.head_ready w) then wrun := false
           else begin
             let wt = Timer_wheel.head_time w in
-            let qh = Event_queue.head q in
+            let qh = not (Event_queue.is_empty q) in
             let queue_first =
               qh
               && (let time = Event_queue.head_time q in
@@ -246,10 +213,10 @@ let run_loop t ~until =
               let time = Event_queue.head_time q in
               if t.flush_len > 0 && time <> t.clock then wrun := false
               else if time <= until then begin
-                let ev = Event_queue.pop_head q in
+                let f = Event_queue.pop_head q in
                 t.clock <- time;
                 t.events_executed <- t.events_executed + 1;
-                execute t ev
+                f ()
               end
               else wrun := false
             end
@@ -263,7 +230,7 @@ let run_loop t ~until =
               t.events_executed <- t.events_executed + 1;
               tm.t_seq <- -1;
               t.timer_fires <- t.timer_fires + 1;
-              execute t tm.t_payload
+              tm.t_fire ()
             end
             else wrun := false
           end
@@ -281,22 +248,22 @@ let run_loop t ~until =
              during any handler invalidate the bound, so fence on the
              arm counter. *)
           let arms0 = t.timer_arms in
-          let ev = Event_queue.pop_head q in
+          let f = Event_queue.pop_head q in
           t.clock <- qt;
           t.events_executed <- t.events_executed + 1;
-          execute t ev;
+          f ();
           let bound = Timer_wheel.lower_bound w in
           let qrun = ref true in
           while !qrun do
             if t.timer_arms <> arms0 then qrun := false
-            else if Event_queue.head q then begin
+            else if not (Event_queue.is_empty q) then begin
               let time = Event_queue.head_time q in
               if t.flush_len > 0 && time <> t.clock then qrun := false
               else if time < bound && time <= until then begin
-                let ev = Event_queue.pop_head q in
+                let f = Event_queue.pop_head q in
                 t.clock <- time;
                 t.events_executed <- t.events_executed + 1;
-                execute t ev
+                f ()
               end
               else qrun := false
             end

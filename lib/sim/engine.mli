@@ -2,28 +2,26 @@
 
     The engine owns the simulated clock and two scheduling substrates:
     a binary-heap event queue for one-shot events (packet
-    transmissions, workload arrivals, closures) and a hierarchical
-    {!Timer_wheel} for high-churn recurring timers (retransmission and
-    delayed-ACK timers, which are armed and cancelled per packet).
-    Both substrates draw event ranks from one engine-global counter and
-    the run loop pops whichever substrate holds the earliest
-    [(time, rank)] key, so execution order — including ties — is
-    byte-identical to running everything on a single heap. The clock
-    never moves backwards.
+    transmissions, packet arrivals, workload arrivals) and a
+    hierarchical {!Timer_wheel} for high-churn recurring timers
+    (retransmission and delayed-ACK timers, which are armed and
+    cancelled per packet). Both substrates draw event ranks from one
+    engine-global counter and the run loop pops whichever substrate
+    holds the earliest [(time, rank)] key, so execution order —
+    including ties — is byte-identical to running everything on a
+    single heap. The clock never moves backwards.
 
-    Events come in two forms. The general form is a closure
-    ([schedule_at] / [schedule_after]). Hot paths instead extend the
-    {!event} variant with their own constructors and schedule those
-    directly ([schedule_event_at_ns] / [schedule_event_after_ns]),
-    paying one small variant block per event instead of heap closures;
-    each layer installs a dispatcher for its constructors once per
-    engine with [add_dispatcher]. Both forms share the deterministic
-    (time, insertion) order regardless of which form a component uses.
+    Every event is a [unit -> unit] closure. A one-shot event
+    ([schedule_at] / [schedule_after] and their [_ns] forms) runs once
+    and cannot be cancelled. Hot paths build their closure once and
+    schedule the same value again and again (a link's
+    transmission-complete closure, one arrival closure per pooled
+    cell), so scheduling allocates nothing.
 
-    Recurring timers use {!timer} cells: allocate once with
-    [make_timer], then [arm_timer] / [cancel_timer] freely — rearming
-    from the timer's own handler is safe because the cell is cleared
-    before the handler runs.
+    Recurring and cancellable timers use {!timer} cells: allocate once
+    with [make_timer], then [arm_timer] / [cancel_timer] freely —
+    rearming from the timer's own handler is safe because the cell is
+    cleared before the handler runs.
 
     Time is {!Time.t} integer nanoseconds internally. The [_ns]
     functions take {!Time.t} (the allocation-free hot path); the
@@ -32,16 +30,6 @@
     [Time.of_sec]/[Time.to_sec] compositions of the ns forms. *)
 
 type t
-
-type event_id
-
-(** Extensible event payload. Layers add constructors, e.g.
-    [type Sim.Engine.event += Tx_done of link]. *)
-type event = ..
-
-(** The general fallback: run a closure. Dispatched internally, never
-    passed to registered dispatchers. *)
-type event += Closure of (unit -> unit)
 
 (** [create ()] returns an engine with the clock at time 0.
     [timer_granularity] is the wheel's slot width in seconds (default
@@ -55,44 +43,32 @@ val now : t -> float
     boxing-free clock read for hot paths. *)
 val now_ns : t -> Time.t
 
-(** [add_dispatcher t ~key f] installs [f] to execute typed events.
-    [f ev] must return [true] if it handled [ev], [false] to pass it to
-    the next dispatcher. Registering the same [key] twice is a no-op,
-    so components may call this idempotently (e.g. once per link or
-    connection). Executing a typed event no dispatcher claims raises
-    [Invalid_argument]. *)
-val add_dispatcher : t -> key:string -> (event -> bool) -> unit
+(** [schedule_at_ns t ~time f] runs [f ()] when the clock reaches
+    [time]. Scheduling in the past raises [Invalid_argument]. *)
+val schedule_at_ns : t -> time:Time.t -> (unit -> unit) -> unit
 
-(** [schedule_event_at_ns t ~time ev] executes [ev] when the clock
-    reaches [time]. Scheduling in the past raises [Invalid_argument]. *)
-val schedule_event_at_ns : t -> time:Time.t -> event -> event_id
-
-(** [schedule_event_after_ns t ~delay ev] executes [ev] after [delay]
+(** [schedule_after_ns t ~delay f] runs [f ()] after [delay]
     nanoseconds. Requires [delay >= 0]. *)
-val schedule_event_after_ns : t -> delay:Time.t -> event -> event_id
+val schedule_after_ns : t -> delay:Time.t -> (unit -> unit) -> unit
 
-(** [schedule_at t ~time f] runs [f ()] when the clock reaches [time].
-    Scheduling in the past raises [Invalid_argument]. *)
-val schedule_at : t -> time:float -> (unit -> unit) -> event_id
+(** [schedule_at t ~time f] runs [f ()] when the clock reaches [time]
+    seconds. Scheduling in the past raises [Invalid_argument]. *)
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
 (** [schedule_after t ~delay f] runs [f ()] after [delay] seconds.
     Requires [delay >= 0.]. *)
-val schedule_after : t -> delay:float -> (unit -> unit) -> event_id
-
-(** [cancel t id] prevents a scheduled event from running. Cancelling an
-    event that already ran is a no-op. *)
-val cancel : t -> event_id -> unit
+val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 
 (** {2 Recurring timer cells} *)
 
 (** A reusable timer slot: at most one pending armament at a time,
-    firing a fixed payload. Arm/rearm/cancel are O(1) on the wheel and
+    running a fixed handler. Arm/rearm/cancel are O(1) on the wheel and
     allocation-free after [make_timer]. *)
 type timer
 
-(** [make_timer t payload] allocates an unarmed cell that executes
-    [payload] (via the engine's dispatchers) each time it fires. *)
-val make_timer : t -> event -> timer
+(** [make_timer t f] allocates an unarmed cell that runs [f ()] each
+    time it fires. *)
+val make_timer : t -> (unit -> unit) -> timer
 
 (** [arm_timer t tm ~delay] schedules [tm] to fire after [delay]
     seconds, first cancelling any pending armament of the same cell.
@@ -136,8 +112,8 @@ val run_ns : t -> until:Time.t -> unit
     empty. *)
 val run_to_completion : t -> unit
 
-(** [pending t] is the number of scheduled, uncancelled events across
-    both substrates. *)
+(** [pending t] is the number of scheduled events across both
+    substrates (one-shots plus armed timer cells). *)
 val pending : t -> int
 
 (** {2 Scheduler counters} (monotone over the engine's lifetime) *)

@@ -1,101 +1,20 @@
 (* Struct-of-arrays binary min-heap ordered by (time, seq).
 
-   The previous implementation boxed every entry in an ['a entry option]
-   and touched a [Hashtbl] on every push/pop/peek; this one keeps three
-   parallel arrays (times / seqs / payloads) so the hot path is pure
-   array reads and writes, with no per-entry allocation.
-
-   Cancellation is lazy, as before, but membership of the "pending"
-   set is a bitmap indexed by [seq - bit_base] rather than a hash
-   table: ids are assigned densely (0, 1, 2, ...) so a bit per id in
-   the current window is both smaller and far cheaper than hashing.
-   Cancelled entries stay physically in the heap until they surface at
-   the top, or until more than half the heap is cancelled, at which
-   point the heap is compacted and re-heapified — so physical size
-   stays O(live events). *)
-
-type id = int
+   Three parallel arrays (times / seqs / payloads) keep the hot path to
+   pure array reads and writes, with no per-entry allocation. Nothing
+   is ever cancelled, so every slot below [size] is a pending event and
+   the head is always the minimum. *)
 
 type 'a t = {
   mutable times : int array;  (* Time.t nanoseconds *)
   mutable seqs : int array;
   mutable payloads : 'a array;
-  mutable size : int;  (* physical entries in the heap, live + cancelled *)
-  mutable live : int;  (* non-cancelled entries *)
-  mutable next_seq : int;
-  (* Bit [seq - bit_base] is set while event [seq] is in the heap and
-     not cancelled. [bit_base] never exceeds the smallest seq
-     physically in the heap, so lookups for heap entries are always in
-     range; it is advanced (and the window shifted down) when the
-     bitmap would otherwise grow. *)
-  mutable bits : Bytes.t;
-  mutable bit_base : int;
+  mutable size : int;
 }
 
-let create () =
-  { times = [||];
-    seqs = [||];
-    payloads = [||];
-    size = 0;
-    live = 0;
-    next_seq = 0;
-    bits = Bytes.make 8 '\000';
-    bit_base = 0 }
+let create () = { times = [||]; seqs = [||]; payloads = [||]; size = 0 }
 
-(* --- pending bitmap ------------------------------------------------ *)
-
-let bit_capacity t = 8 * Bytes.length t.bits
-
-let bit_is_set t seq =
-  let i = seq - t.bit_base in
-  Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let set_bit t seq =
-  let i = seq - t.bit_base in
-  let j = i lsr 3 in
-  Bytes.unsafe_set t.bits j
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.bits j) lor (1 lsl (i land 7))))
-
-let clear_bit t seq =
-  let i = seq - t.bit_base in
-  let j = i lsr 3 in
-  Bytes.unsafe_set t.bits j
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.bits j) land lnot (1 lsl (i land 7))))
-
-(* Make room for bit [seq]: rebase the window onto the smallest seq
-   still in the heap (all bits below it are dead), then double the
-   buffer if the window is genuinely that wide. *)
-let ensure_bit_capacity t seq =
-  if seq - t.bit_base >= bit_capacity t then begin
-    if t.size = 0 then begin
-      t.bit_base <- seq;
-      Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
-    end
-    else begin
-      let min_seq = ref max_int in
-      for i = 0 to t.size - 1 do
-        if t.seqs.(i) < !min_seq then min_seq := t.seqs.(i)
-      done;
-      let shift_bytes = (!min_seq - t.bit_base) / 8 in
-      if shift_bytes > 0 then begin
-        let len = Bytes.length t.bits in
-        Bytes.blit t.bits shift_bytes t.bits 0 (len - shift_bytes);
-        Bytes.fill t.bits (len - shift_bytes) shift_bytes '\000';
-        t.bit_base <- t.bit_base + (8 * shift_bytes)
-      end
-    end;
-    while seq - t.bit_base >= bit_capacity t do
-      let bigger = Bytes.make (2 * Bytes.length t.bits) '\000' in
-      Bytes.blit t.bits 0 bigger 0 (Bytes.length t.bits);
-      t.bits <- bigger
-    done
-  end
-
-(* --- heap ----------------------------------------------------------- *)
-
-(* Hole-based sifts: slot [i] is a hole; move entries across it until
+(* Hole-based sift: slot [i] is a hole; move entries across it until
    (time, seq, payload) finds its position, then write once. Times are
    integer nanoseconds ({!Time.t}), so both the sift comparisons and
    the slot-to-slot moves are plain int operations — no representation
@@ -121,36 +40,6 @@ let sift_up t i time seq payload =
   t.seqs.(!i) <- seq;
   t.payloads.(!i) <- payload
 
-let sift_down t i time seq payload =
-  let i = ref i in
-  let walking = ref true in
-  while !walking do
-    let l = (2 * !i) + 1 in
-    if l >= t.size then walking := false
-    else begin
-      let r = l + 1 in
-      let c =
-        if
-          r < t.size
-          && (t.times.(r) < t.times.(l)
-             || (t.times.(r) = t.times.(l) && t.seqs.(r) < t.seqs.(l)))
-        then r
-        else l
-      in
-      let ct = t.times.(c) in
-      if ct < time || (ct = time && t.seqs.(c) < seq) then begin
-        t.times.(!i) <- t.times.(c);
-        t.seqs.(!i) <- t.seqs.(c);
-        t.payloads.(!i) <- t.payloads.(c);
-        i := c
-      end
-      else walking := false
-    end
-  done;
-  t.times.(!i) <- time;
-  t.seqs.(!i) <- seq;
-  t.payloads.(!i) <- payload
-
 let resize_heap t ncap filler =
   let times = Array.make ncap 0 in
   let seqs = Array.make ncap 0 in
@@ -162,35 +51,14 @@ let resize_heap t ncap filler =
   t.seqs <- seqs;
   t.payloads <- payloads
 
-let ensure_heap_capacity t payload =
+let push t ~time ~seq payload =
   let cap = Array.length t.times in
   if t.size = cap then
     if cap = 0 then resize_heap t 64 payload
-    else resize_heap t (2 * cap) t.payloads.(0)
-
-let push_with_seq t ~time ~seq payload =
-  ensure_heap_capacity t payload;
-  ensure_bit_capacity t seq;
-  set_bit t seq;
+    else resize_heap t (2 * cap) t.payloads.(0);
   let i = t.size in
-  t.size <- t.size + 1;
-  t.live <- t.live + 1;
+  t.size <- i + 1;
   sift_up t i time seq payload
-
-let push t ~time payload =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  push_with_seq t ~time ~seq payload;
-  seq
-
-(* External sequence numbers must never collide with internal ones (the
-   bitmap indexes by seq), so they have to be monotone across both
-   entry points. *)
-let push_seq t ~time ~seq payload =
-  if seq < t.next_seq then
-    invalid_arg "Event_queue.push_seq: seq below the internal counter";
-  t.next_seq <- seq + 1;
-  push_with_seq t ~time ~seq payload
 
 (* Drop the root and restore the heap property. Stale payload slots
    beyond [size] are not cleared: they only ever duplicate a reference
@@ -200,8 +68,8 @@ let remove_top t =
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin
-    (* Inline [sift_down t 0 t.times.(n) ...]; the hole's key lives in
-       slot [n] (dead, beyond [size]) and moves only slot-to-slot. *)
+    (* Hole-based sift-down from the root; the hole's key lives in slot
+       [n] (dead, beyond [size]) and moves only slot-to-slot. *)
     let seq = t.seqs.(n) in
     let i = ref 0 in
     let walking = ref true in
@@ -233,134 +101,15 @@ let remove_top t =
     t.payloads.(!i) <- t.payloads.(n)
   end
 
-let rec pop t =
-  if t.size = 0 then None
-  else begin
-    let time = t.times.(0) and seq = t.seqs.(0) in
-    let payload = t.payloads.(0) in
-    remove_top t;
-    if bit_is_set t seq then begin
-      clear_bit t seq;
-      t.live <- t.live - 1;
-      Some (time, payload)
-    end
-    else pop t
-  end
-
-(* Single-pass variant of peek-then-pop: skim cancelled entries off the
-   top, then either pop the live minimum (if due by [until]) or leave it
-   in place. [Engine.run] calls this once per event instead of
-   inspecting the heap twice. *)
-let rec pop_until t ~until =
-  if t.size = 0 then None
-  else begin
-    let seq = t.seqs.(0) in
-    if not (bit_is_set t seq) then begin
-      remove_top t;
-      pop_until t ~until
-    end
-    else if t.times.(0) > until then None
-    else begin
-      let time = t.times.(0) in
-      let payload = t.payloads.(0) in
-      remove_top t;
-      clear_bit t seq;
-      t.live <- t.live - 1;
-      Some (time, payload)
-    end
-  end
-
-(* Callback variant of repeated [pop_until]: pops every event due by
-   [until] and hands it to [f] without materialising a [Some (time,
-   payload)] tuple per event. [f] may push new events; the heap top is
-   re-examined on every iteration, so events scheduled for a due time
-   are drained in the same call. *)
-let drain t ~until f =
-  let continue = ref true in
-  while !continue do
-    if t.size = 0 then continue := false
-    else begin
-      let seq = t.seqs.(0) in
-      if not (bit_is_set t seq) then remove_top t
-      else if t.times.(0) > until then continue := false
-      else begin
-        let time = t.times.(0) in
-        let payload = t.payloads.(0) in
-        remove_top t;
-        clear_bit t seq;
-        t.live <- t.live - 1;
-        f time payload
-      end
-    end
-  done
-
-(* Head primitives for the engine's two-substrate merge: skim dead
-   entries once, then read the head key field-by-field (no option or
-   tuple per event). *)
-let rec head t =
-  if t.size = 0 then false
-  else if bit_is_set t t.seqs.(0) then true
-  else begin
-    remove_top t;
-    head t
-  end
+let is_empty t = t.size = 0
 
 let head_time t = t.times.(0)
 
 let head_seq t = t.seqs.(0)
 
-(* Only called after [head] returned true, so the root is live. *)
 let pop_head t =
   let payload = t.payloads.(0) in
-  clear_bit t t.seqs.(0);
-  t.live <- t.live - 1;
   remove_top t;
   payload
 
-let rec peek_time t =
-  if t.size = 0 then None
-  else if bit_is_set t t.seqs.(0) then Some t.times.(0)
-  else begin
-    remove_top t;
-    peek_time t
-  end
-
-(* Filter out cancelled entries in place, bottom-up heapify the
-   survivors, and shrink the arrays when mostly empty, keeping memory
-   O(live). The (time, seq) order is total, so the rebuilt heap pops
-   in exactly the same sequence as the lazy one would have. *)
-let compact t =
-  let n = ref 0 in
-  for i = 0 to t.size - 1 do
-    if bit_is_set t t.seqs.(i) then begin
-      t.times.(!n) <- t.times.(i);
-      t.seqs.(!n) <- t.seqs.(i);
-      t.payloads.(!n) <- t.payloads.(i);
-      incr n
-    end
-  done;
-  t.size <- !n;
-  for i = ((t.size - 2) / 2) downto 0 do
-    sift_down t i t.times.(i) t.seqs.(i) t.payloads.(i)
-  done;
-  let cap = Array.length t.times in
-  if t.size = 0 then begin
-    t.times <- [||];
-    t.seqs <- [||];
-    t.payloads <- [||]
-  end
-  else if cap > 64 && 4 * t.size < cap then
-    resize_heap t (max 64 (2 * t.size)) t.payloads.(0)
-
-let cancel t id =
-  if id >= t.bit_base && id < t.next_seq && bit_is_set t id then begin
-    clear_bit t id;
-    t.live <- t.live - 1;
-    if t.size > 64 && t.size - t.live > t.live then compact t
-  end
-
-let length t = t.live
-
-let is_empty t = t.live = 0
-
-let heap_size t = t.size
+let length t = t.size

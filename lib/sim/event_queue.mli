@@ -1,90 +1,39 @@
-(** Priority queue of timestamped events.
+(** Priority queue of timestamped one-shot events.
 
-    Events are ordered by time; ties are broken by insertion order, so
-    the simulation is deterministic. Implemented as a struct-of-arrays
-    binary heap with a pending bitmap — push/pop/peek never allocate
-    per entry and never hash. Times are {!Time.t} integer nanoseconds,
-    so heap keys compare and move without boxing. Cancellation is O(1): cancelled entries
-    are skipped lazily when popped, and the heap is compacted whenever
-    more than half of it is cancelled, so memory stays proportional to
-    the number of live events. *)
+    Events are ordered by [(time, seq)]: time first, then the rank the
+    caller supplies, so ties break deterministically. Implemented as a
+    struct-of-arrays binary heap — push and pop never allocate per
+    entry and never hash. Times are {!Time.t} integer nanoseconds, so
+    heap keys compare and move without boxing. There is no
+    cancellation: every pushed event is popped. *)
 
 type 'a t
-
-(** Ids are the event's insertion rank — the [seq] of the (time, seq)
-    ordering key. Exposed as [int] so a scheduler layering another
-    substrate over this one (see {!Engine}) can draw ranks from a
-    shared counter and feed them back via {!push_seq}. *)
-type id = int
 
 (** [create ()] returns an empty queue. *)
 val create : unit -> 'a t
 
-(** [push t ~time payload] inserts an event, returning an id usable with
-    {!cancel}. *)
-val push : 'a t -> time:Time.t -> 'a -> id
-
-(** [push_seq t ~time ~seq payload] inserts an event with an externally
-    drawn rank. [seq] must be at least the internal counter (which
-    advances to [seq + 1]); ranks must be globally monotone across both
-    entry points or the pending bitmap would alias.
-    @raise Invalid_argument on a stale [seq]. *)
-val push_seq : 'a t -> time:Time.t -> seq:int -> 'a -> unit
-
-(** [cancel t id] marks an event as cancelled; popping skips it.
-    Cancelling an already-popped or already-cancelled event is a no-op. *)
-val cancel : 'a t -> id -> unit
-
-(** [pop t] removes and returns the earliest live event as
-    [Some (time, payload)], or [None] if the queue is empty. *)
-val pop : 'a t -> (Time.t * 'a) option
-
-(** [peek_time t] returns the time of the earliest live event without
-    removing it. *)
-val peek_time : 'a t -> Time.t option
-
-(** [pop_until t ~until] pops the earliest live event if its time is
-    [<= until]; otherwise returns [None] and leaves the queue intact.
-    Equivalent to [peek_time] followed by [pop] when the peeked time is
-    due, but inspects the heap only once. *)
-val pop_until : 'a t -> until:Time.t -> (Time.t * 'a) option
-
-(** [drain t ~until f] pops every live event with time [<= until], in
-    order, calling [f time payload] on each — equivalent to looping on
-    {!pop_until} but without allocating a result per event. [f] may
-    push further events; ones due by [until] are drained in the same
-    call. *)
-val drain : 'a t -> until:Time.t -> (Time.t -> 'a -> unit) -> unit
-
-(** Allocation-free head primitives, for a caller that merges this
-    queue against another substrate and wants to read the head key
-    field-by-field instead of materialising options or tuples. *)
-
-(** [head t] skims cancelled entries off the top and reports whether a
-    live head remains. Must be called (and return [true]) before
-    {!head_time}, {!head_seq} or {!pop_head}. *)
-val head : 'a t -> bool
-
-(** Time of the live head. Only meaningful after {!head} returned
-    [true]. *)
-val head_time : 'a t -> Time.t
-
-(** Rank of the live head. Only meaningful after {!head} returned
-    [true]. *)
-val head_seq : 'a t -> int
-
-(** Removes and returns the live head's payload. Only sound after
-    {!head} returned [true]. *)
-val pop_head : 'a t -> 'a
-
-(** [length t] counts live (non-cancelled) events. *)
-val length : 'a t -> int
+(** [push t ~time ~seq payload] inserts an event with rank [seq]. The
+    caller draws ranks (see {!Engine}, which layers a second substrate
+    over this one and draws both substrates' ranks from one counter);
+    distinct events must carry distinct ranks. *)
+val push : 'a t -> time:Time.t -> seq:int -> 'a -> unit
 
 (** [is_empty t] is [length t = 0]. *)
 val is_empty : 'a t -> bool
 
-(** [heap_size t] is the number of physical heap slots in use,
-    including cancelled-but-not-yet-removed entries. Compaction keeps
-    it below twice {!length} (plus a small constant); exposed for
-    diagnostics and leak tests. *)
-val heap_size : 'a t -> int
+(** Allocation-free head primitives, for a caller that merges this
+    queue against another substrate and reads the head key
+    field-by-field instead of materialising options or tuples. Each is
+    meaningful only while the queue is not empty. *)
+
+(** Time of the earliest event. *)
+val head_time : 'a t -> Time.t
+
+(** Rank of the earliest event. *)
+val head_seq : 'a t -> int
+
+(** Removes and returns the earliest event's payload. *)
+val pop_head : 'a t -> 'a
+
+(** [length t] counts pending events. *)
+val length : 'a t -> int

@@ -16,11 +16,11 @@
    tick wide, the due heap holds at most one tick's worth of timers
    plus late-armed entries, so its O(log n) is over a tiny n.
 
-   Cancellation clears the entry's liveness bit and leaves it linked
-   (lazy, as in Event_queue); the (time, seq) key is left intact so the
-   due heap's invariant survives cancellation. When more than half the
-   linked entries are dead, a sweep relinks the survivors and frees the
-   rest, keeping physical usage O(live). *)
+   Cancellation clears the entry's liveness bit and leaves it linked;
+   the (time, seq) key is left intact so the due heap's invariant
+   survives cancellation. When more than half the linked entries are
+   dead, a sweep relinks the survivors and frees the rest, keeping
+   physical usage O(live). *)
 
 (* Level geometry: 256 / 64 / 64 slots (bits 8 / 6 / 6). *)
 let l0_bits = 8

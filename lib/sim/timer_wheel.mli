@@ -17,10 +17,10 @@
     the currently due bucket restores total order). The merged schedule
     is therefore byte-identical to running everything on the heap.
 
-    Cancellation is lazy, as in {!Event_queue}: cancelled entries stay
-    linked until their slot drains, and the wheel sweeps itself when
-    more than half the linked entries are dead, keeping physical usage
-    O(live) under per-packet rearm churn. *)
+    Cancellation is lazy: cancelled entries stay linked until their
+    slot drains, and the wheel sweeps itself when more than half the
+    linked entries are dead, keeping physical usage O(live) under
+    per-packet rearm churn. *)
 
 type 'a t
 

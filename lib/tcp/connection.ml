@@ -57,32 +57,11 @@ type t = {
   mutable window_updates_sent : int;
 }
 
-(* Typed scheduler events: a retransmission timer or delayed-ACK flush
-   costs one small variant block instead of a closure capturing the
-   connection (see DESIGN.md §10). *)
-type Sim.Engine.event +=
-  | Timer of t * int
-  | Delack of t
-  | Appdrain of t
-
 (* Wire size of an ACK packet in bytes, and the deadline of a deferred
    acknowledgement (RFC 1122 delayed ACKs). *)
 let ack_size = 40
 
 let delack_timeout = 0.2
-
-let timer_cell t key =
-  if key >= Array.length t.timer_cells then begin
-    let bigger = Array.make (key + 1) None in
-    Array.blit t.timer_cells 0 bigger 0 (Array.length t.timer_cells);
-    t.timer_cells <- bigger
-  end;
-  match t.timer_cells.(key) with
-  | Some tm -> tm
-  | None ->
-    let tm = Sim.Engine.make_timer t.engine (Timer (t, key)) in
-    t.timer_cells.(key) <- Some tm;
-    tm
 
 (* Instrumentation is pay-for-use: [probing t] is false unless a probe
    with at least one listener was supplied, and every snapshot or event
@@ -135,9 +114,42 @@ let note_finished t =
     (* The app-drain timer deliberately survives completion: the
        application still reads out whatever the socket holds, and a
        standing zero window still gets its reopen announcement before
-       the receiver quiesces (see the [Appdrain] dispatch). *)
+       the receiver quiesces (see [on_app_drain]). *)
     match t.on_finish with Some f -> f () | None -> ()
   end
+
+(* True if the undrained batch contains a [Set_timer]/[Cancel_timer]
+   for [key]. Any such entry was emitted by an event the engine
+   processed before this one (same instant, earlier rank), so under the
+   old execute-immediately semantics it would already have replaced or
+   cancelled the armament that is firing now — the fire must be
+   suppressed to keep batching invisible to the sender. *)
+let batch_touches_key t key =
+  let buf = t.buf in
+  let n = Action_buffer.length buf in
+  let touched = ref false in
+  for i = 0 to n - 1 do
+    if
+      Action_buffer.op buf i >= Action_buffer.op_set_timer
+      && Action_buffer.arg buf i = key
+    then touched := true
+  done;
+  !touched
+
+(* A sender timer key's cell, allocated on first use with a closure
+   that fires that key. *)
+let rec timer_cell t key =
+  if key >= Array.length t.timer_cells then begin
+    let bigger = Array.make (key + 1) None in
+    Array.blit t.timer_cells 0 bigger 0 (Array.length t.timer_cells);
+    t.timer_cells <- bigger
+  end;
+  match t.timer_cells.(key) with
+  | Some tm -> tm
+  | None ->
+    let tm = Sim.Engine.make_timer t.engine (fun () -> fire_timer t key) in
+    t.timer_cells.(key) <- Some tm;
+    tm
 
 (* Execute everything the sender buffered during the current instant.
    Sends go out in emission order. Timer operations coalesce last-wins
@@ -147,7 +159,7 @@ let note_finished t =
    round-trips. Executing timers after sends is equivalent: both happen
    at the same instant and a timer's delay is relative to the (shared)
    current clock. *)
-let drain_actions t =
+and drain_actions t =
   let buf = t.buf in
   let n = Action_buffer.length buf in
   if n > 0 then begin
@@ -186,7 +198,7 @@ let drain_actions t =
    same-instant sender events append to the same batch — unless the
    sender just finished, in which case drain now so [finished_at] and
    the timer cancellations land immediately. *)
-let arm_flush t =
+and arm_flush t =
   if Sender.finished t.sender then drain_actions t
   else if not t.flush_armed then begin
     t.flush_armed <- true;
@@ -199,7 +211,7 @@ let arm_flush t =
    so that [Sent] events land after the envelope that authorised them
    (see {!Probe}). Sender state does not change during action execution,
    so the post-handler snapshot is already final. *)
-let instrumented t make run =
+and instrumented t make run =
   if probing t then begin
     let mark = Action_buffer.length t.buf in
     let before = sender_view t in
@@ -211,27 +223,9 @@ let instrumented t make run =
   else run t.buf;
   arm_flush t
 
-(* True if the undrained batch contains a [Set_timer]/[Cancel_timer]
-   for [key]. Any such entry was emitted by an event the engine
-   processed before this one (same instant, earlier rank), so under the
-   old execute-immediately semantics it would already have replaced or
-   cancelled the armament that is firing now — the fire must be
-   suppressed to keep batching invisible to the sender. *)
-let batch_touches_key t key =
-  let buf = t.buf in
-  let n = Action_buffer.length buf in
-  let touched = ref false in
-  for i = 0 to n - 1 do
-    if
-      Action_buffer.op buf i >= Action_buffer.op_set_timer
-      && Action_buffer.arg buf i = key
-    then touched := true
-  done;
-  !touched
-
 (* The engine has already cleared the cell when this runs, so a handler
    issuing [Set_timer] for its own key rearms a clean slot. *)
-let fire_timer t key =
+and fire_timer t key =
   if Action_buffer.length t.buf > 0 && batch_touches_key t key then ()
   else begin
     t.timer_fires <- t.timer_fires + 1;
@@ -248,14 +242,6 @@ let fire_timer t key =
     end
   end
 
-let delack_cell t =
-  match t.delack_cell with
-  | Some tm -> tm
-  | None ->
-    let tm = Sim.Engine.make_timer t.engine (Delack t) in
-    t.delack_cell <- Some tm;
-    tm
-
 let cancel_delack t =
   match t.delack_cell with
   | Some tm -> Sim.Engine.cancel_timer t.engine tm
@@ -269,22 +255,52 @@ let flush_pending_ack t =
     send_ack t ack
   | None -> ()
 
-let drain_cell t =
-  match t.drain_cell with
+let on_delack t =
+  t.delack_timeouts <- t.delack_timeouts + 1;
+  flush_pending_ack t
+
+let delack_cell t =
+  match t.delack_cell with
   | Some tm -> tm
   | None ->
-    let tm = Sim.Engine.make_timer t.engine (Appdrain t) in
-    t.drain_cell <- Some tm;
+    let tm = Sim.Engine.make_timer t.engine (fun () -> on_delack t) in
+    t.delack_cell <- Some tm;
     tm
 
 (* Keep the application reader ticking while the socket holds unread
    data or a zero window stands unreopened. *)
-let maybe_arm_drain t =
+let rec maybe_arm_drain t =
   if t.drain_period > 0. && Receiver.needs_drain t.receiver then begin
     let tm = drain_cell t in
     if not (Sim.Engine.timer_armed tm) then
       Sim.Engine.arm_timer t.engine tm ~delay:t.drain_period
   end
+
+and drain_cell t =
+  match t.drain_cell with
+  | Some tm -> tm
+  | None ->
+    let tm = Sim.Engine.make_timer t.engine (fun () -> on_app_drain t) in
+    t.drain_cell <- Some tm;
+    tm
+
+(* One paced application read. *)
+and on_app_drain t =
+  Receiver.app_drain t.receiver;
+  (match Receiver.window_update t.receiver with
+  | Some ack ->
+    (* The reopen announcement is cumulative and fresher than any
+       deferred acknowledgement. *)
+    t.pending_ack <- None;
+    cancel_delack t;
+    t.window_updates_sent <- t.window_updates_sent + 1;
+    send_ack t ack
+  | None -> ());
+  (* After completion, once the socket is fully read out, drop the
+     standing zero-window flag (the reopen just went out above) so
+     the drain timer winds down and the engine can go idle. *)
+  if t.finished_at <> None then Receiver.quiesce t.receiver;
+  maybe_arm_drain t
 
 let on_data_arrival t packet =
   (match packet.Net.Packet.payload with
@@ -351,38 +367,10 @@ let on_ack_arrival t packet =
   | _ -> ());
   Net.Network.release_packet t.network packet
 
-let dispatch = function
-  | Timer (t, key) ->
-    fire_timer t key;
-    true
-  | Delack t ->
-    t.delack_timeouts <- t.delack_timeouts + 1;
-    flush_pending_ack t;
-    true
-  | Appdrain t ->
-    Receiver.app_drain t.receiver;
-    (match Receiver.window_update t.receiver with
-    | Some ack ->
-      (* The reopen announcement is cumulative and fresher than any
-         deferred acknowledgement. *)
-      t.pending_ack <- None;
-      cancel_delack t;
-      t.window_updates_sent <- t.window_updates_sent + 1;
-      send_ack t ack
-    | None -> ());
-    (* After completion, once the socket is fully read out, drop the
-       standing zero-window flag (the reopen just went out above) so
-       the drain timer winds down and the engine can go idle. *)
-    if t.finished_at <> None then Receiver.quiesce t.receiver;
-    maybe_arm_drain t;
-    true
-  | _ -> false
-
 let create ?probe ?sketch ?on_finish network ~flow ~src ~dst ~sender ~config
     ~route_data ~route_ack () =
   Config.validate config;
   let engine = Net.Network.engine network in
-  Sim.Engine.add_dispatcher engine ~key:"tcp.connection" dispatch;
   let t =
     { network;
       engine;
@@ -426,11 +414,10 @@ let create ?probe ?sketch ?on_finish network ~flow ~src ~dst ~sender ~config
 let start t ~at =
   if t.started then invalid_arg "Connection.start: already started";
   t.started <- true;
-  ignore
-    (Sim.Engine.schedule_at t.engine ~time:at (fun () ->
-         let now = Sim.Engine.now t.engine in
-         Sender.start t.sender ~now t.buf;
-         arm_flush t))
+  Sim.Engine.schedule_at t.engine ~time:at (fun () ->
+      let now = Sim.Engine.now t.engine in
+      Sender.start t.sender ~now t.buf;
+      arm_flush t)
 
 let sender_name t = Sender.name t.sender
 

@@ -63,8 +63,6 @@ type t = {
   mutable started : int;
   mutable completed : int;
   mutable segments_completed : int;
-  transfer_segments : Obs.Metrics.Histogram.t;
-  transfer_ms : Obs.Metrics.Histogram.t;
 }
 
 (* Bounded Pareto via inverse CDF: heavy-tailed transfer sizes (most
@@ -102,15 +100,9 @@ let rec start_transfer t slot =
   in
   let src = t.ep.sources.(pair) in
   let dst = t.ep.sinks.(pair) in
-  let born = Sim.Engine.now t.engine in
   let on_finish () =
     t.completed <- t.completed + 1;
     t.segments_completed <- t.segments_completed + segments;
-    Obs.Metrics.Histogram.record t.transfer_segments segments;
-    let elapsed_ms =
-      int_of_float ((Sim.Engine.now t.engine -. born) *. 1e3)
-    in
-    Obs.Metrics.Histogram.record t.transfer_ms elapsed_ms;
     Net.Node.detach src ~flow;
     Net.Node.detach dst ~flow;
     think_then_restart t slot
@@ -122,15 +114,14 @@ let rec start_transfer t slot =
       ~route_ack:(fun () -> t.ep.route_ack pair)
       ()
   in
-  Tcp.Connection.start c ~at:born
+  Tcp.Connection.start c ~at:(Sim.Engine.now t.engine)
 
 and think_then_restart t slot =
   let delay =
     if t.churn.mean_think_s = 0. then 0.
     else Sim.Rng.exponential t.slot_rngs.(slot) ~mean:t.churn.mean_think_s
   in
-  ignore
-    (Sim.Engine.schedule_after t.engine ~delay (fun () -> start_transfer t slot))
+  Sim.Engine.schedule_after t.engine ~delay (fun () -> start_transfer t slot)
 
 let spawn_endpoints ep ~sender ~config ~churn ~rngs ?probe () =
   validate churn;
@@ -152,9 +143,7 @@ let spawn_endpoints ep ~sender ~config ~churn ~rngs ?probe () =
       next_flow = 0;
       started = 0;
       completed = 0;
-      segments_completed = 0;
-      transfer_segments = Obs.Metrics.Histogram.create ();
-      transfer_ms = Obs.Metrics.Histogram.create () }
+      segments_completed = 0 }
   in
   (* Stagger the initial arrivals uniformly across the ramp so the
      population builds up as a Poisson-like stream rather than a
@@ -164,8 +153,7 @@ let spawn_endpoints ep ~sender ~config ~churn ~rngs ?probe () =
       if churn.ramp_s = 0. then 0.
       else Sim.Rng.float_range t.slot_rngs.(slot) ~lo:0. ~hi:churn.ramp_s
     in
-    ignore
-      (Sim.Engine.schedule_at engine ~time:at (fun () -> start_transfer t slot))
+    Sim.Engine.schedule_at engine ~time:at (fun () -> start_transfer t slot)
   done;
   t
 
@@ -194,7 +182,3 @@ let bytes_completed t = t.segments_completed * Tcp.Config.mss
 let active t = t.started - t.completed
 
 let flows t = t.churn.flows
-
-let transfer_segments t = t.transfer_segments
-
-let transfer_ms t = t.transfer_ms

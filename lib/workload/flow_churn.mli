@@ -97,9 +97,3 @@ val bytes_completed : t -> int
 
 (** Transfers currently in progress. *)
 val active : t -> int
-
-(** Histogram of completed transfer sizes, in segments. *)
-val transfer_segments : t -> Obs.Metrics.Histogram.t
-
-(** Histogram of completed transfer durations, in milliseconds. *)
-val transfer_ms : t -> Obs.Metrics.Histogram.t

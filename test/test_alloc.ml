@@ -74,7 +74,7 @@ let test_rto_cycle_zero_alloc () =
     | Some tm -> Sim.Engine.arm_timer_ns engine tm ~delay:(Tcp.Rto.current_ns rto)
     | None -> ()
   in
-  let tm = Sim.Engine.make_timer engine (Sim.Engine.Closure handler) in
+  let tm = Sim.Engine.make_timer engine handler in
   cell := Some tm;
   Sim.Engine.arm_timer_ns engine tm ~delay:(Tcp.Rto.current_ns rto);
   (* Warm up: first fires grow wheel slots and promote the cell. *)

@@ -428,6 +428,20 @@ let test_oracle_clean_scenario () =
   in
   if not (Check.Oracle.passed report) then report_failure report
 
+(* Oracle seeds 289 and 336 once stalled TCP-PR for good (47 of 63 and
+   58 of 59 segments delivered): the back-off timer fired at its
+   ns-rounded deadline, [now] read back in seconds one ulp below
+   [backoff_until], so the sender sent nothing and armed no timer. *)
+let test_tcp_pr_backoff_resumes () =
+  List.iter
+    (fun seed ->
+      let report =
+        Check.Oracle.run (Check.Oracle.generate ~seed ())
+          ~variant:Experiments.Variants.tcp_pr
+      in
+      if not (Check.Oracle.passed report) then report_failure report)
+    [ 289; 336 ]
+
 (* ------------------------------------------------------------------ *)
 (* Corrupted sender: the oracle must catch it                          *)
 (* ------------------------------------------------------------------ *)
@@ -571,6 +585,8 @@ let () =
             test_oracle_detects_starvation;
           Alcotest.test_case "clean scenario passes" `Quick
             test_oracle_clean_scenario;
+          Alcotest.test_case "tcp-pr resumes after back-off" `Quick
+            test_tcp_pr_backoff_resumes;
           Alcotest.test_case "catches dupack retransmit" `Quick
             test_oracle_catches_dupack_retransmit;
           Alcotest.test_case "honest TCP-PR passes same scenario" `Quick

@@ -109,107 +109,49 @@ let rng_props =
 (* Event_queue                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Ranks come from the caller, as the engine draws them: the i-th push
+   gets rank i. *)
+let push_all q entries =
+  List.iteri
+    (fun seq (time, payload) -> Sim.Event_queue.push q ~time ~seq payload)
+    entries
+
 let drain queue =
   let rec loop acc =
-    match Sim.Event_queue.pop queue with
-    | None -> List.rev acc
-    | Some (time, payload) -> loop ((time, payload) :: acc)
+    if Sim.Event_queue.is_empty queue then List.rev acc
+    else begin
+      let time = Sim.Event_queue.head_time queue in
+      let payload = Sim.Event_queue.pop_head queue in
+      loop ((time, payload) :: acc)
+    end
   in
   loop []
 
 let test_queue_orders_by_time () =
   let q = Sim.Event_queue.create () in
-  ignore (Sim.Event_queue.push q ~time:3 "c");
-  ignore (Sim.Event_queue.push q ~time:1 "a");
-  ignore (Sim.Event_queue.push q ~time:2 "b");
+  push_all q [ (3, "c"); (1, "a"); (2, "b") ];
   Alcotest.(check (list (pair int string)))
     "sorted" [ (1, "a"); (2, "b"); (3, "c") ] (drain q)
 
 let test_queue_fifo_on_ties () =
   let q = Sim.Event_queue.create () in
-  ignore (Sim.Event_queue.push q ~time:1 "first");
-  ignore (Sim.Event_queue.push q ~time:1 "second");
-  ignore (Sim.Event_queue.push q ~time:1 "third");
+  push_all q [ (1, "first"); (1, "second"); (1, "third") ];
   Alcotest.(check (list string))
     "insertion order" [ "first"; "second"; "third" ]
     (List.map snd (drain q))
 
-let test_queue_cancel () =
-  let q = Sim.Event_queue.create () in
-  ignore (Sim.Event_queue.push q ~time:1 "keep1");
-  let id = Sim.Event_queue.push q ~time:2 "drop" in
-  ignore (Sim.Event_queue.push q ~time:3 "keep2");
-  Sim.Event_queue.cancel q id;
-  Alcotest.(check int) "length excludes cancelled" 2 (Sim.Event_queue.length q);
-  Alcotest.(check (list string))
-    "cancelled skipped" [ "keep1"; "keep2" ]
-    (List.map snd (drain q))
+(* Model-based qcheck test: the heap must agree with a naive sorted
+   association list under arbitrary interleavings of push and pop.
+   Times are drawn from a small set so ties (and the rank tie-break)
+   are exercised constantly. *)
 
-let test_queue_cancel_after_pop_is_noop () =
-  let q = Sim.Event_queue.create () in
-  let id = Sim.Event_queue.push q ~time:1 "x" in
-  ignore (Sim.Event_queue.pop q);
-  Sim.Event_queue.cancel q id;
-  ignore (Sim.Event_queue.push q ~time:2 "y");
-  Alcotest.(check int) "length intact" 1 (Sim.Event_queue.length q)
-
-let test_queue_peek () =
-  let q = Sim.Event_queue.create () in
-  Alcotest.(check (option int)) "empty" None (Sim.Event_queue.peek_time q);
-  let id = Sim.Event_queue.push q ~time:5 "x" in
-  ignore (Sim.Event_queue.push q ~time:7 "y");
-  Alcotest.(check (option int))
-    "earliest" (Some 5) (Sim.Event_queue.peek_time q);
-  Sim.Event_queue.cancel q id;
-  Alcotest.(check (option int))
-    "skips cancelled" (Some 7) (Sim.Event_queue.peek_time q)
-
-(* Compaction keeps the physical heap proportional to the live count:
-   cancelled entries must not linger until they surface at the top. *)
-let test_queue_compaction_bounds_size () =
-  let q = Sim.Event_queue.create () in
-  let ids =
-    Array.init 10_000 (fun i ->
-        Sim.Event_queue.push q ~time:i i)
-  in
-  for i = 0 to 9_899 do
-    Sim.Event_queue.cancel q ids.(i)
-  done;
-  Alcotest.(check int) "live count" 100 (Sim.Event_queue.length q);
-  Alcotest.(check bool)
-    (Printf.sprintf "heap size %d is O(live)" (Sim.Event_queue.heap_size q))
-    true
-    (Sim.Event_queue.heap_size q <= 256);
-  let survivors = List.map snd (drain q) in
-  Alcotest.(check (list int))
-    "survivors intact"
-    (List.init 100 (fun i -> 9_900 + i))
-    survivors
-
-(* Model-based qcheck tests: the heap must agree with a naive sorted
-   association list under arbitrary interleavings of push / pop /
-   cancel / peek. Times are drawn from a small set so ties (and the
-   FIFO tie-break) are exercised constantly. *)
-
-type queue_op =
-  | Push of Sim.Time.t
-  | Pop
-  | Cancel of int  (* cancel the id of the k-th push so far, mod count *)
-  | Peek
+type queue_op = Push of Sim.Time.t | Pop
 
 let op_gen =
   QCheck.Gen.(
-    frequency
-      [ (5, map (fun t -> Push t) (int_bound 7));
-        (3, return Pop);
-        (2, map (fun k -> Cancel k) (int_bound 50));
-        (1, return Peek) ])
+    frequency [ (5, map (fun t -> Push t) (int_bound 7)); (3, return Pop) ])
 
-let op_print = function
-  | Push t -> Printf.sprintf "Push %d" t
-  | Pop -> "Pop"
-  | Cancel k -> Printf.sprintf "Cancel %d" k
-  | Peek -> "Peek"
+let op_print = function Push t -> Printf.sprintf "Push %d" t | Pop -> "Pop"
 
 let ops_arbitrary =
   QCheck.make
@@ -221,7 +163,6 @@ let ops_arbitrary =
 let model_agrees ops =
   let q = Sim.Event_queue.create () in
   let model = ref [] in
-  let pushed = ref [||] in
   let push_count = ref 0 in
   let insert (t, s, p) =
     let rec go = function
@@ -234,105 +175,34 @@ let model_agrees ops =
   in
   let ok = ref true in
   let check b = if not b then ok := false in
+  let pop () =
+    match !model with
+    | [] -> check (Sim.Event_queue.is_empty q)
+    | (t, s, p) :: rest ->
+      check (not (Sim.Event_queue.is_empty q));
+      check (Sim.Event_queue.head_time q = t);
+      check (Sim.Event_queue.head_seq q = s);
+      check (Sim.Event_queue.pop_head q = p);
+      model := rest
+  in
   List.iter
     (fun op ->
       (match op with
       | Push time ->
-        let payload = !push_count in
-        let id = Sim.Event_queue.push q ~time payload in
-        pushed := Array.append !pushed [| id |];
-        insert (time, !push_count, payload);
+        let seq = !push_count in
+        Sim.Event_queue.push q ~time ~seq seq;
+        insert (time, seq, seq);
         incr push_count
-      | Pop -> (
-        match (Sim.Event_queue.pop q, !model) with
-        | None, [] -> ()
-        | Some (t, p), (t', _, p') :: rest ->
-          check (t = t' && p = p');
-          model := rest
-        | Some _, [] | None, _ :: _ -> check false)
-      | Cancel k ->
-        if !push_count > 0 then begin
-          let idx = k mod !push_count in
-          Sim.Event_queue.cancel q !pushed.(idx);
-          model := List.filter (fun (_, s, _) -> s <> idx) !model
-        end
-      | Peek ->
-        let expected =
-          match !model with [] -> None | (t, _, _) :: _ -> Some t
-        in
-        check (Sim.Event_queue.peek_time q = expected));
+      | Pop -> pop ());
       check (Sim.Event_queue.length q = List.length !model);
       check (Sim.Event_queue.is_empty q = (!model = [])))
     ops;
   (* drain: remaining events must come out in exact model order *)
-  let rec drain_both () =
-    match (Sim.Event_queue.pop q, !model) with
-    | None, [] -> ()
-    | Some (t, p), (t', _, p') :: rest ->
-      check (t = t' && p = p');
-      model := rest;
-      drain_both ()
-    | Some _, [] | None, _ :: _ -> check false
-  in
-  drain_both ();
+  while !model <> [] do
+    pop ()
+  done;
+  check (Sim.Event_queue.is_empty q);
   !ok
-
-(* [pop_until] replaced Engine.run's peek-then-pop loop; it must agree
-   with that loop under arbitrary pushes and a rising [until] horizon.
-   [drain] must in turn agree with a [pop_until] loop. *)
-let old_pop_until q ~until =
-  match Sim.Event_queue.peek_time q with
-  | Some t when t <= until -> Sim.Event_queue.pop q
-  | Some _ | None -> None
-
-let rec collect acc pop =
-  match pop () with
-  | Some (t, p) -> collect ((t, p) :: acc) pop
-  | None -> List.rev acc
-
-let horizon_arbitrary =
-  QCheck.(
-    pair (list (pair (int_bound 100) small_nat)) (list (int_bound 120)))
-
-let pop_until_props =
-  [ QCheck.Test.make ~name:"pop_until agrees with peek-then-pop" ~count:300
-      horizon_arbitrary
-      (fun (events, untils) ->
-        let q_new = Sim.Event_queue.create () in
-        let q_old = Sim.Event_queue.create () in
-        List.iter
-          (fun (time, payload) ->
-            ignore (Sim.Event_queue.push q_new ~time payload);
-            ignore (Sim.Event_queue.push q_old ~time payload))
-          events;
-        List.for_all
-          (fun until ->
-            let got =
-              collect [] (fun () -> Sim.Event_queue.pop_until q_new ~until)
-            in
-            let expected = collect [] (fun () -> old_pop_until q_old ~until) in
-            got = expected)
-          (List.sort compare untils));
-    QCheck.Test.make ~name:"drain agrees with a pop_until loop" ~count:300
-      horizon_arbitrary
-      (fun (events, untils) ->
-        let q_drain = Sim.Event_queue.create () in
-        let q_loop = Sim.Event_queue.create () in
-        List.iter
-          (fun (time, payload) ->
-            ignore (Sim.Event_queue.push q_drain ~time payload);
-            ignore (Sim.Event_queue.push q_loop ~time payload))
-          events;
-        List.for_all
-          (fun until ->
-            let got = ref [] in
-            Sim.Event_queue.drain q_drain ~until (fun t p ->
-                got := (t, p) :: !got);
-            let expected =
-              collect [] (fun () -> Sim.Event_queue.pop_until q_loop ~until)
-            in
-            List.rev !got = expected)
-          (List.sort compare untils)) ]
 
 let queue_props =
   [ QCheck.Test.make ~name:"heap agrees with naive sorted-list model"
@@ -341,23 +211,9 @@ let queue_props =
       QCheck.(list (int_bound 1000))
       (fun times ->
         let q = Sim.Event_queue.create () in
-        List.iter (fun t -> ignore (Sim.Event_queue.push q ~time:t ())) times;
+        push_all q (List.map (fun t -> (t, ())) times);
         let popped = List.map fst (drain q) in
-        popped = List.sort compare popped);
-    QCheck.Test.make ~name:"length = pushes - pops - cancels" ~count:300
-      QCheck.(list (pair (int_bound 100) bool))
-      (fun entries ->
-        let q = Sim.Event_queue.create () in
-        let cancelled = ref 0 in
-        List.iter
-          (fun (t, cancel) ->
-            let id = Sim.Event_queue.push q ~time:t () in
-            if cancel then begin
-              Sim.Event_queue.cancel q id;
-              incr cancelled
-            end)
-          entries;
-        Sim.Event_queue.length q = List.length entries - !cancelled) ]
+        popped = List.sort compare popped) ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -367,21 +223,19 @@ let test_engine_runs_in_order () =
   let engine = Sim.Engine.create () in
   let log = ref [] in
   let note label () = log := label :: !log in
-  ignore (Sim.Engine.schedule_at engine ~time:2. (note "b"));
-  ignore (Sim.Engine.schedule_at engine ~time:1. (note "a"));
-  ignore (Sim.Engine.schedule_at engine ~time:3. (note "c"));
+  Sim.Engine.schedule_at engine ~time:2. (note "b");
+  Sim.Engine.schedule_at engine ~time:1. (note "a");
+  Sim.Engine.schedule_at engine ~time:3. (note "c");
   Sim.Engine.run_to_completion engine;
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev !log)
 
 let test_engine_clock_advances () =
   let engine = Sim.Engine.create () in
   let seen = ref [] in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:1.5 (fun () ->
-         seen := Sim.Engine.now engine :: !seen));
-  ignore
-    (Sim.Engine.schedule_after engine ~delay:0.5 (fun () ->
-         seen := Sim.Engine.now engine :: !seen));
+  Sim.Engine.schedule_at engine ~time:1.5 (fun () ->
+      seen := Sim.Engine.now engine :: !seen);
+  Sim.Engine.schedule_after engine ~delay:0.5 (fun () ->
+      seen := Sim.Engine.now engine :: !seen);
   Sim.Engine.run_to_completion engine;
   Alcotest.(check (list (float 1e-12))) "clock at event times" [ 1.5; 0.5 ]
     !seen
@@ -389,39 +243,29 @@ let test_engine_clock_advances () =
 let test_engine_run_until () =
   let engine = Sim.Engine.create () in
   let fired = ref 0 in
-  ignore (Sim.Engine.schedule_at engine ~time:1. (fun () -> incr fired));
-  ignore (Sim.Engine.schedule_at engine ~time:5. (fun () -> incr fired));
+  Sim.Engine.schedule_at engine ~time:1. (fun () -> incr fired);
+  Sim.Engine.schedule_at engine ~time:5. (fun () -> incr fired);
   Sim.Engine.run engine ~until:2.;
   Alcotest.(check int) "only first fired" 1 !fired;
   check_float "clock at until" 2. (Sim.Engine.now engine);
   Sim.Engine.run engine ~until:10.;
   Alcotest.(check int) "second fired" 2 !fired
 
-let test_engine_cancel () =
-  let engine = Sim.Engine.create () in
-  let fired = ref false in
-  let id = Sim.Engine.schedule_at engine ~time:1. (fun () -> fired := true) in
-  Sim.Engine.cancel engine id;
-  Sim.Engine.run_to_completion engine;
-  Alcotest.(check bool) "not fired" false !fired
-
 let test_engine_rejects_past () =
   let engine = Sim.Engine.create () in
-  ignore (Sim.Engine.schedule_at engine ~time:5. (fun () -> ()));
+  Sim.Engine.schedule_at engine ~time:5. (fun () -> ());
   Sim.Engine.run_to_completion engine;
   Alcotest.check_raises "past scheduling rejected"
     (Invalid_argument "Engine.schedule_at: time 1 is before now 5") (fun () ->
-      ignore (Sim.Engine.schedule_at engine ~time:1. (fun () -> ())))
+      Sim.Engine.schedule_at engine ~time:1. (fun () -> ()))
 
 let test_engine_nested_scheduling () =
   let engine = Sim.Engine.create () in
   let log = ref [] in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:1. (fun () ->
-         log := "outer" :: !log;
-         ignore
-           (Sim.Engine.schedule_after engine ~delay:1. (fun () ->
-                log := "inner" :: !log))));
+  Sim.Engine.schedule_at engine ~time:1. (fun () ->
+      log := "outer" :: !log;
+      Sim.Engine.schedule_after engine ~delay:1. (fun () ->
+          log := "inner" :: !log));
   Sim.Engine.run_to_completion engine;
   Alcotest.(check (list string)) "nested order" [ "outer"; "inner" ]
     (List.rev !log);
@@ -429,8 +273,8 @@ let test_engine_nested_scheduling () =
 
 let test_engine_pending () =
   let engine = Sim.Engine.create () in
-  ignore (Sim.Engine.schedule_at engine ~time:1. (fun () -> ()));
-  ignore (Sim.Engine.schedule_at engine ~time:2. (fun () -> ()));
+  Sim.Engine.schedule_at engine ~time:1. (fun () -> ());
+  Sim.Engine.schedule_at engine ~time:2. (fun () -> ());
   Alcotest.(check int) "two pending" 2 (Sim.Engine.pending engine);
   Sim.Engine.run engine ~until:1.5;
   Alcotest.(check int) "one pending" 1 (Sim.Engine.pending engine)
@@ -654,17 +498,13 @@ let wheel_props =
 module type SCHED = sig
   type t
 
-  type id
-
   type cell
 
   val create : unit -> t
 
   val now_ns : t -> Sim.Time.t
 
-  val schedule_at : t -> time:float -> (unit -> unit) -> id
-
-  val cancel : t -> id -> unit
+  val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
   val make_timer : t -> (unit -> unit) -> cell
 
@@ -681,8 +521,6 @@ end
 module Engine_sched : SCHED = struct
   type t = Sim.Engine.t
 
-  type id = Sim.Engine.event_id
-
   type cell = Sim.Engine.timer
 
   let create () = Sim.Engine.create ()
@@ -691,9 +529,7 @@ module Engine_sched : SCHED = struct
 
   let schedule_at = Sim.Engine.schedule_at
 
-  let cancel = Sim.Engine.cancel
-
-  let make_timer t f = Sim.Engine.make_timer t (Sim.Engine.Closure f)
+  let make_timer = Sim.Engine.make_timer
 
   let arm_timer = Sim.Engine.arm_timer
 
@@ -728,8 +564,6 @@ module Heap_model : SCHED = struct
     mutable fires : int;
   }
 
-  type id = int
-
   let create () =
     { now = 0;
       next_rank = 0;
@@ -750,15 +584,16 @@ module Heap_model : SCHED = struct
         t.queue;
     rank
 
-  let cancel t rank = t.queue <- List.filter (fun (_, r, _) -> r <> rank) t.queue
+  let remove t rank =
+    t.queue <- List.filter (fun (_, r, _) -> r <> rank) t.queue
 
-  let schedule_at t ~time f = push t (Sim.Time.of_sec time) (Oneshot f)
+  let schedule_at t ~time f = ignore (push t (Sim.Time.of_sec time) (Oneshot f))
 
   let make_timer _ handler = { armed = -1; handler }
 
   let cancel_timer t c =
     if c.armed >= 0 then begin
-      cancel t c.armed;
+      remove t c.armed;
       c.armed <- -1;
       t.cancels <- t.cancels + 1
     end
@@ -791,9 +626,8 @@ module Heap_model : SCHED = struct
 end
 
 (* What a handler does besides logging itself. Targets index the
-   program's one-shots or cells modulo their count. *)
+   program's cells modulo their count. *)
 type action =
-  | Cancel_oneshot of int  (* [cancel] a one-shot, pending or not *)
   | Cancel_cell of int  (* [cancel_timer] a cell *)
   | Arm_cell of int * int
       (* [arm_timer] a cell [d] grid steps out; rearming an armed cell
@@ -818,32 +652,26 @@ let run_program (module S : SCHED) p =
   let log = ref [] in
   let note label = log := (label, S.now_ns s) :: !log in
   let steps k = float_of_int k *. grid in
-  let oneshots = ref [||] in
   let cells = ref [||] in
   let budget = ref action_budget in
   let act a =
-    let n_oneshots = Array.length !oneshots in
     let n_cells = Array.length !cells in
     if !budget > 0 then begin
       decr budget;
       match a with
-      | Cancel_oneshot k when n_oneshots > 0 ->
-        S.cancel s !oneshots.(k mod n_oneshots)
       | Cancel_cell k when n_cells > 0 ->
         S.cancel_timer s !cells.(k mod n_cells)
       | Arm_cell (k, d) when n_cells > 0 ->
         S.arm_timer s !cells.(k mod n_cells) ~delay:(steps d)
-      | Cancel_oneshot _ | Cancel_cell _ | Arm_cell _ -> ()
+      | Cancel_cell _ | Arm_cell _ -> ()
     end
   in
-  oneshots :=
-    Array.of_list
-      (List.mapi
-         (fun i (k, actions) ->
-           S.schedule_at s ~time:(steps k) (fun () ->
-               note (1000 + i);
-               List.iter act actions))
-         p.oneshots);
+  List.iteri
+    (fun i (k, actions) ->
+      S.schedule_at s ~time:(steps k) (fun () ->
+          note (1000 + i);
+          List.iter act actions))
+    p.oneshots;
   cells :=
     Array.of_list
       (List.mapi
@@ -873,7 +701,6 @@ let engine_matches_model p =
 
 let print_program p =
   let action = function
-    | Cancel_oneshot k -> Printf.sprintf "cancel-oneshot %d" k
     | Cancel_cell k -> Printf.sprintf "cancel-cell %d" k
     | Arm_cell (k, d) -> Printf.sprintf "arm-cell %d +%d" k d
   in
@@ -892,8 +719,7 @@ let program_arbitrary =
   let open QCheck.Gen in
   let action =
     frequency
-      [ (2, map (fun k -> Cancel_oneshot k) (int_bound 20));
-        (2, map (fun k -> Cancel_cell k) (int_bound 20));
+      [ (2, map (fun k -> Cancel_cell k) (int_bound 20));
         (3, map2 (fun k d -> Arm_cell (k, d)) (int_bound 20) (int_bound 16)) ]
   in
   let actions = list_size (int_bound 3) action in
@@ -913,7 +739,7 @@ let program_arbitrary =
 let test_timer_cell_lifecycle () =
   let engine = Sim.Engine.create () in
   let fired = ref 0 in
-  let tm = Sim.Engine.make_timer engine (Sim.Engine.Closure (fun () -> incr fired)) in
+  let tm = Sim.Engine.make_timer engine (fun () -> incr fired) in
   Alcotest.(check bool) "starts unarmed" false (Sim.Engine.timer_armed tm);
   Sim.Engine.arm_timer engine tm ~delay:1.;
   Alcotest.(check bool) "armed" true (Sim.Engine.timer_armed tm);
@@ -947,7 +773,7 @@ let test_timer_rearm_from_own_handler () =
     fires := Sim.Engine.now engine :: !fires;
     if List.length !fires < 3 then Sim.Engine.arm_timer engine tm ~delay:0.5
   in
-  let tm = Sim.Engine.make_timer engine (Sim.Engine.Closure handler) in
+  let tm = Sim.Engine.make_timer engine handler in
   cell := Some tm;
   Sim.Engine.arm_timer engine tm ~delay:0.5;
   Sim.Engine.run engine ~until:10.;
@@ -963,9 +789,8 @@ let test_timer_subtick_times_exact () =
   let log = ref [] in
   let mk label delay =
     let tm =
-      Sim.Engine.make_timer engine
-        (Sim.Engine.Closure
-           (fun () -> log := (label, Sim.Engine.now engine) :: !log))
+      Sim.Engine.make_timer engine (fun () ->
+          log := (label, Sim.Engine.now engine) :: !log)
     in
     Sim.Engine.arm_timer engine tm ~delay
   in
@@ -982,11 +807,11 @@ let test_timer_subtick_times_exact () =
    one-shot 1 cancels cell 0, the wheel's due head at that instant,
    while one-shot 2 is still queued there; one-shot 2 then rearms cell
    0 at the same instant. Cell 1 rearms the armed cell 3 each time it
-   fires, and one-shot 0 cancels one-shot 3 before it runs. *)
+   fires. *)
 let test_engine_wheel_heap_identical () =
   let p =
     { oneshots =
-        [ (200, [ Cancel_oneshot 3 ]);
+        [ (200, []);
           (500, [ Cancel_cell 0 ]);
           (500, [ Arm_cell (0, 0) ]);
           (7400, []);
@@ -1007,8 +832,6 @@ let test_engine_wheel_heap_identical () =
   Alcotest.(check int) "identical cancel counts" m_cancels cancels;
   Alcotest.(check int) "identical fire counts" m_fires fires;
   Alcotest.(check int) "identical pending counts" m_pending pending;
-  Alcotest.(check bool) "cancelled one-shot never runs" false
-    (List.mem_assoc 1003 log);
   Alcotest.(check (list (pair int int)))
     "at 0.25 s: both one-shots, then the rearmed cell 0"
     [ (1001, ns 0.25); (1002, ns 0.25); (0, ns 0.25) ]
@@ -1045,15 +868,8 @@ let heap_float_order_prop =
       list (oneof [ int_bound 50; int_bound 1_000_000_000 ]))
     (fun times_ns ->
       let q = Sim.Event_queue.create () in
-      List.iteri
-        (fun i t -> ignore (Sim.Event_queue.push q ~time:t i))
-        times_ns;
-      let rec drain acc =
-        match Sim.Event_queue.pop q with
-        | None -> List.rev acc
-        | Some (t, p) -> drain ((t, p) :: acc)
-      in
-      let popped = drain [] in
+      push_all q (List.mapi (fun i t -> (t, i)) times_ns);
+      let popped = drain q in
       let model =
         List.mapi (fun i t -> (Sim.Time.to_sec t, i, t)) times_ns
         |> List.stable_sort (fun (a, i, _) (b, j, _) ->
@@ -1141,20 +957,12 @@ let () =
         @ List.map (QCheck_alcotest.to_alcotest ~long:false) rng_props );
       ( "event-queue",
         [ Alcotest.test_case "orders by time" `Quick test_queue_orders_by_time;
-          Alcotest.test_case "fifo ties" `Quick test_queue_fifo_on_ties;
-          Alcotest.test_case "cancel" `Quick test_queue_cancel;
-          Alcotest.test_case "cancel after pop" `Quick
-            test_queue_cancel_after_pop_is_noop;
-          Alcotest.test_case "peek" `Quick test_queue_peek;
-          Alcotest.test_case "compaction bounds size" `Quick
-            test_queue_compaction_bounds_size ]
-        @ List.map (QCheck_alcotest.to_alcotest ~long:false) queue_props
-        @ List.map (QCheck_alcotest.to_alcotest ~long:false) pop_until_props );
+          Alcotest.test_case "fifo ties" `Quick test_queue_fifo_on_ties ]
+        @ List.map (QCheck_alcotest.to_alcotest ~long:false) queue_props );
       ( "engine",
         [ Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
           Alcotest.test_case "clock advances" `Quick test_engine_clock_advances;
           Alcotest.test_case "run until" `Quick test_engine_run_until;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
           Alcotest.test_case "nested scheduling" `Quick
             test_engine_nested_scheduling;

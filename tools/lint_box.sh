@@ -25,7 +25,7 @@
 #   * `Time.to_sec` bodies (time.ml) inlined into the boundary
 #     wrapper functions listed in BOUNDARY_FNS below: these are the
 #     documented seconds-facing API (DESIGN.md §15), plus the cold
-#     invalid_arg message formatting in schedule_event_at_ns.
+#     invalid_arg message formatting in schedule_at_ns.
 #
 # The Cmm shapes it greps are compiler-version-sensitive, so the lint
 # is pinned to the compiler it was calibrated on (PINNED below): there
@@ -57,9 +57,9 @@ MODULES="time event_queue timer_wheel engine"
 #   to_sec / of_sec / of_sec_delay — the boundary itself (time.ml);
 #   now — engine's one float-seconds clock accessor (trace/probe/stats
 #     callers);
-#   schedule_event_at_ns — to_sec only on the cold invalid_arg path
+#   schedule_at_ns — to_sec only on the cold invalid_arg path
 #     (formatting the "scheduled in the past" message).
-BOUNDARY_FNS='to_sec|of_sec|of_sec_delay|now|schedule_event_at_ns'
+BOUNDARY_FNS='to_sec|of_sec|of_sec_delay|now|schedule_at_ns'
 
 for m in $MODULES; do
   cp "$repo/lib/sim/$m.ml" "$repo/lib/sim/$m.mli" "$tmp/" || exit 2
