@@ -25,9 +25,9 @@ bench-gate:
 	dune exec bench/main.exe -- gate
 
 # Float-boxing tripwire: recompile the integer-ns scheduling core
-# (time / event_queue / timer_wheel / engine) with ocamlopt -dcmm and
-# fail if any hot function boxes a float outside the documented
-# seconds boundary (DESIGN.md §15). The Cmm shapes it greps are
+# (time / timer_wheel / engine) with ocamlopt -dcmm and fail if any
+# hot function boxes a float outside the documented seconds boundary
+# (DESIGN.md §15). The Cmm shapes it greps are
 # compiler-version-sensitive, so the script is pinned to ocamlopt
 # 5.1.1: a fatal ci stage there, a printed skip on any other compiler.
 lint-box:

@@ -5,10 +5,10 @@
    single wall-clock reading on a shared host cannot tell a regression
    from noise, so no gate compares it with a stored number. The
    regressions a speed floor here was meant to catch — a box back on
-   the sift path, a per-event closure — show up exactly in the
+   the dispatch path, a per-event closure — show up exactly in the
    allocation gate instead.
 
-   Each scenario warms up first (heap growth, wheel slot allocation,
+   Each scenario warms up first (wheel entry and due-heap growth,
    free-list filling are one-time costs), then measures a fixed number
    of events. Both wall-clock and GC-allocated bytes are recorded: the
    bytes/event column is what keeps the "schedule + dispatch allocates
@@ -46,7 +46,7 @@ let measure name engine warmup run =
       (if events = 0 then 0. else allocated_bytes /. float_of_int events) }
 
 (* Closure churn: one self-rescheduling closure, the minimal
-   schedule/pop/dispatch cycle on the heap substrate. *)
+   schedule/pop/dispatch cycle on the wheel. *)
 let closure_churn () =
   let engine = Sim.Engine.create () in
   let budget = ref 0 in
@@ -68,7 +68,7 @@ let closure_churn () =
 (* Pipeline churn: every tick schedules two extra events at computed
    (dynamic-float) delays, one short and one long — the schedule shape
    of a link transmission (completion + arrival), which keeps ~100 events
-   in flight so the heap sifts at real depth. *)
+   in flight across the wheel's slots and its due heap. *)
 let pipeline_churn () =
   let engine = Sim.Engine.create () in
   let budget = ref 0 in

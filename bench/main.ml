@@ -2,8 +2,8 @@
    `record`, the one mode that writes a file.
 
    Usage: main.exe [micro|alloc|engine|gate|record]
-     micro   bechamel micro-benchmarks of the hot paths: the event
-             queue, the Newton ewrtt update, sender ACK processing, the
+     micro   bechamel micro-benchmarks of the hot paths: the timing
+             wheel, the Newton ewrtt update, sender ACK processing, the
              receiver, epsilon-routing sampling and the pooled link
              pipeline
      alloc   bytes per simulated packet for every Alloc_suite scenario
@@ -54,15 +54,18 @@ let heading title = Printf.printf "\n===== %s =====\n%!" title
 (* Micro-benchmarks                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let bench_event_queue =
-  Test.make ~name:"event_queue: 256 push + pop"
+(* The scheduler's arm + drain cycle on the engine's 1 ms wheel: 256
+   entries a quarter tick apart, so four share each of 64 ticks. *)
+let bench_timer_wheel =
+  Test.make ~name:"timer_wheel: 256 arm + pop"
     (Staged.stage (fun () ->
-         let q = Sim.Event_queue.create () in
+         let w = Sim.Timer_wheel.create ~granularity:1_000_000 () in
          for i = 0 to 255 do
-           Sim.Event_queue.push q ~time:(i * 7919 mod 256) ~seq:i i
+           let time = i * 7919 mod 256 * 250_000 in
+           ignore (Sim.Timer_wheel.arm w ~time ~seq:i ignore)
          done;
-         while not (Sim.Event_queue.is_empty q) do
-           ignore (Sim.Event_queue.pop_head q)
+         while Sim.Timer_wheel.due w ~up_to:Sim.Time.never do
+           Sim.Timer_wheel.pop_due w ()
          done))
 
 let bench_newton =
@@ -180,7 +183,7 @@ let bench_link_pipeline =
 let microbenchmarks () =
   heading "Micro-benchmarks (bechamel, monotonic clock)";
   let tests =
-    [ bench_event_queue;
+    [ bench_timer_wheel;
       bench_newton;
       bench_receiver;
       bench_pr_ack_processing;

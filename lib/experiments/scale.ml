@@ -42,12 +42,7 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
   let _, sender_module = sender in
   let config = default_config in
   let churn = default_churn ~flows ~duration in
-  let timer_granularity =
-    if config.Tcp.Config.timer_granularity > 0. then
-      config.Tcp.Config.timer_granularity
-    else 1e-3
-  in
-  let engine = Sim.Engine.create ~timer_granularity () in
+  let engine = Sim.Engine.create () in
   (* Capacity scales with the population: ~1 Mb/s of bottleneck per
      slot so mice finish in a handful of RTTs, 32 host pairs shared
      round-robin, and bottleneck queues deep enough that loss stays a

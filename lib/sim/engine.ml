@@ -1,6 +1,8 @@
 (* A recurring-timer cell. [t_seq] is the engine-global rank of the
    pending armament (-1 when unarmed); [t_widx] is that armament's
-   wheel entry index, meaningful only while [t_seq >= 0]. *)
+   wheel entry index, meaningful only while [t_seq >= 0]. [t_fire] is
+   the closure every armament files on the wheel, built once per cell:
+   it clears the cell, counts the fire and runs the handler. *)
 type timer = {
   mutable t_seq : int;
   mutable t_widx : int;
@@ -14,12 +16,10 @@ type t = {
      field: int stores never box (the float-clock ancestor needed a
      one-slot floatarray to avoid boxing per executed event). *)
   mutable clock : Time.t;
-  (* One-shot events: closures, run once, never cancelled. *)
-  queue : (unit -> unit) Event_queue.t;
-  (* Second scheduling substrate: high-churn recurring timers. Both
-     substrates draw ranks from [next_seq], so the merged pop order is
-     exactly the (time, rank) order a single heap would produce. *)
-  wheel : timer Timer_wheel.t;
+  (* The one scheduling substrate: every event, one-shot closure or
+     timer-cell firing, is a wheel entry keyed on (time, rank), and
+     every rank comes from [next_seq]. *)
+  wheel : Timer_wheel.t;
   mutable next_seq : int;
   (* End-of-instant flush hooks (see [at_instant_end]): closures to run
      after every event at the current instant has executed, before the
@@ -41,7 +41,6 @@ let create ?(timer_granularity = 1e-3) () =
   in
   let granularity = if granularity > 0 then granularity else 1 in
   { clock = 0;
-    queue = Event_queue.create ();
     wheel = Timer_wheel.create ~granularity ();
     next_seq = 0;
     flushes = [||];
@@ -73,11 +72,12 @@ let schedule_at_ns t ~time f =
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is before now %g"
          (Time.to_sec time) (now t));
-  Event_queue.push t.queue ~time ~seq:(next_seq t) f
+  ignore (Timer_wheel.arm t.wheel ~time ~seq:(next_seq t) f)
 
 let schedule_after_ns t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";
-  Event_queue.push t.queue ~time:(Time.add t.clock delay) ~seq:(next_seq t) f
+  ignore
+    (Timer_wheel.arm t.wheel ~time:(Time.add t.clock delay) ~seq:(next_seq t) f)
 
 let schedule_at t ~time f = schedule_at_ns t ~time:(Time.of_sec time) f
 
@@ -87,7 +87,20 @@ let schedule_after t ~delay f =
 
 (* --- timer cells ----------------------------------------------------- *)
 
-let make_timer _t f = { t_seq = -1; t_widx = -1; t_fire = f }
+(* Firing clears the cell *before* running the handler, so a handler
+   that rearms its own timer starts from an unarmed cell — no stale
+   bookkeeping to race. *)
+let make_timer t f =
+  let rec tm =
+    { t_seq = -1;
+      t_widx = -1;
+      t_fire =
+        (fun () ->
+          tm.t_seq <- -1;
+          t.timer_fires <- t.timer_fires + 1;
+          f ()) }
+  in
+  tm
 
 let timer_armed tm = tm.t_seq >= 0
 
@@ -104,7 +117,8 @@ let arm_timer_ns t tm ~delay =
   let seq = next_seq t in
   tm.t_seq <- seq;
   t.timer_arms <- t.timer_arms + 1;
-  tm.t_widx <- Timer_wheel.arm t.wheel ~time:(Time.add t.clock delay) ~seq tm
+  tm.t_widx <-
+    Timer_wheel.arm t.wheel ~time:(Time.add t.clock delay) ~seq tm.t_fire
 
 let arm_timer t tm ~delay =
   if delay < 0. then invalid_arg "Engine.arm_timer: negative delay";
@@ -136,143 +150,29 @@ let run_flushes t =
   done;
   t.flush_len <- 0
 
-(* True iff some event is due exactly at the current clock — the
-   condition under which pending flushes must keep waiting. Only
-   evaluated when flushes are pending, which is rare relative to event
-   dispatch. *)
-let due_at_clock t =
-  ((not (Event_queue.is_empty t.queue))
-   && Event_queue.head_time t.queue = t.clock)
-  || Timer_wheel.due t.wheel ~up_to:t.clock
-
 (* --- run loop -------------------------------------------------------- *)
 
-(* Batched two-substrate dispatcher. The slow per-event shape — call
-   [Timer_wheel.due] and re-derive both substrate heads from scratch
-   for every event — is replaced by runs:
-
-   - While the wheel's due head is covered ([head_ready]: provably the
-     wheel's global minimum, a couple of integer loads), events from
-     both substrates are merged with direct head-key comparisons only.
-     Handlers may push heap events, arm timers, and cancel timers
-     sitting in the wheel's due bucket; [head_ready] re-checks liveness
-     between pops.
-
-   - When the wheel has nothing due, heap events are drained in a run
-     while they lie strictly below the wheel's [lower_bound], without
-     touching the wheel per event. Arming a timer can lower the bound,
-     so the run is fenced by the [timer_arms] counter.
-
-   The pop order is exactly the (time, rank) order a single shared heap
-   would produce — the same invariant the per-event loop maintained,
-   pinned by the single-list reference model in test/test_sim.ml and
-   by the goldens.
-
-   End-of-instant flushes thread through as fences: each run breaks
-   before popping an event later than the current clock while flushes
-   are pending, and the outer loop runs the flushes once nothing is due
-   at the current instant (flushes may schedule new work at the
-   instant, which the next iteration picks up). With no flushes pending
-   — the overwhelmingly common state — every fence is a single int
-   load.
-
-   All times are {!Time.t} integer nanoseconds, so the merge
-   comparisons, clock stores and until-checks below never box. *)
+(* Pop wheel entries in (time, rank) order while one is due by [until],
+   setting the clock to each entry's time before running it. While
+   end-of-instant flushes are pending, only entries at the current
+   instant may run (every entry lies at or after the clock, so "due by
+   the clock" means "at the clock"); once none is left the flushes run,
+   and what they schedule is picked up by the next iteration. All
+   times are {!Time.t} integer nanoseconds, so the loop never boxes. *)
 let run_loop t ~until =
-  let q = t.queue in
   let w = t.wheel in
   let continue = ref true in
   while !continue do
-    if t.flush_len > 0 && not (due_at_clock t) then run_flushes t
-    else begin
-      let qh = not (Event_queue.is_empty q) in
-      let qt = if qh then Event_queue.head_time q else Time.never in
-      let wlimit = if qt < until then qt else until in
-      if Timer_wheel.due w ~up_to:wlimit then begin
-        (* Wheel-covered run: merge on raw head keys until the due head
-           stops being provably minimal (bucket exhausted or cursor
-           coverage lost). *)
-        let wrun = ref true in
-        while !wrun do
-          (* Handlers may cancel the entry sitting at the due head
-             (dead entries keep intact keys but must never fire), so
-             re-establish head liveness and coverage before every pop —
-             [head_ready] is a skim plus two integer loads. *)
-          if not (Timer_wheel.head_ready w) then wrun := false
-          else begin
-            let wt = Timer_wheel.head_time w in
-            let qh = not (Event_queue.is_empty q) in
-            let queue_first =
-              qh
-              && (let time = Event_queue.head_time q in
-                  time < wt
-                  || (time = wt
-                      && Event_queue.head_seq q < Timer_wheel.head_seq w))
-            in
-            if queue_first then begin
-              let time = Event_queue.head_time q in
-              if t.flush_len > 0 && time <> t.clock then wrun := false
-              else if time <= until then begin
-                let f = Event_queue.pop_head q in
-                t.clock <- time;
-                t.events_executed <- t.events_executed + 1;
-                f ()
-              end
-              else wrun := false
-            end
-            else if t.flush_len > 0 && wt <> t.clock then wrun := false
-            else if wt <= until then begin
-              (* Firing a timer clears its cell *before* running the
-                 handler, so a handler that rearms its own timer starts
-                 from an unarmed cell — no stale bookkeeping to race. *)
-              let tm = Timer_wheel.pop_due w in
-              t.clock <- wt;
-              t.events_executed <- t.events_executed + 1;
-              tm.t_seq <- -1;
-              t.timer_fires <- t.timer_fires + 1;
-              tm.t_fire ()
-            end
-            else wrun := false
-          end
-        done
-      end
-      else if qh && qt <= until then begin
-        if t.flush_len > 0 && qt <> t.clock then
-          (* Pending flushes and the next event is later: fall through
-             to the outer loop, whose fence runs them. *)
-          ()
-        else begin
-          (* Heap run: the wheel has nothing due by [wlimit], so heap
-             events strictly below its lower bound are safe to drain
-             without re-polling it. The first event is known due; arms
-             during any handler invalidate the bound, so fence on the
-             arm counter. *)
-          let arms0 = t.timer_arms in
-          let f = Event_queue.pop_head q in
-          t.clock <- qt;
-          t.events_executed <- t.events_executed + 1;
-          f ();
-          let bound = Timer_wheel.lower_bound w in
-          let qrun = ref true in
-          while !qrun do
-            if t.timer_arms <> arms0 then qrun := false
-            else if not (Event_queue.is_empty q) then begin
-              let time = Event_queue.head_time q in
-              if t.flush_len > 0 && time <> t.clock then qrun := false
-              else if time < bound && time <= until then begin
-                let f = Event_queue.pop_head q in
-                t.clock <- time;
-                t.events_executed <- t.events_executed + 1;
-                f ()
-              end
-              else qrun := false
-            end
-            else qrun := false
-          done
-        end
-      end
-      else continue := false
+    let up_to = if t.flush_len > 0 && t.clock < until then t.clock else until in
+    if Timer_wheel.due w ~up_to then begin
+      let time = Timer_wheel.head_time w in
+      let f = Timer_wheel.pop_due w in
+      t.clock <- time;
+      t.events_executed <- t.events_executed + 1;
+      f ()
     end
+    else if t.flush_len > 0 then run_flushes t
+    else continue := false
   done
 
 let run_ns t ~until =
@@ -282,5 +182,3 @@ let run_ns t ~until =
 let run t ~until = run_ns t ~until:(Time.of_sec until)
 
 let run_to_completion t = run_loop t ~until:Time.never
-
-let pending t = Event_queue.length t.queue + Timer_wheel.live t.wheel

@@ -1,15 +1,17 @@
 (** Discrete-event simulation engine.
 
-    The engine owns the simulated clock and two scheduling substrates:
-    a binary-heap event queue for one-shot events (packet
-    transmissions, packet arrivals, workload arrivals) and a
-    hierarchical {!Timer_wheel} for high-churn recurring timers
-    (retransmission and delayed-ACK timers, which are armed and
-    cancelled per packet). Both substrates draw event ranks from one
-    engine-global counter and the run loop pops whichever substrate
-    holds the earliest [(time, rank)] key, so execution order —
-    including ties — is byte-identical to running everything on a
-    single heap. The clock never moves backwards.
+    The engine owns the simulated clock and one scheduling substrate, a
+    hierarchical {!Timer_wheel}, on which every event rides: one-shot
+    events (packet transmissions, packet arrivals, workload arrivals)
+    and recurring timers (retransmission and delayed-ACK timers, which
+    are armed and cancelled per packet) alike. Every event carries a
+    [(time, rank)] key, ranks come from one engine-global counter, and
+    the run loop executes events in key order, so ties run in
+    scheduling order. The clock never moves backwards. While anything
+    is pending, the wheel's cursor walks to the next event in
+    [timer_granularity] ticks, jumping a 256-tick window at a time
+    while its finest level is empty, so an idle gap costs integer
+    steps, not events.
 
     Every event is a [unit -> unit] closure. A one-shot event
     ([schedule_at] / [schedule_after] and their [_ns] forms) runs once
@@ -21,7 +23,8 @@
     Recurring and cancellable timers use {!timer} cells: allocate once
     with [make_timer], then [arm_timer] / [cancel_timer] freely —
     rearming from the timer's own handler is safe because the cell is
-    cleared before the handler runs.
+    cleared before the handler runs. Each cell builds its firing
+    closure once, in [make_timer].
 
     Time is {!Time.t} integer nanoseconds internally. The [_ns]
     functions take {!Time.t} (the allocation-free hot path); the
@@ -101,20 +104,15 @@ val at_instant_end : t -> (unit -> unit) -> unit
 
 (** {2 Running} *)
 
-(** [run t ~until] executes events until both substrates are out of
-    events due by [until], then sets the clock to [until]. *)
+(** [run t ~until] executes events until none is due by [until], then
+    sets the clock to [until]. *)
 val run : t -> until:float -> unit
 
 (** ns-native [run]. *)
 val run_ns : t -> until:Time.t -> unit
 
-(** [run_to_completion t] executes events until both substrates are
-    empty. *)
+(** [run_to_completion t] executes events until none is left. *)
 val run_to_completion : t -> unit
-
-(** [pending t] is the number of scheduled events across both
-    substrates (one-shots plus armed timer cells). *)
-val pending : t -> int
 
 (** {2 Scheduler counters} (monotone over the engine's lifetime) *)
 

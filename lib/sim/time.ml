@@ -1,8 +1,8 @@
 (* Integer-nanosecond simulated time.
 
-   The scheduling core (engine clock, event-queue keys, timer-wheel
-   ticks) represents time as [int] nanoseconds. Integers compare, add
-   and divide without boxing — a dynamic float crossing a non-inlined
+   The scheduling core (engine clock, timer-wheel keys and ticks)
+   represents time as [int] nanoseconds. Integers compare, add and
+   divide without boxing — a dynamic float crossing a non-inlined
    function boundary costs a 16-byte heap block per call (no flambda),
    and the scheduler crosses such boundaries once or twice per event —
    and integer tie-breaks are exact, where float arithmetic needed

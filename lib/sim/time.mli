@@ -1,10 +1,11 @@
 (** Integer-nanosecond simulated time.
 
-    The scheduling core ({!Engine}, {!Event_queue}, {!Timer_wheel})
-    keeps time as [int] nanoseconds so clock reads, deadline arithmetic
-    and heap comparisons never box a float; seconds (floats) are the
-    boundary representation for configuration, traces, probes and
-    statistics. See DESIGN.md §15 for the range/overflow analysis. *)
+    The scheduling core ({!Engine} and {!Timer_wheel}, its one
+    scheduling substrate) keeps time as [int] nanoseconds so clock
+    reads, deadline arithmetic and key comparisons never box a float;
+    seconds (floats) are the boundary representation for
+    configuration, traces, probes and statistics. See DESIGN.md §15
+    for the range/overflow analysis. *)
 
 type t = int
 

@@ -1,19 +1,23 @@
-(* Hierarchical timing wheel, struct-of-arrays.
+(* Hierarchical timing wheel, struct-of-arrays: the engine's one
+   scheduling substrate.
 
    Entries live in parallel arrays (times / seqs / payloads / nexts)
    and are referenced by index; freed indices are chained through
    [nexts] into a free list, so steady-state arm/cancel churn performs
-   zero allocation. Each wheel level is an array of slot heads chaining
-   entries through [nexts]; level-0 slots are one tick (granularity
-   integer nanoseconds, {!Time.t}) wide, level 1 covers 256 ticks per slot, level 2 covers
-   256*64. Arming picks the coarsest level whose window contains the
-   deadline — O(1) — and cascading re-files a slot's chain one level
-   down when the cursor enters its window.
+   zero allocation. Freeing an entry overwrites its payload with
+   [nothing], so a handler that has run (and whatever it captures) is
+   not kept reachable by the wheel. Each wheel level is an array of
+   slot heads chaining entries through [nexts]; level-0 slots are one
+   tick (granularity integer nanoseconds, {!Time.t}) wide, level 1
+   covers 256 ticks per slot, level 2 covers 256*64. Arming picks the
+   coarsest level whose window contains the deadline — O(1) — and
+   cascading re-files a slot's chain one level down when the cursor
+   enters its window.
 
    Slots only bucket entries by deadline window; total (time, seq)
    order is restored by a small binary heap (the "due" heap) holding
    the entries of already-drained slots. Because level-0 slots are one
-   tick wide, the due heap holds at most one tick's worth of timers
+   tick wide, the due heap holds at most one tick's worth of events
    plus late-armed entries, so its O(log n) is over a tiny n.
 
    Cancellation clears the entry's liveness bit and leaves it linked;
@@ -41,17 +45,16 @@ let l2_mask = l2_slots - 1
 
 let span01 = l0_slots * l1_slots (* ticks covered by levels 0+1 *)
 
-type 'a t = {
+let nothing () = ()
+
+type t = {
   granularity : int;  (* Time.t nanoseconds per tick *)
-  (* Largest cursor value whose slot start [tick * granularity] fits in
-     an int; beyond it the lower bound saturates to [Time.never]. *)
-  max_tick : int;
   (* Entry storage. [seqs.(i)] is the entry's tie-break rank; [nexts]
      doubles as the slot-chain link and the free-list link. *)
   mutable times : int array;  (* Time.t nanoseconds *)
   mutable seqs : int array;
   mutable ticks : int array; (* tick_of times.(i), fixed at arm time *)
-  mutable payloads : 'a array;
+  mutable payloads : (unit -> unit) array; (* [nothing] when free *)
   mutable nexts : int array;
   mutable alive : Bytes.t; (* bit per entry: armed and not cancelled *)
   mutable allocated : int; (* entry slots ever initialised *)
@@ -59,6 +62,7 @@ type 'a t = {
   mutable live : int;
   mutable dead : int; (* cancelled but still linked *)
   slots0 : int array;
+  mutable in0 : int; (* entries linked in level-0 slots, dead included *)
   slots1 : int array;
   slots2 : int array;
   mutable tick : int; (* cursor: slot [tick land l0_mask] is next *)
@@ -71,7 +75,6 @@ let create ~granularity () =
   if granularity <= 0 then
     invalid_arg "Timer_wheel.create: granularity must be positive";
   { granularity;
-    max_tick = max_int / granularity;
     times = [||];
     seqs = [||];
     ticks = [||];
@@ -83,17 +86,15 @@ let create ~granularity () =
     live = 0;
     dead = 0;
     slots0 = Array.make l0_slots (-1);
+    in0 = 0;
     slots1 = Array.make l1_slots (-1);
     slots2 = Array.make l2_slots (-1);
     tick = 0;
     (* Persistent scratch: the due heap lives for the wheel's lifetime
-       and only ever doubles, so steady-state advance/drain churn never
-       rebuilds it. 64 slots cover a tick's worth of timers for every
-       workload in the tree without a single regrow. *)
+       and only ever doubles, up to the busiest tick's entry count, so
+       steady-state advance/drain churn never rebuilds it. *)
     due = Array.make 64 (-1);
     due_size = 0 }
-
-let granularity t = t.granularity
 
 let live t = t.live
 
@@ -118,13 +119,13 @@ let clear_alive t i =
 
 (* --- entry allocation ----------------------------------------------- *)
 
-let grow t filler =
+let grow t =
   let cap = Array.length t.times in
   let ncap = if cap = 0 then 64 else 2 * cap in
   let times = Array.make ncap 0 in
   let seqs = Array.make ncap (-1) in
   let ticks = Array.make ncap 0 in
-  let payloads = Array.make ncap filler in
+  let payloads = Array.make ncap nothing in
   let nexts = Array.make ncap (-1) in
   Array.blit t.times 0 times 0 cap;
   Array.blit t.seqs 0 seqs 0 cap;
@@ -142,14 +143,14 @@ let grow t filler =
     t.alive <- bigger
   done
 
-let alloc_entry t filler =
+let alloc_entry t =
   if t.free_head >= 0 then begin
     let i = t.free_head in
     t.free_head <- t.nexts.(i);
     i
   end
   else begin
-    if t.allocated = Array.length t.times then grow t filler;
+    if t.allocated = Array.length t.times then grow t;
     let i = t.allocated in
     t.allocated <- t.allocated + 1;
     i
@@ -157,6 +158,7 @@ let alloc_entry t filler =
 
 let free_entry t i =
   t.seqs.(i) <- -1;
+  t.payloads.(i) <- nothing;
   t.nexts.(i) <- t.free_head;
   t.free_head <- i
 
@@ -244,7 +246,8 @@ let place t i =
     if dt < l0_slots then begin
       let s = et land l0_mask in
       t.nexts.(i) <- t.slots0.(s);
-      t.slots0.(s) <- i
+      t.slots0.(s) <- i;
+      t.in0 <- t.in0 + 1
     end
     else if dt < span01 then begin
       let s = (et lsr l0_bits) land l1_mask in
@@ -261,7 +264,7 @@ let place t i =
 (* --- arm / cancel ---------------------------------------------------- *)
 
 let arm t ~time ~seq payload =
-  let i = alloc_entry t payload in
+  let i = alloc_entry t in
   t.times.(i) <- time;
   t.seqs.(i) <- seq;
   t.ticks.(i) <- tick_of t time;
@@ -275,7 +278,9 @@ let arm t ~time ~seq payload =
    in reverse, but intra-slot order is irrelevant: total order is
    imposed by the due heap's (time, seq) key. *)
 let sweep t =
+  (* Returns the number of entries kept. *)
   let sweep_level slots =
+    let kept = ref 0 in
     for s = 0 to Array.length slots - 1 do
       let i = ref slots.(s) in
       slots.(s) <- -1;
@@ -283,16 +288,18 @@ let sweep t =
         let next = t.nexts.(!i) in
         if is_alive t !i then begin
           t.nexts.(!i) <- slots.(s);
-          slots.(s) <- !i
+          slots.(s) <- !i;
+          incr kept
         end
         else free_entry t !i;
         i := next
       done
-    done
+    done;
+    !kept
   in
-  sweep_level t.slots0;
-  sweep_level t.slots1;
-  sweep_level t.slots2;
+  t.in0 <- sweep_level t.slots0;
+  ignore (sweep_level t.slots1);
+  ignore (sweep_level t.slots2);
   let n = ref 0 in
   for k = 0 to t.due_size - 1 do
     let i = t.due.(k) in
@@ -344,6 +351,7 @@ let drain_chain t head ~to_due =
   let i = ref head in
   while !i >= 0 do
     let next = t.nexts.(!i) in
+    if to_due then t.in0 <- t.in0 - 1;
     if not (is_alive t !i) then begin
       free_entry t !i;
       t.dead <- t.dead - 1
@@ -383,9 +391,9 @@ let due t ~up_to =
     (* Fast path: a due head whose tick is strictly below the cursor
        provably precedes every still-slotted entry (slotted entries have
        time >= the cursor's slot start), so it is the wheel's global
-       minimum and no cursor work — in particular no [tick_of] float
-       division — is needed to answer. This is the common case when the
-       engine polls once per merged event. *)
+       minimum and no cursor work — in particular no [tick_of]
+       division — is needed to answer. This is the common case: the
+       engine polls once per event. *)
     if t.due_size > 0 && t.ticks.(t.due.(0)) < t.tick then
       t.times.(t.due.(0)) <= up_to
     else begin
@@ -407,6 +415,13 @@ let due t ~up_to =
           continue := false
         else if t.tick > limit then continue := false
         else if t.live = 0 then continue := false
+        else if t.in0 = 0 && t.tick land l0_mask <> 0 then begin
+          (* Level 0 is empty, so every tick up to the next window
+             boundary (where [step] cascades level 1 down) would step
+             through an empty slot: jump there, or just past [limit]. *)
+          let boundary = (t.tick lor l0_mask) + 1 in
+          t.tick <- (if limit < boundary then limit + 1 else boundary)
+        end
         else begin
           step t;
           due_skim t
@@ -429,32 +444,3 @@ let pop_due t =
   t.live <- t.live - 1;
   free_entry t i;
   payload
-
-(* [head_ready] re-establishes, after a pop or an arbitrary handler ran
-   (which may have cancelled entries sitting in the due heap), that the
-   due head is live and still provably the wheel's global minimum — the
-   fast-path condition of [due], without the [up_to] comparison. While
-   it holds, the engine's batched dispatcher can keep popping without
-   calling [due] (and paying its [tick_of]) per event. *)
-let head_ready t =
-  due_skim t;
-  t.due_size > 0 && t.ticks.(t.due.(0)) < t.tick
-
-(* Conservative lower bound on the key time of every pending entry:
-   slotted entries lie at or beyond the cursor's slot start (an entry's
-   stored tick k satisfies [k * granularity <= time] exactly, by
-   flooring division), and due-heap entries speak for themselves.
-   Cancelled-but-linked entries only make the bound lower, never wrong.
-   While the heap substrate's head time is strictly below this bound,
-   the engine can drain heap events without touching the wheel at
-   all. *)
-let lower_bound t =
-  if t.live = 0 then Time.never
-  else begin
-    let slot_lb =
-      if t.tick > t.max_tick then Time.never else t.tick * t.granularity
-    in
-    if t.due_size > 0 && t.times.(t.due.(0)) < slot_lb then
-      t.times.(t.due.(0))
-    else slot_lb
-  end

@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: Rng, Event_queue, Engine, Trace. *)
+(* Tests for the simulation substrate: Rng, Timer_wheel, Engine, Trace. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -106,113 +106,50 @@ let rng_props =
         x >= 0 && x < bound) ]
 
 (* ------------------------------------------------------------------ *)
-(* Event_queue                                                         *)
+(* Event queue: the timing wheel every engine event rides              *)
 (* ------------------------------------------------------------------ *)
 
-(* Ranks come from the caller, as the engine draws them: the i-th push
-   gets rank i. *)
-let push_all q entries =
+(* Arm [entries] on a fresh wheel of [granularity] ns ticks, ranked as
+   the engine ranks them (the i-th arm gets rank i), and drain it: the
+   (head time, payload) pairs in pop order, the payload read back by
+   running the popped closure. *)
+let wheel_order ~granularity entries =
+  let w = Sim.Timer_wheel.create ~granularity () in
+  let ran = ref [] in
   List.iteri
-    (fun seq (time, payload) -> Sim.Event_queue.push q ~time ~seq payload)
-    entries
+    (fun seq (time, payload) ->
+      ignore
+        (Sim.Timer_wheel.arm w ~time ~seq (fun () -> ran := payload :: !ran)))
+    entries;
+  let times = ref [] in
+  while Sim.Timer_wheel.due w ~up_to:Sim.Time.never do
+    times := Sim.Timer_wheel.head_time w :: !times;
+    Sim.Timer_wheel.pop_due w ()
+  done;
+  List.combine (List.rev !times) (List.rev !ran)
 
-let drain queue =
-  let rec loop acc =
-    if Sim.Event_queue.is_empty queue then List.rev acc
-    else begin
-      let time = Sim.Event_queue.head_time queue in
-      let payload = Sim.Event_queue.pop_head queue in
-      loop ((time, payload) :: acc)
-    end
-  in
-  loop []
+(* One-nanosecond ticks: distinct small times file in distinct slots,
+   equal times share one. *)
+let drain_ns_ticks entries = wheel_order ~granularity:1 entries
 
 let test_queue_orders_by_time () =
-  let q = Sim.Event_queue.create () in
-  push_all q [ (3, "c"); (1, "a"); (2, "b") ];
   Alcotest.(check (list (pair int string)))
-    "sorted" [ (1, "a"); (2, "b"); (3, "c") ] (drain q)
+    "sorted" [ (1, "a"); (2, "b"); (3, "c") ]
+    (drain_ns_ticks [ (3, "c"); (1, "a"); (2, "b") ])
 
 let test_queue_fifo_on_ties () =
-  let q = Sim.Event_queue.create () in
-  push_all q [ (1, "first"); (1, "second"); (1, "third") ];
   Alcotest.(check (list string))
     "insertion order" [ "first"; "second"; "third" ]
-    (List.map snd (drain q))
-
-(* Model-based qcheck test: the heap must agree with a naive sorted
-   association list under arbitrary interleavings of push and pop.
-   Times are drawn from a small set so ties (and the rank tie-break)
-   are exercised constantly. *)
-
-type queue_op = Push of Sim.Time.t | Pop
-
-let op_gen =
-  QCheck.Gen.(
-    frequency [ (5, map (fun t -> Push t) (int_bound 7)); (3, return Pop) ])
-
-let op_print = function Push t -> Printf.sprintf "Push %d" t | Pop -> "Pop"
-
-let ops_arbitrary =
-  QCheck.make
-    ~print:(fun ops -> String.concat "; " (List.map op_print ops))
-    QCheck.Gen.(list_size (int_bound 200) op_gen)
-
-(* The model: a list of (time, seq, payload) kept sorted by (time, seq);
-   seq is the insertion index, so FIFO tie-break is by construction. *)
-let model_agrees ops =
-  let q = Sim.Event_queue.create () in
-  let model = ref [] in
-  let push_count = ref 0 in
-  let insert (t, s, p) =
-    let rec go = function
-      | [] -> [ (t, s, p) ]
-      | (t', s', _) :: _ as rest when t < t' || (t = t' && s < s') ->
-        (t, s, p) :: rest
-      | entry :: rest -> entry :: go rest
-    in
-    model := go !model
-  in
-  let ok = ref true in
-  let check b = if not b then ok := false in
-  let pop () =
-    match !model with
-    | [] -> check (Sim.Event_queue.is_empty q)
-    | (t, s, p) :: rest ->
-      check (not (Sim.Event_queue.is_empty q));
-      check (Sim.Event_queue.head_time q = t);
-      check (Sim.Event_queue.head_seq q = s);
-      check (Sim.Event_queue.pop_head q = p);
-      model := rest
-  in
-  List.iter
-    (fun op ->
-      (match op with
-      | Push time ->
-        let seq = !push_count in
-        Sim.Event_queue.push q ~time ~seq seq;
-        insert (time, seq, seq);
-        incr push_count
-      | Pop -> pop ());
-      check (Sim.Event_queue.length q = List.length !model);
-      check (Sim.Event_queue.is_empty q = (!model = [])))
-    ops;
-  (* drain: remaining events must come out in exact model order *)
-  while !model <> [] do
-    pop ()
-  done;
-  check (Sim.Event_queue.is_empty q);
-  !ok
+    (List.map snd
+       (drain_ns_ticks [ (1, "first"); (1, "second"); (1, "third") ]))
 
 let queue_props =
-  [ QCheck.Test.make ~name:"heap agrees with naive sorted-list model"
-      ~count:500 ops_arbitrary model_agrees;
-    QCheck.Test.make ~name:"pop returns times sorted" ~count:300
+  [ QCheck.Test.make ~name:"pop returns times sorted" ~count:300
       QCheck.(list (int_bound 1000))
       (fun times ->
-        let q = Sim.Event_queue.create () in
-        push_all q (List.map (fun t -> (t, ())) times);
-        let popped = List.map fst (drain q) in
+        let popped =
+          List.map fst (drain_ns_ticks (List.map (fun t -> (t, ())) times))
+        in
         popped = List.sort compare popped) ]
 
 (* ------------------------------------------------------------------ *)
@@ -271,13 +208,35 @@ let test_engine_nested_scheduling () =
     (List.rev !log);
   check_float "final clock" 2. (Sim.Engine.now engine)
 
-let test_engine_pending () =
+(* A handler that has run must not stay reachable through the
+   scheduler: a fired timer cell's handler (and through it, say, a
+   finished connection) and a one-shot closure become garbage once
+   their event has run, not when the wheel next reuses their slot. *)
+let test_engine_releases_run_handlers () =
   let engine = Sim.Engine.create () in
-  Sim.Engine.schedule_at engine ~time:1. (fun () -> ());
-  Sim.Engine.schedule_at engine ~time:2. (fun () -> ());
-  Alcotest.(check int) "two pending" 2 (Sim.Engine.pending engine);
-  Sim.Engine.run engine ~until:1.5;
-  Alcotest.(check int) "one pending" 1 (Sim.Engine.pending engine)
+  let probe = Weak.create 2 in
+  let[@inline never] schedule () =
+    let timer_block = Bytes.create 64 in
+    let oneshot_block = Bytes.create 64 in
+    Weak.set probe 0 (Some timer_block);
+    Weak.set probe 1 (Some oneshot_block);
+    let tm =
+      Sim.Engine.make_timer engine (fun () ->
+          ignore (Sys.opaque_identity timer_block))
+    in
+    Sim.Engine.arm_timer engine tm ~delay:0.5;
+    Sim.Engine.schedule_at engine ~time:1. (fun () ->
+        ignore (Sys.opaque_identity oneshot_block))
+  in
+  schedule ();
+  Sim.Engine.run engine ~until:2.;
+  Gc.full_major ();
+  Alcotest.(check bool) "timer handler's block collected" false
+    (Weak.check probe 0);
+  Alcotest.(check bool) "one-shot closure's block collected" false
+    (Weak.check probe 1);
+  (* Read the engine after the collection, so it is live across it. *)
+  Alcotest.(check int) "both events ran" 2 (Sim.Engine.events_executed engine)
 
 (* ------------------------------------------------------------------ *)
 (* Timer_wheel                                                         *)
@@ -285,13 +244,19 @@ let test_engine_pending () =
 
 let ns = Sim.Time.of_sec
 
+(* Wheel entries are closures: [label s] records [s] in [last] when it
+   runs, and [wheel_drain] runs each popped entry to read its label. *)
+let last = ref ""
+
+let label s () = last := s
+
 let wheel_drain w ~up_to =
   let acc = ref [] in
   while Sim.Timer_wheel.due w ~up_to do
     let time = Sim.Timer_wheel.head_time w in
     let seq = Sim.Timer_wheel.head_seq w in
-    let payload = Sim.Timer_wheel.pop_due w in
-    acc := (time, seq, payload) :: !acc
+    Sim.Timer_wheel.pop_due w ();
+    acc := (time, seq, !last) :: !acc
   done;
   List.rev !acc
 
@@ -299,10 +264,10 @@ let test_wheel_orders_by_key () =
   let w = Sim.Timer_wheel.create ~granularity:(ns 1e-3) () in
   (* Two entries land in the same level-0 slot (same millisecond tick):
      the mini-heap must still surface them in exact (time, seq) order. *)
-  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.5) ~seq:3 "d");
-  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.0102) ~seq:2 "c");
-  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.0101) ~seq:1 "b");
-  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.0101) ~seq:0 "a");
+  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.5) ~seq:3 (label "d"));
+  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.0102) ~seq:2 (label "c"));
+  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.0101) ~seq:1 (label "b"));
+  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.0101) ~seq:0 (label "a"));
   Alcotest.(check (list (triple int int string)))
     "exact key order"
     [ (ns 0.0101, 0, "a"); (ns 0.0101, 1, "b"); (ns 0.0102, 2, "c");
@@ -311,20 +276,21 @@ let test_wheel_orders_by_key () =
 
 let test_wheel_due_respects_horizon () =
   let w = Sim.Timer_wheel.create ~granularity:(ns 1e-3) () in
-  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.25) ~seq:0 "x");
+  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.25) ~seq:0 (label "x"));
   Alcotest.(check bool) "not due early" false
     (Sim.Timer_wheel.due w ~up_to:(ns 0.2));
   Alcotest.(check bool) "due at its time" true
     (Sim.Timer_wheel.due w ~up_to:(ns 0.25));
-  Alcotest.(check string) "payload" "x" (Sim.Timer_wheel.pop_due w);
+  Sim.Timer_wheel.pop_due w ();
+  Alcotest.(check string) "payload" "x" !last;
   Alcotest.(check bool) "empty after pop" false
     (Sim.Timer_wheel.due w ~up_to:(ns 10.))
 
 let test_wheel_cancel () =
   let w = Sim.Timer_wheel.create ~granularity:(ns 1e-3) () in
-  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.1) ~seq:0 "keep1");
-  let idx = Sim.Timer_wheel.arm w ~time:(ns 0.2) ~seq:1 "drop" in
-  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.3) ~seq:2 "keep2");
+  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.1) ~seq:0 (label "keep1"));
+  let idx = Sim.Timer_wheel.arm w ~time:(ns 0.2) ~seq:1 (label "drop") in
+  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.3) ~seq:2 (label "keep2"));
   Sim.Timer_wheel.cancel w idx ~seq:1;
   (* A stale (idx, seq) pair must be a no-op, not a wild cancel. *)
   Sim.Timer_wheel.cancel w idx ~seq:1;
@@ -336,11 +302,11 @@ let test_wheel_cancel () =
 
 let test_wheel_arm_below_cursor () =
   let w = Sim.Timer_wheel.create ~granularity:(ns 1e-3) () in
-  ignore (Sim.Timer_wheel.arm w ~time:(ns 1.0) ~seq:0 "later");
+  ignore (Sim.Timer_wheel.arm w ~time:(ns 1.0) ~seq:0 (label "later"));
   Alcotest.(check bool) "cursor advanced" false
     (Sim.Timer_wheel.due w ~up_to:(ns 0.5));
   (* Arming below the cursor is legal and immediately due. *)
-  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.25) ~seq:1 "past");
+  ignore (Sim.Timer_wheel.arm w ~time:(ns 0.25) ~seq:1 (label "past"));
   Alcotest.(check (list (triple int int string)))
     "past entry surfaces first"
     [ (ns 0.25, 1, "past"); (ns 1.0, 0, "later") ]
@@ -351,7 +317,7 @@ let test_wheel_distant_deadline () =
      are re-filed each revolution; they must still fire exactly once at
      the right time. *)
   let w = Sim.Timer_wheel.create ~granularity:(ns 1e-3) () in
-  ignore (Sim.Timer_wheel.arm w ~time:(ns 5000.) ~seq:0 "far");
+  ignore (Sim.Timer_wheel.arm w ~time:(ns 5000.) ~seq:0 (label "far"));
   Alcotest.(check bool) "not due after one span" false
     (Sim.Timer_wheel.due w ~up_to:(ns 2000.));
   Alcotest.(check bool) "not due just before" false
@@ -368,12 +334,13 @@ let test_wheel_physical_bound () =
   let w = Sim.Timer_wheel.create ~granularity:(ns 1e-3) () in
   let live_target = 100 in
   for i = 0 to live_target - 1 do
-    ignore (Sim.Timer_wheel.arm w ~time:(ns (100. +. float_of_int i)) ~seq:i "live")
+    ignore
+      (Sim.Timer_wheel.arm w ~time:(ns (100. +. float_of_int i)) ~seq:i ignore)
   done;
   for k = 0 to 9_999 do
     let seq = live_target + k in
     let now = 0.001 *. float_of_int k in
-    let idx = Sim.Timer_wheel.arm w ~time:(ns (now +. 1.)) ~seq "churn" in
+    let idx = Sim.Timer_wheel.arm w ~time:(ns (now +. 1.)) ~seq ignore in
     Sim.Timer_wheel.cancel w idx ~seq
   done;
   Alcotest.(check int) "live survivors" live_target (Sim.Timer_wheel.live w);
@@ -418,6 +385,7 @@ let wheel_model_agrees ops =
   let model = ref [] in
   let armed = ref [||] in
   let arm_count = ref 0 in
+  let ran = ref (-1) in
   let now = ref 0 in
   let ok = ref true in
   let check b = if not b then ok := false in
@@ -434,10 +402,10 @@ let wheel_model_agrees ops =
     while Sim.Timer_wheel.due w ~up_to do
       let time = Sim.Timer_wheel.head_time w in
       let seq = Sim.Timer_wheel.head_seq w in
-      let payload = Sim.Timer_wheel.pop_due w in
+      Sim.Timer_wheel.pop_due w ();
       (match !model with
       | (t', s') :: rest ->
-        check (time = t' && seq = s' && payload = s');
+        check (time = t' && seq = s' && !ran = s');
         model := rest
       | [] -> check false);
       check (time <= up_to)
@@ -453,7 +421,7 @@ let wheel_model_agrees ops =
       | Warm k ->
         let seq = !arm_count in
         let time = !now + (half_tick * k) in
-        let idx = Sim.Timer_wheel.arm w ~time ~seq seq in
+        let idx = Sim.Timer_wheel.arm w ~time ~seq (fun () -> ran := seq) in
         armed := Array.append !armed [| (idx, seq) |];
         insert (time, seq);
         incr arm_count
@@ -485,8 +453,8 @@ let wheel_props =
 (* Engine vs the single-heap reference model                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The engine keeps one-shot events on a binary heap and timer cells on
-   the wheel, and promises the pop order of one heap keyed on
+(* The engine keeps every event, one-shot or timer firing, on the
+   timing wheel, and promises the pop order of one heap keyed on
    (time, rank). The reference model is that promise written out:
    every pending event sits in one list sorted by (time, rank), every
    rank comes from one global counter, rearming a cell cancels its old
@@ -514,8 +482,8 @@ module type SCHED = sig
 
   val run : t -> until:float -> unit
 
-  (* Events executed, timer arms, cancels, fires, and pending events. *)
-  val counters : t -> int * int * int * int * int
+  (* Events executed, timer arms, cancels and fires. *)
+  val counters : t -> int * int * int * int
 end
 
 module Engine_sched : SCHED = struct
@@ -538,12 +506,7 @@ module Engine_sched : SCHED = struct
   let run = Sim.Engine.run
 
   let counters t =
-    Sim.Engine.
-      ( events_executed t,
-        timer_arms t,
-        timer_cancels t,
-        timer_fires t,
-        pending t )
+    Sim.Engine.(events_executed t, timer_arms t, timer_cancels t, timer_fires t)
 end
 
 module Heap_model : SCHED = struct
@@ -622,7 +585,7 @@ module Heap_model : SCHED = struct
     in
     loop ()
 
-  let counters t = (t.events, t.arms, t.cancels, t.fires, List.length t.queue)
+  let counters t = (t.events, t.arms, t.cancels, t.fires)
 end
 
 (* What a handler does besides logging itself. Targets index the
@@ -820,10 +783,10 @@ let test_engine_wheel_heap_identical () =
         [ (500, 3, []); (1000, 2, [ Arm_cell (3, 4) ]); (1, 5, []);
           (80_000, 1, []) ] }
   in
-  let log, (events, arms, cancels, fires, pending) =
+  let log, (events, arms, cancels, fires) =
     run_program (module Engine_sched) p
   in
-  let model_log, (m_events, m_arms, m_cancels, m_fires, m_pending) =
+  let model_log, (m_events, m_arms, m_cancels, m_fires) =
     run_program (module Heap_model) p
   in
   Alcotest.(check (list (pair int int))) "identical traces" model_log log;
@@ -831,7 +794,6 @@ let test_engine_wheel_heap_identical () =
   Alcotest.(check int) "identical arm counts" m_arms arms;
   Alcotest.(check int) "identical cancel counts" m_cancels cancels;
   Alcotest.(check int) "identical fire counts" m_fires fires;
-  Alcotest.(check int) "identical pending counts" m_pending pending;
   Alcotest.(check (list (pair int int)))
     "at 0.25 s: both one-shots, then the rearmed cell 0"
     [ (1001, ns 0.25); (1002, ns 0.25); (0, ns 0.25) ]
@@ -857,19 +819,21 @@ let ns_roundtrip_prop =
         (pair (int_bound ((1 lsl 25) - 1)) (int_bound ((1 lsl 25) - 1))))
     (fun ns -> Sim.Time.of_sec (Sim.Time.to_sec ns) = ns)
 
-(* The int-keyed heap must pop in exactly the order the float-keyed
-   heap it replaced would have: sort by (seconds, push serial). Exact
-   conversion makes float comparison of engine-producible times agree
-   with int comparison; small times force constant tie-breaking. *)
+(* The int-keyed scheduler must pop in exactly the order the
+   float-keyed heap it replaced would have: sort by (seconds, push
+   serial). Exact conversion makes float comparison of
+   engine-producible times agree with int comparison; small times force
+   constant tie-breaking, large ones spread over the wheel's levels. *)
 let heap_float_order_prop =
   QCheck.Test.make ~name:"int heap pops in frozen float-heap order"
     ~count:300
     QCheck.(
       list (oneof [ int_bound 50; int_bound 1_000_000_000 ]))
     (fun times_ns ->
-      let q = Sim.Event_queue.create () in
-      push_all q (List.mapi (fun i t -> (t, i)) times_ns);
-      let popped = drain q in
+      let popped =
+        wheel_order ~granularity:(Sim.Time.of_sec 1e-3)
+          (List.mapi (fun i t -> (t, i)) times_ns)
+      in
       let model =
         List.mapi (fun i t -> (Sim.Time.to_sec t, i, t)) times_ns
         |> List.stable_sort (fun (a, i, _) (b, j, _) ->
@@ -966,7 +930,8 @@ let () =
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
           Alcotest.test_case "nested scheduling" `Quick
             test_engine_nested_scheduling;
-          Alcotest.test_case "pending" `Quick test_engine_pending ] );
+          Alcotest.test_case "run handlers are collectable" `Quick
+            test_engine_releases_run_handlers ] );
       ( "timer-wheel",
         [ Alcotest.test_case "orders by key" `Quick test_wheel_orders_by_key;
           Alcotest.test_case "due respects horizon" `Quick

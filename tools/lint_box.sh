@@ -1,36 +1,35 @@
 #!/bin/sh
 # lint-box: float-boxing tripwire for the scheduling core.
 #
-# PR 8 moved Engine / Event_queue / Timer_wheel to integer-nanosecond
-# time (Sim.Time) so the hot scheduling functions never box a float.
-# This script recompiles those modules standalone with `ocamlopt
-# -dcmm` and scans the Cmm dump for float boxes — `alloc` blocks with
-# header 1277 (one-field block, Double_tag, on 64-bit) — anywhere
-# outside the designated float boundary. A new box in a hot function
-# fails the lint, so a later change cannot quietly reintroduce the
-# boxed-float API floor this PR removed.
+# The scheduling core — Time, Timer_wheel (the one scheduling
+# substrate) and Engine — keeps time as integer nanoseconds (Sim.Time)
+# so the hot scheduling functions never box a float. This script
+# recompiles those modules standalone with `ocamlopt -dcmm` and scans
+# the Cmm dump for float boxes — `alloc` blocks with header 1277
+# (one-field block, Double_tag, on 64-bit) — anywhere outside the
+# designated float boundary. A new box in a hot function fails the
+# lint, so a later change cannot quietly reintroduce a boxed float on
+# the per-event path.
 #
 # Why a standalone recompile: dune offers no per-module -dcmm hook and
 # OCAMLPARAM's dcmm flag is discarded before it reaches the backend.
-# The four modules only depend on each other and the standard library
+# The three modules only depend on each other and the standard library
 # (the sim library has no other dependency), so copying the sources to
 # a temp dir and compiling in dependency order reproduces exactly the
 # code dune's Closure (no-flambda) backend generates.
 #
 # Known-benign float boxes, filtered by the alloc's source location:
-#   * accesses to the polymorphic ['a array] payload columns
-#     (`payloads`): generic array reads compile to a tag dispatch
-#     whose float branch boxes — dead at runtime, payloads are never
-#     float arrays.
-#   * `Time.to_sec` bodies (time.ml) inlined into the boundary
-#     wrapper functions listed in BOUNDARY_FNS below: these are the
-#     documented seconds-facing API (DESIGN.md §15), plus the cold
-#     invalid_arg message formatting in schedule_at_ns.
+# `Time.to_sec` bodies (time.ml) inlined into the boundary wrapper
+# functions listed in BOUNDARY_FNS below. These are the documented
+# seconds-facing API (DESIGN.md §15), plus the cold invalid_arg
+# message formatting in schedule_at_ns. Nothing else is filtered: the
+# wheel's payload column is a monomorphic closure array, so no generic
+# array access (whose float branch would box) is left to excuse.
 #
 # The Cmm shapes it greps are compiler-version-sensitive, so the lint
 # is pinned to the compiler it was calibrated on (PINNED below): there
 # it is a fatal `make ci` stage; under any other ocamlopt it prints a
-# skip notice and passes. Moving the pin means re-checking the filters
+# skip notice and passes. Moving the pin means re-checking the filter
 # above against the new compiler's -dcmm output.
 #
 # Exit status: 0 clean (or skipped on another compiler), 1 float box
@@ -49,7 +48,7 @@ repo=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-MODULES="time event_queue timer_wheel engine"
+MODULES="time timer_wheel engine"
 
 # Functions allowed to contain an inlined Time.to_sec / of_sec body:
 # the float-seconds boundary. Names are matched on the Cmm symbol with
@@ -100,11 +99,6 @@ while IFS=' ' read -r fn file line c1 c2; do
   # Pull the source text the alloc's debug location points at.
   snippet=$(awk -v l="$line" -v c1="$c1" -v c2="$c2" \
     'NR == l { print substr($0, c1 + 1, c2 - c1) }' "$tmp/$file")
-  case $snippet in
-  *payloads*)
-    # Generic-array float branch on an ['a array] payload column.
-    continue ;;
-  esac
   if [ "$file" = "time.ml" ] \
      && printf '%s' "$fn" | grep -Eqx "$BOUNDARY_FNS"; then
     # Boundary conversion inlined into an allowed wrapper.
