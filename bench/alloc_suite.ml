@@ -284,12 +284,53 @@ let hoststack_scenario () =
   start ~at:120.05 3 (snd Experiments.Variants.tcp_sack);
   { network; measured = (fun () -> Sim.Engine.run engine ~until:240.) }
 
+(* Closed-loop flow churn at 300 slots on Experiments.Scale's dumbbell
+   and config: the one scenario whose per-hop bill includes transfer
+   set-up. The warmup runs 4 s, past the 1 s ramp, so the slots have
+   run their first transfers (which build their connections); the
+   measured 4 s are the steady state, where every transfer starts on
+   its slot's connection reset in place. *)
+let churn_scenario () =
+  let flows = 300 and warmup = 4. and duration = 8. in
+  let engine = Sim.Engine.create () in
+  (* Experiments.Scale.run's capacity scaling. *)
+  let pairs = min flows 32 in
+  let bottleneck_bandwidth_bps = Float.max 10e6 (float_of_int flows *. 1e6) in
+  let access_bandwidth_bps =
+    Float.max 100e6 (4. *. bottleneck_bandwidth_bps /. float_of_int pairs)
+  in
+  let queue_capacity = max 64 (flows / 2) in
+  let dumbbell =
+    Topo.Dumbbell.create engine ~pairs ~bottleneck_bandwidth_bps
+      ~bottleneck_delay_s:0.020 ~access_bandwidth_bps ~access_delay_s:0.001
+      ~queue_capacity ~access_queue_capacity:(2 * queue_capacity) ()
+  in
+  let workload =
+    Workload.Flow_churn.spawn dumbbell
+      ~sender:(snd Experiments.Variants.tcp_pr)
+      ~config:Experiments.Scale.default_config
+      ~churn:(Experiments.Scale.default_churn ~flows ~duration)
+      ~rng:(Sim.Rng.create 0) ()
+  in
+  Sim.Engine.run engine ~until:warmup;
+  let started = Workload.Flow_churn.transfers_started workload in
+  let measured () =
+    Sim.Engine.run engine ~until:duration;
+    let transfers = Workload.Flow_churn.transfers_started workload - started in
+    if transfers < flows then
+      failwith
+        (Printf.sprintf "churn: %d transfers started in the measured phase, \
+                         want >= %d" transfers flows)
+  in
+  { network = dumbbell.Topo.Dumbbell.network; measured }
+
 let scenarios =
   [ ("dumbbell", dumbbell_scenario);
     ("lattice", lattice_scenario);
     ("jitter-chain", jitter_scenario);
     ("hoststack", hoststack_scenario);
-    ("analytics", analytics_scenario) ]
+    ("analytics", analytics_scenario);
+    ("churn", churn_scenario) ]
 
 let run_all () = List.map (fun (name, f) -> measure name f) scenarios
 

@@ -1,6 +1,6 @@
 type t = {
-  alpha : float;
-  beta : float;
+  mutable alpha : float;
+  mutable beta : float;
   (* Two-slot [floatarray]: slot 0 is the envelope ([on_sample] writes
      it once per ACK, and a [mutable float] field in this mixed record
      would box every write); slot 1 is the Newton iterate scratch ([ref]
@@ -15,12 +15,19 @@ let newton_iterations = 2
 
 let initial_ewrtt = 1.0
 
+let reset t config =
+  t.alpha <- config.Tcp.Config.pr_alpha;
+  t.beta <- config.Tcp.Config.pr_beta;
+  Float.Array.fill t.ewrtt 0 2 initial_ewrtt;
+  t.has_sample <- false
+
 let create config =
   Tcp.Config.validate config;
-  { alpha = config.Tcp.Config.pr_alpha;
-    beta = config.Tcp.Config.pr_beta;
-    ewrtt = Float.Array.make 2 initial_ewrtt;
-    has_sample = false }
+  let t =
+    { alpha = 0.; beta = 0.; ewrtt = Float.Array.make 2 0.; has_sample = false }
+  in
+  reset t config;
+  t
 
 (* Newton's method on f(x) = x^cwnd - alpha, started at x = 1:
    x <- ((cwnd - 1) / cwnd) x + alpha / (cwnd x^(cwnd - 1)),

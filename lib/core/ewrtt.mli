@@ -18,6 +18,10 @@ type t
 
 val create : Tcp.Config.t -> t
 
+(** [reset t config] returns [t] to the state [create config] builds:
+    [config]'s alpha and beta, the 1 s initial envelope, no sample. *)
+val reset : t -> Tcp.Config.t -> unit
+
 (** [decay_factor t ~cwnd] is the per-ACK decay [alpha^(1/cwnd)],
     computed with two Newton iterations. *)
 val decay_factor : t -> cwnd:float -> float

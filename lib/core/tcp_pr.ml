@@ -50,7 +50,7 @@ let mxrtt_override_ = 3
 let fs_slots = 4
 
 type t = {
-  config : Tcp.Config.t;
+  mutable config : Tcp.Config.t;
   envelope : Ewrtt.t;
   mutable mode : mode;
   fs : floatarray;
@@ -106,45 +106,79 @@ let fset t i v = Float.Array.unsafe_set t.fs i v
 
 let initial_cap = 64
 
-let create config =
+(* Every initial value is written here; [create] allocates, then
+   resets. The rings keep their grown capacity. Only the state bytes
+   need clearing: every float slot and send-order entry is read only
+   behind a state bit or within [so_len], and each is written before
+   its bit is set. *)
+let reset t config =
   Tcp.Config.validate config;
-  let fs = Float.Array.make fs_slots 0. in
-  Float.Array.unsafe_set fs cwnd_ config.Tcp.Config.initial_cwnd;
-  Float.Array.unsafe_set fs ssthr_ Tcp.Config.initial_ssthresh;
-  { config;
-    envelope = Ewrtt.create config;
-    mode = Slow_start;
-    fs;
-    cap = initial_cap;
-    state = Bytes.make initial_cap '\000';
-    sent_at = Float.Array.make initial_cap 0.;
-    cwnd_send = Float.Array.make initial_cap 0.;
-    original_at = Float.Array.make initial_cap 0.;
-    out_count = 0;
-    pending_count = 0;
-    pending_min = 0;
-    so_seq = Array.make initial_cap 0;
-    so_time = Float.Array.make initial_cap 0.;
-    so_head = 0;
-    so_len = 0;
-    next_new = 0;
-    snd_una = 0;
-    (* The sender shares [Config.t] with the receiver, so it knows the
-       initial window without a handshake. *)
-    rwnd_limit =
-      (match config.Tcp.Config.rcv_buf_segments with
-      | Some n -> n
-      | None -> max_int);
-    memorize_size = 0;
-    cburst = 0;
-    burst_reacted = false;
-    extreme = false;
-    n_sent = 0;
-    n_retx = 0;
-    n_drops_detected = 0;
-    n_false_drops = 0;
-    n_extreme_resets = 0;
-    n_mxrtt_doublings = 0 }
+  t.config <- config;
+  Ewrtt.reset t.envelope config;
+  t.mode <- Slow_start;
+  fset t cwnd_ config.Tcp.Config.initial_cwnd;
+  fset t ssthr_ Tcp.Config.initial_ssthresh;
+  fset t backoff_until_ 0.;
+  fset t mxrtt_override_ 0.;
+  Bytes.fill t.state 0 t.cap '\000';
+  t.out_count <- 0;
+  t.pending_count <- 0;
+  t.pending_min <- 0;
+  t.so_head <- 0;
+  t.so_len <- 0;
+  t.next_new <- 0;
+  t.snd_una <- 0;
+  (* The sender shares [Config.t] with the receiver, so it knows the
+     initial window without a handshake. *)
+  t.rwnd_limit <-
+    (match config.Tcp.Config.rcv_buf_segments with
+    | Some n -> n
+    | None -> max_int);
+  t.memorize_size <- 0;
+  t.cburst <- 0;
+  t.burst_reacted <- false;
+  t.extreme <- false;
+  t.n_sent <- 0;
+  t.n_retx <- 0;
+  t.n_drops_detected <- 0;
+  t.n_false_drops <- 0;
+  t.n_extreme_resets <- 0;
+  t.n_mxrtt_doublings <- 0
+
+let create config =
+  let t =
+    { config;
+      envelope = Ewrtt.create config;
+      mode = Slow_start;
+      fs = Float.Array.make fs_slots 0.;
+      cap = initial_cap;
+      state = Bytes.create initial_cap;
+      sent_at = Float.Array.make initial_cap 0.;
+      cwnd_send = Float.Array.make initial_cap 0.;
+      original_at = Float.Array.make initial_cap 0.;
+      out_count = 0;
+      pending_count = 0;
+      pending_min = 0;
+      so_seq = Array.make initial_cap 0;
+      so_time = Float.Array.make initial_cap 0.;
+      so_head = 0;
+      so_len = 0;
+      next_new = 0;
+      snd_una = 0;
+      rwnd_limit = 0;
+      memorize_size = 0;
+      cburst = 0;
+      burst_reacted = false;
+      extreme = false;
+      n_sent = 0;
+      n_retx = 0;
+      n_drops_detected = 0;
+      n_false_drops = 0;
+      n_extreme_resets = 0;
+      n_mxrtt_doublings = 0 }
+  in
+  reset t config;
+  t
 
 (* --- ring primitives -------------------------------------------------- *)
 
@@ -571,7 +605,9 @@ let check_drops t ~now buf =
      its deadline is declared dropped, and the first live entry inside
      the deadline stops the scan (later sends expire later; mxrtt is
      re-read per step because an extreme back-off can change it
-     mid-scan). *)
+     mid-scan). The [1e-12] slack is not inert: without it some runs
+     declare a drop at a different event (one benchmark fingerprint
+     moves). It goes when sender times become integer nanoseconds. *)
   let continue = ref true in
   while !continue do
     drop_stale_heads t;

@@ -9,9 +9,9 @@
     the run loop executes events in key order, so ties run in
     scheduling order. The clock never moves backwards. While anything
     is pending, the wheel's cursor walks to the next event in
-    [timer_granularity] ticks, jumping a 256-tick window at a time
-    while its finest level is empty, so an idle gap costs integer
-    steps, not events.
+    [timer_granularity] ticks, jumping straight over empty ticks of its
+    finest level (an occupancy bitmap finds the next occupied slot), so
+    an idle gap costs a few integer steps, not events.
 
     Every event is a [unit -> unit] closure. A one-shot event
     ([schedule_at] / [schedule_after] and their [_ns] forms) runs once

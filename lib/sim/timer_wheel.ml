@@ -18,7 +18,10 @@
    order is restored by a small binary heap (the "due" heap) holding
    the entries of already-drained slots. Because level-0 slots are one
    tick wide, the due heap holds at most one tick's worth of events
-   plus late-armed entries, so its O(log n) is over a tiny n.
+   plus late-armed entries, so its O(log n) is over a tiny n. A
+   256-bit occupancy map of the level-0 slots lets the cursor jump
+   from one occupied slot (or window boundary) to the next instead of
+   stepping through empty ticks.
 
    Cancellation clears the entry's liveness bit and leaves it linked;
    the (time, seq) key is left intact so the due heap's invariant
@@ -62,7 +65,10 @@ type t = {
   mutable live : int;
   mutable dead : int; (* cancelled but still linked *)
   slots0 : int array;
-  mutable in0 : int; (* entries linked in level-0 slots, dead included *)
+  (* Occupancy of [slots0], one bit per slot in eight 32-bit words: set
+     while the slot's chain is non-empty (dead entries included), so
+     [due] can jump the cursor over empty ticks. *)
+  occ0 : int array;
   slots1 : int array;
   slots2 : int array;
   mutable tick : int; (* cursor: slot [tick land l0_mask] is next *)
@@ -86,7 +92,7 @@ let create ~granularity () =
     live = 0;
     dead = 0;
     slots0 = Array.make l0_slots (-1);
-    in0 = 0;
+    occ0 = Array.make (l0_slots / 32) 0;
     slots1 = Array.make l1_slots (-1);
     slots2 = Array.make l2_slots (-1);
     tick = 0;
@@ -226,6 +232,39 @@ let rec due_skim t =
     end
   end
 
+(* --- level-0 occupancy ------------------------------------------------ *)
+
+let mark0 t s =
+  let w = s lsr 5 in
+  t.occ0.(w) <- t.occ0.(w) lor (1 lsl (s land 31))
+
+let unmark0 t s =
+  let w = s lsr 5 in
+  t.occ0.(w) <- t.occ0.(w) land lnot (1 lsl (s land 31))
+
+(* Index of the lowest set bit of [x], a non-zero 32-bit word. *)
+let ctz32 x =
+  let x = ref x and n = ref 0 in
+  if !x land 0xFFFF = 0 then begin n := 16; x := !x lsr 16 end;
+  if !x land 0xFF = 0 then begin n := !n + 8; x := !x lsr 8 end;
+  if !x land 0xF = 0 then begin n := !n + 4; x := !x lsr 4 end;
+  if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
+  if !x land 0x1 = 0 then !n + 1 else !n
+
+(* The first occupied level-0 slot at or after [s], or [l0_slots] if
+   slots [s .. l0_slots - 1] are all empty. *)
+let next_occupied0 t s =
+  let w = s lsr 5 in
+  let bits = t.occ0.(w) land lnot ((1 lsl (s land 31)) - 1) in
+  if bits <> 0 then (w lsl 5) + ctz32 bits
+  else begin
+    let w = ref (w + 1) in
+    while !w < l0_slots / 32 && t.occ0.(!w) = 0 do
+      incr w
+    done;
+    if !w = l0_slots / 32 then l0_slots else (!w lsl 5) + ctz32 t.occ0.(!w)
+  end
+
 (* --- tick geometry --------------------------------------------------- *)
 
 (* Largest k with [k * granularity <= time] — with integer times this
@@ -247,7 +286,7 @@ let place t i =
       let s = et land l0_mask in
       t.nexts.(i) <- t.slots0.(s);
       t.slots0.(s) <- i;
-      t.in0 <- t.in0 + 1
+      mark0 t s
     end
     else if dt < span01 then begin
       let s = (et lsr l0_bits) land l1_mask in
@@ -278,9 +317,7 @@ let arm t ~time ~seq payload =
    in reverse, but intra-slot order is irrelevant: total order is
    imposed by the due heap's (time, seq) key. *)
 let sweep t =
-  (* Returns the number of entries kept. *)
   let sweep_level slots =
-    let kept = ref 0 in
     for s = 0 to Array.length slots - 1 do
       let i = ref slots.(s) in
       slots.(s) <- -1;
@@ -288,18 +325,19 @@ let sweep t =
         let next = t.nexts.(!i) in
         if is_alive t !i then begin
           t.nexts.(!i) <- slots.(s);
-          slots.(s) <- !i;
-          incr kept
+          slots.(s) <- !i
         end
         else free_entry t !i;
         i := next
       done
-    done;
-    !kept
+    done
   in
-  t.in0 <- sweep_level t.slots0;
-  ignore (sweep_level t.slots1);
-  ignore (sweep_level t.slots2);
+  sweep_level t.slots0;
+  sweep_level t.slots1;
+  sweep_level t.slots2;
+  for s = 0 to l0_slots - 1 do
+    if t.slots0.(s) >= 0 then mark0 t s else unmark0 t s
+  done;
   let n = ref 0 in
   for k = 0 to t.due_size - 1 do
     let i = t.due.(k) in
@@ -351,7 +389,6 @@ let drain_chain t head ~to_due =
   let i = ref head in
   while !i >= 0 do
     let next = t.nexts.(!i) in
-    if to_due then t.in0 <- t.in0 - 1;
     if not (is_alive t !i) then begin
       free_entry t !i;
       t.dead <- t.dead - 1
@@ -381,6 +418,7 @@ let step t =
   let s0 = tk land l0_mask in
   let head = t.slots0.(s0) in
   t.slots0.(s0) <- -1;
+  unmark0 t s0;
   drain_chain t head ~to_due:true;
   t.tick <- tk + 1
 
@@ -415,12 +453,22 @@ let due t ~up_to =
           continue := false
         else if t.tick > limit then continue := false
         else if t.live = 0 then continue := false
-        else if t.in0 = 0 && t.tick land l0_mask <> 0 then begin
-          (* Level 0 is empty, so every tick up to the next window
-             boundary (where [step] cascades level 1 down) would step
-             through an empty slot: jump there, or just past [limit]. *)
-          let boundary = (t.tick lor l0_mask) + 1 in
-          t.tick <- (if limit < boundary then limit + 1 else boundary)
+        else if
+          t.tick land l0_mask <> 0
+          && t.slots0.(t.tick land l0_mask) < 0
+        then begin
+          (* Every due-heap entry's tick lies below the cursor, so the
+             first test stops on any; here the heap is empty and so is
+             the cursor's slot, and a [step] would only advance the
+             cursor. Jump over every empty slot at once: to the next
+             occupied one, or to the next window boundary (where [step]
+             cascades level 1 down), or just past [limit], whichever
+             comes first. Level-0 slots at or after the cursor hold
+             only this window's entries. *)
+          let next =
+            (t.tick land lnot l0_mask) + next_occupied0 t (t.tick land l0_mask)
+          in
+          t.tick <- (if limit < next then limit + 1 else next)
         end
         else begin
           step t;

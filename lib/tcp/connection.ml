@@ -8,8 +8,8 @@
 type t = {
   network : Net.Network.t;
   engine : Sim.Engine.t;
-  config : Config.t;
-  flow : int;
+  mutable config : Config.t;
+  mutable flow : int;
   src : Net.Node.t;
   dst : Net.Node.t;
   sender : Sender.packed;
@@ -52,9 +52,13 @@ type t = {
      window-reopen announcements owed after a zero-window
      advertisement. [drain_period = 0.] when no paced reader is
      configured — the timer is then never armed. *)
-  drain_period : float;
+  mutable drain_period : float;
   mutable drain_cell : Sim.Engine.timer option;
   mutable window_updates_sent : int;
+  (* The packet handlers attached at [dst] and [src] under [flow], built
+     once; {!reuse} re-attaches them under the next flow id. *)
+  mutable data_handler : Net.Packet.t -> unit;
+  mutable ack_handler : Net.Packet.t -> unit;
 }
 
 (* Wire size of an ACK packet in bytes, and the deadline of a deferred
@@ -367,6 +371,9 @@ let on_ack_arrival t packet =
   | _ -> ());
   Net.Network.release_packet t.network packet
 
+let drain_period config =
+  match config.Config.rcv_app_rate with Some rate -> 1. /. rate | None -> 0.
+
 let create ?probe ?sketch ?on_finish network ~flow ~src ~dst ~sender ~config
     ~route_data ~route_ack () =
   Config.validate config;
@@ -396,20 +403,54 @@ let create ?probe ?sketch ?on_finish network ~flow ~src ~dst ~sender ~config
       on_finish;
       timer_cells = Array.make 4 None;
       delack_cell = None;
-      drain_period =
-        (match config.Config.rcv_app_rate with
-        | Some rate -> 1. /. rate
-        | None -> 0.);
+      drain_period = drain_period config;
       drain_cell = None;
-      window_updates_sent = 0 }
+      window_updates_sent = 0;
+      data_handler = ignore;
+      ack_handler = ignore }
   in
   t.flush_fn <-
     (fun () ->
       t.flush_armed <- false;
       drain_actions t);
-  Net.Node.attach dst ~flow (on_data_arrival t);
-  Net.Node.attach src ~flow (on_ack_arrival t);
+  t.data_handler <- on_data_arrival t;
+  t.ack_handler <- on_ack_arrival t;
+  Net.Node.attach dst ~flow t.data_handler;
+  Net.Node.attach src ~flow t.ack_handler;
   t
+
+let armed = function Some tm -> Sim.Engine.timer_armed tm | None -> false
+
+(* Nothing of the finished transfer may still run against the
+   connection once it is re-keyed: no flush of its action buffer, no
+   deferred acknowledgement, no armed timer cell. *)
+let reusable t =
+  Sender.finished t.sender
+  && (not t.flush_armed)
+  && t.pending_ack = None
+  && (not (armed t.delack_cell))
+  && (not (armed t.drain_cell))
+  && not (Array.exists armed t.timer_cells)
+
+let reuse t ~flow ~config =
+  if not (reusable t) then
+    invalid_arg "Connection.reuse: transfer unfinished or still pending";
+  Config.validate config;
+  Net.Node.detach t.dst ~flow:t.flow;
+  Net.Node.detach t.src ~flow:t.flow;
+  t.flow <- flow;
+  t.config <- config;
+  Sender.reset t.sender config;
+  Receiver.reset t.receiver config;
+  t.started <- false;
+  t.data_packets_sent <- 0;
+  t.timer_fires <- 0;
+  t.delack_timeouts <- 0;
+  t.finished_at <- None;
+  t.drain_period <- drain_period config;
+  t.window_updates_sent <- 0;
+  Net.Node.attach t.dst ~flow t.data_handler;
+  Net.Node.attach t.src ~flow t.ack_handler
 
 let start t ~at =
   if t.started then invalid_arg "Connection.start: already started";

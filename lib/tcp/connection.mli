@@ -46,6 +46,26 @@ val create :
 (** [start t ~at] schedules connection start at absolute time [at]. *)
 val start : t -> at:float -> unit
 
+(** [reusable t] is true once [t]'s bounded transfer has finished and
+    nothing of it is pending: no end-of-instant flush of the sender's
+    actions, no deferred acknowledgement, and no armed timer cell
+    (sender, delayed-ACK or application-drain). *)
+val reusable : t -> bool
+
+(** [reuse t ~flow ~config] readies a {!reusable} connection for
+    another transfer between the same endpoints, in place of a fresh
+    {!create} with the same probe, sketch, [on_finish], sender variant
+    and routes: [flow] and [config] replace the old ones, the sender
+    ({!Sender.S.reset}), the receiver ({!Receiver.reset}) and the
+    connection's counters start over, the old flow id is detached from
+    both endpoints and the connection's handlers are attached under
+    [flow]. From then on the connection behaves as the fresh one would;
+    start it with {!start}. Timer cells, the action buffer and grown
+    sender and receiver storage are kept, so nothing is allocated
+    beyond a finite socket buffer's. Raises [Invalid_argument] unless
+    [reusable t]. *)
+val reuse : t -> flow:int -> config:Config.t -> unit
+
 (** Variant name of the sender. *)
 val sender_name : t -> string
 

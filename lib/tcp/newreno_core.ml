@@ -18,7 +18,7 @@ let limited_transmit_segments = 2
 let rto_key = 0
 
 type t = {
-  config : Config.t;
+  mutable config : Config.t;
   style : recovery_style;
   mutable cwnd : float;
   mutable ssthresh : float;
@@ -41,30 +41,54 @@ type t = {
   mutable n_timeouts : int;
 }
 
-let create ~style config =
+(* Every initial value is written here; [create] allocates, then
+   resets. The tables keep their grown size. *)
+let reset t config =
   Config.validate config;
-  { config;
-    style;
-    cwnd = config.Config.initial_cwnd;
-    ssthresh = Config.initial_ssthresh;
-    snd_una = 0;
-    snd_next = 0;
-    dup_count = 0;
-    in_recovery = false;
-    recover = -1;
-    (* The sender shares [Config.t] with the receiver, so it knows the
-       initial window without a handshake. *)
-    rwnd_limit =
-      (match config.Config.rcv_buf_segments with
-      | Some n -> n
-      | None -> max_int);
-    rto = Rto.create config;
-    send_times = Hashtbl.create 256;
-    retransmitted = Hashtbl.create 64;
-    n_sent = 0;
-    n_retx = 0;
-    n_fast_retx = 0;
-    n_timeouts = 0 }
+  t.config <- config;
+  t.cwnd <- config.Config.initial_cwnd;
+  t.ssthresh <- Config.initial_ssthresh;
+  t.snd_una <- 0;
+  t.snd_next <- 0;
+  t.dup_count <- 0;
+  t.in_recovery <- false;
+  t.recover <- -1;
+  (* The sender shares [Config.t] with the receiver, so it knows the
+     initial window without a handshake. *)
+  t.rwnd_limit <-
+    (match config.Config.rcv_buf_segments with
+    | Some n -> n
+    | None -> max_int);
+  Rto.reset t.rto config;
+  Hashtbl.clear t.send_times;
+  Hashtbl.clear t.retransmitted;
+  t.n_sent <- 0;
+  t.n_retx <- 0;
+  t.n_fast_retx <- 0;
+  t.n_timeouts <- 0
+
+let create ~style config =
+  let t =
+    { config;
+      style;
+      cwnd = 0.;
+      ssthresh = 0.;
+      snd_una = 0;
+      snd_next = 0;
+      dup_count = 0;
+      in_recovery = false;
+      recover = 0;
+      rwnd_limit = 0;
+      rto = Rto.create config;
+      send_times = Hashtbl.create 256;
+      retransmitted = Hashtbl.create 64;
+      n_sent = 0;
+      n_retx = 0;
+      n_fast_retx = 0;
+      n_timeouts = 0 }
+  in
+  reset t config;
+  t
 
 let cwnd t = t.cwnd
 

@@ -22,6 +22,11 @@ type t
 
 val create : style:recovery_style -> Config.t -> t
 
+(** [reset t config] returns [t] to the state [create ~style config]
+    builds with [t]'s style, keeping the grown tables (see
+    {!Sender.S.reset}). *)
+val reset : t -> Config.t -> unit
+
 val start : t -> now:float -> Action_buffer.t -> unit
 
 val on_ack : t -> now:float -> Types.ack -> Action_buffer.t -> unit

@@ -8,6 +8,8 @@ type t = Sack_core.t
 let create config =
   Sack_core.create ~response:Sack_core.dsack_nm ~trigger:Sack_core.Rack config
 
+let reset = Sack_core.reset
+
 let start = Sack_core.start
 
 let on_ack = Sack_core.on_ack

@@ -31,6 +31,14 @@ type disposition =
 
 val create : Config.t -> t
 
+(** [reset t config] puts [t] back in the state [create config] builds,
+    so that one receiver can serve another transfer: from then on it
+    returns the same dispositions and acknowledgements as a fresh
+    [create config] for the same arrivals. The out-of-order buffer and
+    the reordering analytics are cleared in place; only a finite socket
+    buffer ([Config.rcv_buf_segments]) is allocated afresh. *)
+val reset : t -> Config.t -> unit
+
 (** [receive t ?retx ?now ~seq ()] registers arrival of segment [seq],
     echoing [retx] back to the sender (see {!Types.ack}). With
     [Config.delayed_ack] set, every second in-order segment — and any

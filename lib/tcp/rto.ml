@@ -8,7 +8,7 @@ let rttvar_ = 1
 let multiplier_ = 2
 
 type t = {
-  config : Config.t;
+  mutable config : Config.t;
   f : floatarray;
   mutable has_sample : bool;
 }
@@ -17,10 +17,17 @@ let get t i = Float.Array.unsafe_get t.f i
 
 let set t i v = Float.Array.unsafe_set t.f i v
 
+let reset t config =
+  t.config <- config;
+  set t srtt_ 0.;
+  set t rttvar_ 0.;
+  set t multiplier_ 1.;
+  t.has_sample <- false
+
 let create config =
-  let f = Float.Array.make 3 0. in
-  Float.Array.unsafe_set f multiplier_ 1.;
-  { config; f; has_sample = false }
+  let t = { config; f = Float.Array.make 3 0.; has_sample = false } in
+  reset t config;
+  t
 
 let sample t rtt =
   assert (rtt >= 0.);

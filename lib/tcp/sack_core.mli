@@ -83,6 +83,11 @@ type t
 val create :
   ?response:response -> ?trigger:trigger -> ?door:bool -> Config.t -> t
 
+(** [reset t config] returns [t] to the state [create config] builds
+    with [t]'s response, trigger and door, keeping the grown ring,
+    scoreboards and event table (see {!Sender.S.reset}). *)
+val reset : t -> Config.t -> unit
+
 val start : t -> now:float -> Action_buffer.t -> unit
 
 val on_ack : t -> now:float -> Types.ack -> Action_buffer.t -> unit

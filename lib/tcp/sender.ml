@@ -5,6 +5,8 @@ module type S = sig
 
   val create : Config.t -> t
 
+  val reset : t -> Config.t -> unit
+
   val start : t -> now:float -> Action_buffer.t -> unit
 
   val on_ack : t -> now:float -> Types.ack -> Action_buffer.t -> unit
@@ -25,6 +27,8 @@ type packed = Packed : (module S with type t = 'a) * 'a -> packed
 let pack (module M : S) config = Packed ((module M), M.create config)
 
 let name (Packed ((module M), _)) = M.name
+
+let reset (Packed ((module M), state)) config = M.reset state config
 
 let start (Packed ((module M), state)) ~now buf = M.start state ~now buf
 

@@ -19,6 +19,16 @@ module type S = sig
 
   val create : Config.t -> t
 
+  (** [reset t config] puts [t] back in the state [create config]
+      builds, so that the same value can run another transfer: from
+      then on, [t] and a fresh [create config] emit the same actions
+      and report the same [cwnd], [acked], [finished] and [metrics]
+      for the same events. Storage that grew during earlier transfers
+      (sequence rings, scoreboards, tables) is kept; nothing is
+      allocated. Timers the old transfer armed are the caller's to
+      cancel. *)
+  val reset : t -> Config.t -> unit
+
   (** [start t ~now buf] opens the connection: typically sends the
       initial window and arms the retransmission timer. *)
   val start : t -> now:float -> Action_buffer.t -> unit
@@ -56,6 +66,9 @@ type packed = Packed : (module S with type t = 'a) * 'a -> packed
 val pack : (module S) -> Config.t -> packed
 
 val name : packed -> string
+
+(** [reset p config] is {!S.reset} on the packed state. *)
+val reset : packed -> Config.t -> unit
 
 val start : packed -> now:float -> Action_buffer.t -> unit
 

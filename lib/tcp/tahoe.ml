@@ -4,6 +4,8 @@ type t = Newreno_core.t
 
 let create config = Newreno_core.create ~style:Newreno_core.Tahoe config
 
+let reset = Newreno_core.reset
+
 let start = Newreno_core.start
 
 let on_ack = Newreno_core.on_ack

@@ -10,6 +10,8 @@ let create config =
   Sack_core.create ~response:Sack_core.plain_sack ~trigger:Sack_core.Time_delayed
     config
 
+let reset = Sack_core.reset
+
 let start = Sack_core.start
 
 let on_ack = Sack_core.on_ack

@@ -79,15 +79,25 @@ let bounded_pareto rng ~alpha ~lo ~hi =
     if n < lo then lo else if n > hi then hi else n
   end
 
+(* A slot's connection and the transfer it is running. Built on the
+   slot's first transfer, not at spawn: set-up allocates nothing per
+   slot beyond its first arrival. *)
+type slot = {
+  index : int;
+  mutable connection : Tcp.Connection.t option;
+  mutable flow : int;
+  mutable segments : int;
+}
+
 (* Each slot runs a closed loop forever: think (exponential), transfer
-   (bounded-Pareto size), repeat. Every transfer is a fresh connection
-   under a globally fresh flow id; both endpoints are detached on
-   completion so finished transfers can be collected, and any packet of
-   a finished flow still in flight strands harmlessly at its endpoint. *)
-let rec start_transfer t slot =
-  let rng = t.slot_rngs.(slot) in
-  let pairs = Array.length t.ep.sources in
-  let pair = slot mod pairs in
+   (bounded-Pareto size), repeat. Every transfer runs under a globally
+   fresh flow id, on the slot's one connection: built by the first
+   transfer, reset in place by every later one. Both endpoints are
+   detached on completion, so any packet of a finished flow still in
+   flight strands harmlessly at its endpoint. *)
+let rec transfer t s =
+  let rng = t.slot_rngs.(s.index) in
+  let pair = s.index mod Array.length t.ep.sources in
   let flow = t.next_flow in
   t.next_flow <- flow + 1;
   t.started <- t.started + 1;
@@ -95,33 +105,44 @@ let rec start_transfer t slot =
     bounded_pareto rng ~alpha:t.churn.size_alpha ~lo:t.churn.min_segments
       ~hi:t.churn.max_segments
   in
+  s.flow <- flow;
+  s.segments <- segments;
   let config =
     { t.base_config with Tcp.Config.total_segments = Some segments }
   in
-  let src = t.ep.sources.(pair) in
-  let dst = t.ep.sinks.(pair) in
-  let on_finish () =
-    t.completed <- t.completed + 1;
-    t.segments_completed <- t.segments_completed + segments;
-    Net.Node.detach src ~flow;
-    Net.Node.detach dst ~flow;
-    think_then_restart t slot
-  in
   let c =
-    Tcp.Connection.create ~on_finish ?probe:t.probe t.ep.network ~flow ~src
-      ~dst ~sender:t.sender ~config
-      ~route_data:(fun () -> t.ep.route_data pair)
-      ~route_ack:(fun () -> t.ep.route_ack pair)
-      ()
+    match s.connection with
+    | Some c when Tcp.Connection.reusable c ->
+      Tcp.Connection.reuse c ~flow ~config;
+      c
+    | Some _ | None ->
+      (* First transfer, or the last one's connection is still busy
+         (a paced reader draining its socket, say): build one. *)
+      let c =
+        Tcp.Connection.create
+          ~on_finish:(fun () -> finish t s)
+          ?probe:t.probe t.ep.network ~flow ~src:t.ep.sources.(pair)
+          ~dst:t.ep.sinks.(pair) ~sender:t.sender ~config
+          ~route_data:(fun () -> t.ep.route_data pair)
+          ~route_ack:(fun () -> t.ep.route_ack pair)
+          ()
+      in
+      s.connection <- Some c;
+      c
   in
   Tcp.Connection.start c ~at:(Sim.Engine.now t.engine)
 
-and think_then_restart t slot =
+and finish t s =
+  let pair = s.index mod Array.length t.ep.sources in
+  t.completed <- t.completed + 1;
+  t.segments_completed <- t.segments_completed + s.segments;
+  Net.Node.detach t.ep.sources.(pair) ~flow:s.flow;
+  Net.Node.detach t.ep.sinks.(pair) ~flow:s.flow;
   let delay =
     if t.churn.mean_think_s = 0. then 0.
-    else Sim.Rng.exponential t.slot_rngs.(slot) ~mean:t.churn.mean_think_s
+    else Sim.Rng.exponential t.slot_rngs.(s.index) ~mean:t.churn.mean_think_s
   in
-  Sim.Engine.schedule_after t.engine ~delay (fun () -> start_transfer t slot)
+  Sim.Engine.schedule_after t.engine ~delay (fun () -> transfer t s)
 
 let spawn_endpoints ep ~sender ~config ~churn ~rngs ?probe () =
   validate churn;
@@ -153,7 +174,8 @@ let spawn_endpoints ep ~sender ~config ~churn ~rngs ?probe () =
       if churn.ramp_s = 0. then 0.
       else Sim.Rng.float_range t.slot_rngs.(slot) ~lo:0. ~hi:churn.ramp_s
     in
-    Sim.Engine.schedule_at engine ~time:at (fun () -> start_transfer t slot)
+    Sim.Engine.schedule_at engine ~time:at (fun () ->
+        transfer t { index = slot; connection = None; flow = -1; segments = 0 })
   done;
   t
 

@@ -8,6 +8,13 @@
     regime the timer wheel exists for: every in-flight packet of every
     active flow arms and cancels retransmission timers.
 
+    Per-slot state: a slot builds its connection on its first transfer
+    (nothing per slot is allocated at spawn) and runs every later
+    transfer on it, reset in place by {!Tcp.Connection.reuse}; only a
+    connection still busy when the next transfer begins (a paced
+    application reader draining its socket, say) is replaced by a fresh
+    one. A reset connection behaves exactly as a fresh one would.
+
     Determinism: each slot draws from its own {!Sim.Rng} stream (split
     from the caller's by slot index), and every transfer runs under a
     globally fresh flow id; finished transfers detach both endpoints,
@@ -63,7 +70,7 @@ val spawn :
     over arbitrary endpoints, with the per-slot streams supplied by the
     caller ([Array.length rngs] must equal [churn.flows]). Streams from
     {!slot_rngs} reproduce the traffic {!spawn} generates. [probe],
-    when supplied, is passed to every connection the instance creates
+    when supplied, is passed to every connection the instance builds
     (for monitors and trace digests). *)
 val spawn_endpoints :
   endpoints ->

@@ -335,6 +335,124 @@ let test_chaos_clean_network () =
     (run_torture ~seed:1 ~loss:0. ~jitter:0. (module Tcp.Sack))
 
 (* ------------------------------------------------------------------ *)
+(* Reset equals create                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A sender and a receiver run part of a lossy, reordered transfer,
+   possibly to completion; then [reset] gives them a fresh config and
+   they run a second transfer beside a newly created pair, every event
+   fed to both. After each event the two senders must agree on the
+   actions, [cwnd], [acked], [finished] and [metrics], and the two
+   receivers on the disposition (ACK record included) and on their
+   counters and reordering analytics. The second
+   transfer restarts the clock at 0, so any absolute time left over
+   from the first (a back-off deadline, a freeze window) shows. [compare]
+   rather than [=], so equal NaNs agree. *)
+let reset_config ~total ~delayed_ack ~rcv_buf =
+  { Tcp.Config.default with
+    Tcp.Config.total_segments = Some total;
+    delayed_ack;
+    rcv_buf_segments = rcv_buf;
+    min_rto = 0.3;
+    initial_rto = 1. }
+
+let receiver_view r =
+  let depth = Tcp.Receiver.reorder_depth r in
+  let ro = Tcp.Receiver.reorder r in
+  ( (Tcp.Receiver.rcv_next r, Tcp.Receiver.duplicates r, Tcp.Receiver.buffered r),
+    ( Obs.Metrics.Histogram.buckets depth,
+      Obs.Metrics.Histogram.sum depth,
+      Obs.Metrics.Histogram.max_value depth ),
+    ( Obs.Reorder.arrivals ro,
+      Obs.Reorder.reordered ro,
+      Obs.Reorder.late_retx ro,
+      Obs.Reorder.extent_capped ro,
+      Obs.Metrics.Histogram.buckets (Obs.Reorder.extent ro),
+      Obs.Metrics.Histogram.buckets (Obs.Reorder.n_reordering ro) ) )
+
+let run_reset ~seed ~loss ~jitter ~steps ~total1 ~total2 ~flags
+    (module M : Tcp.Sender.S) =
+  let config1 =
+    reset_config ~total:total1 ~delayed_ack:(flags land 1 <> 0)
+      ~rcv_buf:(if flags land 4 <> 0 then Some 16 else None)
+  in
+  let config2 =
+    { (reset_config ~total:total2 ~delayed_ack:(flags land 2 <> 0)
+         ~rcv_buf:None)
+      with
+      Tcp.Config.initial_cwnd = (if flags land 8 <> 0 then 2. else 1.) }
+  in
+  let reused = M.create config1 in
+  let reused_rcv = Tcp.Receiver.create config1 in
+  let net = Chaos.create ~seed ~loss ~jitter in
+  Chaos.perform net (Tcp.Action_buffer.collect (M.start reused ~now:0.));
+  let rec dirty n =
+    if n > 0 && not (M.finished reused) then begin
+      (match Chaos.pop net with
+      | None | Some (_, None) -> ()
+      | Some (_, Some (Data_arrives (seq, retx))) ->
+        Chaos.send_ack net (Tcp.Receiver.on_data reused_rcv ~retx ~seq ())
+      | Some (now, Some (Ack_arrives ack)) ->
+        Chaos.perform net
+          (Tcp.Action_buffer.collect (M.on_ack reused ~now ack))
+      | Some (now, Some (Timer_fires key)) ->
+        Chaos.perform net
+          (Tcp.Action_buffer.collect (M.on_timer reused ~now ~key)));
+      dirty (n - 1)
+    end
+  in
+  dirty steps;
+  M.reset reused config2;
+  Tcp.Receiver.reset reused_rcv config2;
+  let fresh = M.create config2 in
+  let fresh_rcv = Tcp.Receiver.create config2 in
+  let view s actions = (actions, M.cwnd s, M.acked s, M.finished s, M.metrics s) in
+  let agree = ref true in
+  let both run =
+    let a = Tcp.Action_buffer.collect (run reused) in
+    let b = Tcp.Action_buffer.collect (run fresh) in
+    if compare (view reused a) (view fresh b) <> 0 then agree := false;
+    b
+  in
+  let net = Chaos.create ~seed:(seed + 1) ~loss ~jitter in
+  Chaos.perform net (both (fun s -> M.start s ~now:0.));
+  let rec clean n =
+    if n > 0 && !agree && not (M.finished fresh) then begin
+      (match Chaos.pop net with
+      | None -> ()
+      | Some (_, None) -> ()
+      | Some (_, Some (Data_arrives (seq, retx))) ->
+        let a = Tcp.Receiver.receive reused_rcv ~retx ~seq () in
+        let b = Tcp.Receiver.receive fresh_rcv ~retx ~seq () in
+        if compare (a, receiver_view reused_rcv) (b, receiver_view fresh_rcv) <> 0
+        then agree := false;
+        (match b with
+        | Tcp.Receiver.Ack_now ack
+        | Tcp.Receiver.Defer ack
+        | Tcp.Receiver.Drop ack ->
+          Chaos.send_ack net ack)
+      | Some (now, Some (Ack_arrives ack)) ->
+        Chaos.perform net (both (fun s -> M.on_ack s ~now ack))
+      | Some (now, Some (Timer_fires key)) ->
+        Chaos.perform net (both (fun s -> M.on_timer s ~now ~key)));
+      clean (n - 1)
+    end
+  in
+  clean 100_000;
+  !agree
+
+let reset_prop (name, sender_module) =
+  QCheck.Test.make ~name:(name ^ " reset equals create") ~count:25
+    QCheck.(
+      pair
+        (triple small_int (float_range 0. 0.15) (float_range 0. 0.08))
+        (quad (int_range 0 600) (int_range 1 80) (int_range 1 80)
+           (int_range 0 15)))
+    (fun ((seed, loss, jitter), (steps, total1, total2, flags)) ->
+      run_reset ~seed:(seed + 1) ~loss ~jitter ~steps ~total1 ~total2 ~flags
+        sender_module)
+
+(* ------------------------------------------------------------------ *)
 (* Differential oracle over the full simulator                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -428,19 +546,24 @@ let test_oracle_clean_scenario () =
   in
   if not (Check.Oracle.passed report) then report_failure report
 
-(* Oracle seeds 289 and 336 once stalled TCP-PR for good (47 of 63 and
-   58 of 59 segments delivered): the back-off timer fired at its
-   ns-rounded deadline, [now] read back in seconds one ulp below
-   [backoff_until], so the sender sent nothing and armed no timer. *)
+(* Timer-boundary regressions, as (seed, variant) pairs. Seeds 289 and
+   336 once stalled TCP-PR for good (47 of 63 and 58 of 59 segments
+   delivered): the back-off timer fired at its ns-rounded deadline,
+   [now] read back in seconds one ulp below [backoff_until], so the
+   sender sent nothing and armed no timer. Seed 843 spins RACK when its
+   reordering-timer expiry is tested as [now -. sent >= rtt +. reo_wnd]
+   without an epsilon: one ulp short of the expression the timer was
+   armed with, it re-arms at the same instant forever. *)
 let test_tcp_pr_backoff_resumes () =
   List.iter
-    (fun seed ->
+    (fun (seed, variant) ->
       let report =
-        Check.Oracle.run (Check.Oracle.generate ~seed ())
-          ~variant:Experiments.Variants.tcp_pr
+        Check.Oracle.run (Check.Oracle.generate ~seed ()) ~variant
       in
       if not (Check.Oracle.passed report) then report_failure report)
-    [ 289; 336 ]
+    [ (289, Experiments.Variants.tcp_pr);
+      (336, Experiments.Variants.tcp_pr);
+      (843, ("RACK", (module Tcp.Rack : Tcp.Sender.S))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Corrupted sender: the oracle must catch it                          *)
@@ -580,6 +703,8 @@ let () =
       );
       ( "chaos-liveness",
         List.map (fun v -> qcheck (torture_prop v)) Experiments.Variants.all );
+      ( "reset",
+        List.map (fun v -> qcheck (reset_prop v)) Experiments.Variants.all );
       ( "oracle-harness",
         [ Alcotest.test_case "detects starvation" `Quick
             test_oracle_detects_starvation;

@@ -1,5 +1,6 @@
-(* Tests for the TCP framework: Interval_buf, Rto, Receiver, and the
-   NewReno sender driven as a pure state machine. *)
+(* Tests for the TCP framework: Interval_buf, Rto, Receiver, the
+   NewReno sender driven as a pure state machine, and connection
+   reuse. *)
 
 
 (* The handlers now write into an {!Tcp.Action_buffer.t} instead of
@@ -582,31 +583,46 @@ let test_receiver_reorder_classification () =
   Alcotest.(check (float 1e-9)) "late fraction includes it" (2. /. 6.)
     (Obs.Reorder.late_fraction ro)
 
-(* Connection-level: a deferred ACK with no follow-up segment is flushed
-   by the delayed-ACK timer, and the connection counts the timeout. *)
-let test_connection_delack_timer_fires () =
+(* Two nodes joined by a 10 Mb/s, 10 ms duplex link. [lossy] adds 5%
+   Bernoulli loss and 8 ms of jitter (reordering) to the data direction,
+   from a fixed seed, so two calls build identical networks. *)
+let two_node_network ?(lossy = false) () =
   let engine = Sim.Engine.create () in
   let network = Net.Network.create engine in
   let src = Net.Network.add_node network in
   let dst = Net.Network.add_node network in
+  let rng = Sim.Rng.create 5 in
+  let loss, jitter =
+    if lossy then
+      ( Some (Net.Loss_model.bernoulli (Sim.Rng.split rng "loss") ~p:0.05),
+        Some (Sim.Rng.split rng "jitter", 0.008) )
+    else (None, None)
+  in
   ignore
     (Net.Network.add_link network ~src ~dst ~bandwidth_bps:10e6 ~delay_s:0.01
-       ~capacity:100 ());
+       ~capacity:100 ?loss ?jitter ());
   ignore
     (Net.Network.add_link network ~src:dst ~dst:src ~bandwidth_bps:10e6
        ~delay_s:0.01 ~capacity:100 ());
+  (engine, network, src, dst)
+
+let connect ?probe network ~src ~dst ~flow ~sender ~config =
+  Tcp.Connection.create ?probe network ~flow ~src ~dst ~sender ~config
+    ~route_data:(fun () -> [| Net.Node.id dst |])
+    ~route_ack:(fun () -> [| Net.Node.id src |])
+    ()
+
+(* Connection-level: a deferred ACK with no follow-up segment is flushed
+   by the delayed-ACK timer, and the connection counts the timeout. *)
+let test_connection_delack_timer_fires () =
+  let engine, network, src, dst = two_node_network () in
   let config =
     { delack_config with
       Tcp.Config.total_segments = Some 1;
       initial_cwnd = 1. }
   in
   let connection =
-    Tcp.Connection.create network ~flow:0 ~src ~dst
-      ~sender:(module Sack_sender : Tcp.Sender.S)
-      ~config
-      ~route_data:(fun () -> [| Net.Node.id dst |])
-      ~route_ack:(fun () -> [| Net.Node.id src |])
-      ()
+    connect network ~src ~dst ~flow:0 ~sender:(module Sack_sender) ~config
   in
   Tcp.Connection.start connection ~at:0.;
   Sim.Engine.run engine ~until:5.;
@@ -614,6 +630,107 @@ let test_connection_delack_timer_fires () =
     (Tcp.Connection.finished connection);
   Alcotest.(check bool) "delack timeout counted" true
     (Tcp.Connection.delack_timeouts connection >= 1)
+
+(* ------------------------------------------------------------------ *)
+(* Connection reuse                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let raises_invalid f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+(* [reuse] refuses a connection whose transfer has not finished, and
+   one whose transfer finished with a timer cell still armed: here the
+   paced application reader's, which outlives completion while the
+   socket holds unread data. Once the reader has drained it, the same
+   connection is accepted and runs a second transfer. *)
+let test_reuse_refuses_pending () =
+  let engine, network, src, dst = two_node_network () in
+  let config =
+    { Tcp.Config.default with
+      Tcp.Config.total_segments = Some 20;
+      rcv_buf_segments = Some 64;
+      rcv_app_rate = Some 40. }
+  in
+  let c =
+    connect network ~src ~dst ~flow:0 ~sender:(module Sack_sender) ~config
+  in
+  let reuse () = Tcp.Connection.reuse c ~flow:1 ~config in
+  Alcotest.(check bool) "unstarted refused" true (raises_invalid reuse);
+  Tcp.Connection.start c ~at:0.;
+  Sim.Engine.run engine ~until:0.05;
+  Alcotest.(check bool) "unfinished" false (Tcp.Connection.finished c);
+  Alcotest.(check bool) "unfinished refused" true (raises_invalid reuse);
+  let rec run_to_finish () =
+    if not (Tcp.Connection.finished c) then begin
+      Sim.Engine.run engine ~until:(Sim.Engine.now engine +. 0.001);
+      run_to_finish ()
+    end
+  in
+  run_to_finish ();
+  Alcotest.(check bool) "finished with the reader still draining" false
+    (Tcp.Connection.reusable c);
+  Alcotest.(check bool) "armed drain timer refused" true (raises_invalid reuse);
+  Sim.Engine.run engine ~until:5.;
+  Alcotest.(check bool) "drained: reusable" true (Tcp.Connection.reusable c);
+  reuse ();
+  Alcotest.(check bool) "reused: not finished" false
+    (Tcp.Connection.finished c);
+  Tcp.Connection.start c ~at:5.;
+  Sim.Engine.run engine ~until:10.;
+  Alcotest.(check bool) "second transfer finished" true
+    (Tcp.Connection.finished c);
+  Alcotest.(check int) "counters restart" 20
+    (Tcp.Connection.received_segments c)
+
+(* A lossy, reordered transfer, then a second one under flow 1: on one
+   engine by [reuse] of the first connection, on an identical engine by
+   a fresh [create]. The probe traces of the two runs must be equal,
+   line for line, for every variant. *)
+let test_reuse_equals_fresh () =
+  List.iter
+    (fun (name, sender) ->
+      let run ~reuse =
+        let engine, network, src, dst = two_node_network ~lossy:true () in
+        let probe = Tcp.Probe.create () in
+        let lines = ref [] in
+        Sim.Trace.on probe (fun ev -> lines := Tcp.Probe.to_line ev :: !lines);
+        let config total =
+          { Tcp.Config.default with
+            Tcp.Config.total_segments = Some total;
+            delayed_ack = true;
+            min_rto = 0.2;
+            initial_rto = 1. }
+        in
+        let c =
+          connect ~probe network ~src ~dst ~flow:0 ~sender
+            ~config:(config 80)
+        in
+        Tcp.Connection.start c ~at:0.;
+        Sim.Engine.run engine ~until:60.;
+        let first = Tcp.Connection.finished c in
+        let c =
+          if reuse then begin
+            Tcp.Connection.reuse c ~flow:1 ~config:(config 50);
+            c
+          end
+          else begin
+            Net.Node.detach src ~flow:0;
+            Net.Node.detach dst ~flow:0;
+            connect ~probe network ~src ~dst ~flow:1 ~sender
+              ~config:(config 50)
+          end
+        in
+        Tcp.Connection.start c ~at:60.;
+        Sim.Engine.run engine ~until:120.;
+        (first, Tcp.Connection.finished c, List.rev !lines)
+      in
+      let first, second, reused = run ~reuse:true in
+      Alcotest.(check bool) (name ^ ": first transfer finished") true first;
+      Alcotest.(check bool) (name ^ ": second transfer finished") true second;
+      let _, _, fresh = run ~reuse:false in
+      Alcotest.(check (list string)) (name ^ ": reused trace = fresh trace")
+        fresh reused)
+    Experiments.Variants.all
 
 (* Feeding any arrival order of a permutation of 0..n-1 ends with
    rcv_next = n and an empty out-of-order buffer. *)
@@ -794,6 +911,11 @@ let () =
           Alcotest.test_case "delack timer fires" `Quick
             test_connection_delack_timer_fires;
           QCheck_alcotest.to_alcotest ~long:false receiver_permutation_prop ] );
+      ( "reuse",
+        [ Alcotest.test_case "refuses a pending transfer" `Quick
+            test_reuse_refuses_pending;
+          Alcotest.test_case "reused equals fresh" `Quick
+            test_reuse_equals_fresh ] );
       ( "newreno",
         [ Alcotest.test_case "start" `Quick test_newreno_start;
           Alcotest.test_case "slow start growth" `Quick

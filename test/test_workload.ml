@@ -198,50 +198,82 @@ let test_churn_population_invariants () =
     (Workload.Flow_churn.segments_completed w * Tcp.Config.mss)
     (Workload.Flow_churn.bytes_completed w)
 
-(* The invariant monitors over churn traffic, where every transfer
-   creates a connection and detaches it on completion, so late packets
-   of a finished flow strand at its endpoints. Flow ids must stay fresh
-   per transfer: a reused id would feed a new connection's stream into
-   the per-flow monitor state of the old one. *)
+(* Churn on Experiments.Scale's dumbbell shape (32 pairs at most, 1 Mb/s
+   of bottleneck per slot) for [duration] seconds with the invariant
+   monitors armed. Returns the workload, the violations and the number
+   of flow ids the probe saw. *)
+let monitored_churn (variant, sender) ~config ~churn ~duration =
+  let flows = churn.Workload.Flow_churn.flows in
+  let engine = Sim.Engine.create () in
+  let dumbbell =
+    Topo.Dumbbell.create engine ~pairs:(min flows 32)
+      ~bottleneck_bandwidth_bps:(float_of_int flows *. 1e6)
+      ~queue_capacity:64 ~access_queue_capacity:128 ()
+  in
+  let probe = Tcp.Probe.create () in
+  let monitors = Check.Monitor.for_variant ~variant ~config in
+  Check.Monitor.arm probe monitors;
+  let seen = Hashtbl.create 64 in
+  Sim.Trace.on probe (fun ev -> Hashtbl.replace seen (Tcp.Probe.flow ev) ());
+  let w =
+    Workload.Flow_churn.spawn_endpoints
+      (Workload.Flow_churn.endpoints_of_dumbbell dumbbell)
+      ~sender ~config ~churn
+      ~rngs:(Workload.Flow_churn.slot_rngs (Sim.Rng.create 0) ~flows)
+      ~probe ()
+  in
+  Sim.Engine.run engine ~until:duration;
+  (w, Check.Monitor.all_violations monitors, Hashtbl.length seen)
+
+(* The invariant monitors over churn traffic, for every sender variant.
+   A slot's first transfer creates its connection; every later one
+   resets that connection, its sender and its receiver in place under a
+   fresh flow id, so each variant's [reset] runs here with the probe
+   armed. Completion detaches both endpoints, so late packets of a
+   finished flow strand there. Flow ids must stay fresh per transfer: a
+   reused id would feed a new transfer's stream into the per-flow
+   monitor state of the old one. *)
 let test_churn_monitors_hold () =
   let flows = 48 and duration = 0.6 in
-  let config = Experiments.Scale.default_config in
   List.iter
-    (fun (variant, sender) ->
-      let engine = Sim.Engine.create () in
-      (* Experiments.Scale.run's dumbbell at 48 slots. *)
-      let dumbbell =
-        Topo.Dumbbell.create engine ~pairs:32 ~bottleneck_bandwidth_bps:48e6
-          ~queue_capacity:64 ~access_queue_capacity:128 ()
-      in
-      let probe = Tcp.Probe.create () in
-      let monitors = Check.Monitor.for_variant ~variant ~config in
-      Check.Monitor.arm probe monitors;
-      let seen = Hashtbl.create 64 in
-      Sim.Trace.on probe (fun ev -> Hashtbl.replace seen (Tcp.Probe.flow ev) ());
-      let w =
-        Workload.Flow_churn.spawn_endpoints
-          (Workload.Flow_churn.endpoints_of_dumbbell dumbbell)
-          ~sender ~config
+    (fun ((variant, _) as v) ->
+      let w, violations, seen =
+        monitored_churn v ~config:Experiments.Scale.default_config
           ~churn:(Experiments.Scale.default_churn ~flows ~duration)
-          ~rngs:(Workload.Flow_churn.slot_rngs (Sim.Rng.create 0) ~flows)
-          ~probe ()
+          ~duration
       in
-      Sim.Engine.run engine ~until:duration;
       Alcotest.(check bool)
         (variant ^ ": a slot ran a second transfer")
         true
         (Workload.Flow_churn.transfers_completed w > 0
         && Workload.Flow_churn.transfers_started w > flows);
-      Alcotest.(check bool)
-        (variant ^ ": probe saw more than one flow")
-        true
-        (Hashtbl.length seen > 1);
-      Alcotest.(check int)
-        (variant ^ ": no violations")
-        0
-        (List.length (Check.Monitor.all_violations monitors)))
-    [ Experiments.Variants.tcp_pr; Experiments.Variants.tcp_sack ]
+      Alcotest.(check bool) (variant ^ ": probe saw more than one flow") true
+        (seen > 1);
+      Alcotest.(check int) (variant ^ ": no violations") 0
+        (List.length violations))
+    Experiments.Variants.all
+
+(* A paced application reader keeps the drain timer running after a
+   transfer completes, so with short think times a slot's connection is
+   often still busy when its next transfer begins: the slot then builds
+   a fresh connection instead of resetting the busy one, and the loop
+   carries on with the monitors clean. *)
+let test_churn_busy_connection () =
+  let flows = 16 and duration = 3. in
+  let w, violations, _ =
+    monitored_churn Experiments.Variants.tcp_pr
+      ~config:
+        { Experiments.Scale.default_config with
+          Tcp.Config.rcv_buf_segments = Some 64;
+          rcv_app_rate = Some 50. }
+      ~churn:
+        { (Experiments.Scale.default_churn ~flows ~duration) with
+          Workload.Flow_churn.mean_think_s = 0.01 }
+      ~duration
+  in
+  Alcotest.(check bool) "slots ran several transfers each" true
+    (Workload.Flow_churn.transfers_completed w > 3 * flows);
+  Alcotest.(check int) "no violations" 0 (List.length violations)
 
 let test_churn_validation () =
   let engine = Sim.Engine.create () in
@@ -405,6 +437,8 @@ let () =
           Alcotest.test_case "population invariants" `Quick
             test_churn_population_invariants;
           Alcotest.test_case "monitors hold" `Quick test_churn_monitors_hold;
+          Alcotest.test_case "busy connection replaced" `Quick
+            test_churn_busy_connection;
           Alcotest.test_case "validation" `Quick test_churn_validation ] );
       ( "adversary",
         [ Alcotest.test_case "validation" `Quick test_adversary_validation;
