@@ -1,10 +1,16 @@
 (* Allocation-per-packet measurement scenarios.
 
-   Each scenario builds its own network so it can count simulated
-   packets directly off the links: a "simulated packet" here is one
-   link-level transmission or drop (a packet-hop), the unit the hot
-   path pays for. The suite reports wall-clock, GC-allocated bytes,
+   Each scenario builds its own engine and network, so it can count
+   simulated packets directly off the links: a "simulated packet" here
+   is one link-level transmission or drop (a packet-hop), the unit the
+   hot path pays for. The suite reports wall-clock, GC-allocated bytes,
    minor collections, and bytes per simulated packet.
+
+   The six scenarios come from four builders over the shapes of
+   Experiments.Scenario (and Experiments.Scale's churn): "dumbbell" and
+   "hoststack" differ only by the host-stack layer, "lattice" and
+   "analytics" only by the reorder sketch; "jitter-chain" and "churn"
+   stand alone.
 
    One harness, two judges: `bench/main.exe gate` holds every scenario
    and every sender variant within 16 B of the committed
@@ -78,78 +84,86 @@ let measure scenario f =
     bytes_per_packet =
       (if packets = 0 then 0. else allocated_bytes /. float_of_int packets) }
 
-let bounded_config segments =
-  { Tcp.Config.default with
-    Tcp.Config.total_segments = Some segments;
-    min_rto = 0.2;
-    initial_rto = 1.;
-    max_rto = 16. }
+module Scenario = Experiments.Scenario
+
+let tcp_pr = snd Experiments.Variants.tcp_pr
 
 (* Two competing flows (TCP-PR vs TCP-SACK) through a 1.5 Mb/s
    dumbbell bottleneck: the fig. 2/3 regime, fixed single-path routes.
    The warmup transfer is an identical pair of flows run to completion
-   first; the measured pair then starts on the already-warm network. *)
-let dumbbell_scenario () =
+   first; the measured pair then starts on the already-warm network.
+
+   With [hoststack] the same pairs run over the host-stack layer at
+   full tilt: a finite autotuned receive buffer, a paced application
+   reader (which keeps the app-drain timer and the window-reopen path
+   hot) and GRO coalescing on the sink's ingress links. That charges
+   the whole enabled path — admission accounting, rwnd clamping,
+   coalesced burst delivery, persist re-arms — per packet-hop, under
+   the same 16 B/packet gate budget as the idealised scenarios. *)
+let dumbbell_scenario ~hoststack () =
   let engine = Sim.Engine.create () in
-  let topo =
-    Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:1.5e6
-      ~queue_capacity:10 ()
+  let path, config =
+    if hoststack then
+      ( Scenario.hoststack engine,
+        { (Scenario.hoststack_config ~app_rate:100. 600) with
+          Tcp.Config.rcv_buf_segments = Some 32;
+          rcv_buf_max_segments = 64 } )
+    else (Scenario.dumbbell engine, Scenario.bounded_config 600)
   in
-  let network = topo.Topo.Dumbbell.network in
-  let config = bounded_config 600 in
-  let connect flow sender =
-    Tcp.Connection.create network ~flow ~src:topo.Topo.Dumbbell.sources.(0)
-      ~dst:topo.Topo.Dumbbell.sinks.(0) ~sender ~config
-      ~route_data:(fun () -> Topo.Dumbbell.route_forward topo ~pair:0)
-      ~route_ack:(fun () -> Topo.Dumbbell.route_reverse topo ~pair:0)
-      ()
+  let race ~at flow =
+    ignore (Scenario.race path ~flow ~at ~sender:tcp_pr ~config)
   in
-  let start ~at flow sender =
-    let c = connect flow sender in
-    Tcp.Connection.start c ~at
-  in
-  start ~at:0. 0 (snd Experiments.Variants.tcp_pr);
-  start ~at:0.05 1 (snd Experiments.Variants.tcp_sack);
+  race ~at:0. 0;
   Sim.Engine.run engine ~until:120.;
-  start ~at:120. 2 (snd Experiments.Variants.tcp_pr);
-  start ~at:120.05 3 (snd Experiments.Variants.tcp_sack);
-  { network; measured = (fun () -> Sim.Engine.run engine ~until:240.) }
+  race ~at:120. 2;
+  { network = path.Scenario.network;
+    measured = (fun () -> Sim.Engine.run engine ~until:240.) }
 
 (* Epsilon-routed multipath lattice at eps = 0 (uniform path choice,
    maximal persistent reordering): the fig. 6 regime. One throwaway
-   transfer first, then an identical measured one. *)
-let lattice_scenario () =
+   transfer first, then an identical measured one.
+
+   With [analytics] the reordering analytics run at full tilt: the
+   always-on streaming RFC 4737 instance in the receiver AND the sketch
+   detector tapping every data arrival at the connection. Identical
+   traffic, so the difference between the two quotients is the
+   analytics' own per-packet cost — which must be indistinguishable
+   from zero under the gate budget. *)
+let lattice_scenario ~analytics () =
   let engine = Sim.Engine.create () in
-  let topo = Topo.Multipath_lattice.create engine ~path_hops:[ 2; 3; 4 ] () in
-  let network = topo.Topo.Multipath_lattice.network in
+  let lattice = Scenario.lattice engine in
   let rng = Sim.Rng.create 42 in
-  let sampler label =
-    Multipath.Epsilon_routing.for_lattice (Sim.Rng.split rng label)
-      ~epsilon:0. topo
+  let sketch =
+    if analytics then Some (Obs.Reorder_sketch.create ()) else None
   in
   let start ~at flow =
-    let fwd = sampler (Printf.sprintf "fwd-%d" flow)
-    and rev = sampler (Printf.sprintf "rev-%d" flow) in
-    let connection =
-      Tcp.Connection.create network ~flow
-        ~src:topo.Topo.Multipath_lattice.source
-        ~dst:topo.Topo.Multipath_lattice.destination
-        ~sender:(snd Experiments.Variants.tcp_pr)
-        ~config:(bounded_config 600)
-        ~route_data:(fun () ->
-          Multipath.Epsilon_routing.route fwd
-            topo.Topo.Multipath_lattice.forward_routes)
-        ~route_ack:(fun () ->
-          Multipath.Epsilon_routing.route rev
-            topo.Topo.Multipath_lattice.reverse_routes)
-        ()
+    let path =
+      Scenario.eps_path lattice rng ~suffix:(Printf.sprintf "-%d" flow)
+        ~epsilon:0.
     in
-    Tcp.Connection.start connection ~at
+    ignore
+      (Scenario.connect ?sketch path ~flow ~at ~sender:tcp_pr
+         ~config:(Scenario.bounded_config 600));
+    path
   in
-  start ~at:0. 0;
+  let first = start ~at:0. 0 in
   Sim.Engine.run engine ~until:120.;
-  start ~at:120. 1;
-  { network; measured = (fun () -> Sim.Engine.run engine ~until:240.) }
+  ignore (start ~at:120. 1);
+  let measured () =
+    Sim.Engine.run engine ~until:240.;
+    (* The analytics must actually have seen the reordering they are
+       billed for. *)
+    Option.iter
+      (fun sketch ->
+        let detected = Obs.Reorder_sketch.detected sketch in
+        if detected <= 100 then
+          failwith
+            (Printf.sprintf
+               "analytics: the sketch detected %d reorderings, want > 100"
+               detected))
+      sketch
+  in
+  { network = first.Scenario.network; measured }
 
 (* Unbounded transfer over a jittered two-hop chain: sustained traffic
    with per-packet extra delay, exercising the timer machinery. The
@@ -157,160 +171,25 @@ let lattice_scenario () =
    warmup; the remaining twelve are measured. *)
 let jitter_scenario () =
   let engine = Sim.Engine.create () in
-  let network = Net.Network.create engine in
-  let rng = Sim.Rng.create 7 in
-  let source = Net.Network.add_node network in
-  let mid = Net.Network.add_node network in
-  let sink = Net.Network.add_node network in
-  let duplex ~src ~dst label =
-    ignore
-      (Net.Network.add_link network ~src ~dst ~bandwidth_bps:10e6
-         ~delay_s:0.020 ~capacity:100
-         ~jitter:(Sim.Rng.split rng label, 0.005)
-         ());
-    ignore
-      (Net.Network.add_link network ~src:dst ~dst:src ~bandwidth_bps:10e6
-         ~delay_s:0.020 ~capacity:100
-         ~jitter:(Sim.Rng.split rng (label ^ "-rev"), 0.005)
-         ())
-  in
-  duplex ~src:source ~dst:mid "hop1";
-  duplex ~src:mid ~dst:sink "hop2";
-  let data_route = [| Net.Node.id mid; Net.Node.id sink |] in
-  let ack_route = [| Net.Node.id mid; Net.Node.id source |] in
-  let connection =
-    Tcp.Connection.create network ~flow:0 ~src:source ~dst:sink
-      ~sender:(snd Experiments.Variants.tcp_pr)
-      ~config:Tcp.Config.default
-      ~route_data:(fun () -> data_route)
-      ~route_ack:(fun () -> ack_route)
-      ()
-  in
-  Tcp.Connection.start connection ~at:0.;
+  let path = Scenario.jitter_chain engine (Sim.Rng.create 7) in
+  ignore
+    (Scenario.connect path ~flow:0 ~at:0. ~sender:tcp_pr
+       ~config:Tcp.Config.default);
   Sim.Engine.run engine ~until:3.;
-  { network; measured = (fun () -> Sim.Engine.run engine ~until:15.) }
+  { network = path.Scenario.network;
+    measured = (fun () -> Sim.Engine.run engine ~until:15.) }
 
-(* The PR10 reordering analytics at full tilt: the lattice scenario
-   with the always-on streaming RFC 4737 instance in the receiver AND
-   the sketch detector tapping every data arrival at the connection.
-   Identical traffic to "lattice", so the difference between the two
-   quotients is the analytics' own per-packet cost — which must be
-   indistinguishable from zero under the gate budget. *)
-let analytics_scenario () =
-  let engine = Sim.Engine.create () in
-  let topo = Topo.Multipath_lattice.create engine ~path_hops:[ 2; 3; 4 ] () in
-  let network = topo.Topo.Multipath_lattice.network in
-  let rng = Sim.Rng.create 42 in
-  let sketch = Obs.Reorder_sketch.create () in
-  let sampler label =
-    Multipath.Epsilon_routing.for_lattice (Sim.Rng.split rng label)
-      ~epsilon:0. topo
-  in
-  let start ~at flow =
-    let fwd = sampler (Printf.sprintf "fwd-%d" flow)
-    and rev = sampler (Printf.sprintf "rev-%d" flow) in
-    let connection =
-      Tcp.Connection.create ~sketch network ~flow
-        ~src:topo.Topo.Multipath_lattice.source
-        ~dst:topo.Topo.Multipath_lattice.destination
-        ~sender:(snd Experiments.Variants.tcp_pr)
-        ~config:(bounded_config 600)
-        ~route_data:(fun () ->
-          Multipath.Epsilon_routing.route fwd
-            topo.Topo.Multipath_lattice.forward_routes)
-        ~route_ack:(fun () ->
-          Multipath.Epsilon_routing.route rev
-            topo.Topo.Multipath_lattice.reverse_routes)
-        ()
-    in
-    Tcp.Connection.start connection ~at
-  in
-  start ~at:0. 0;
-  Sim.Engine.run engine ~until:120.;
-  start ~at:120. 1;
-  let measured () =
-    Sim.Engine.run engine ~until:240.;
-    (* The analytics must actually have seen the reordering they are
-       billed for. *)
-    let detected = Obs.Reorder_sketch.detected sketch in
-    if detected <= 100 then
-      failwith
-        (Printf.sprintf "analytics: the sketch detected %d reorderings, \
-                         want > 100" detected)
-  in
-  { network; measured }
-
-(* The PR9 host-stack layer at full tilt: the dumbbell pair with a
-   finite autotuned receive buffer, a paced application reader (which
-   keeps the app-drain timer and the window-reopen path hot) and GRO
-   coalescing on the sink's ingress links. Charges the whole enabled
-   path — admission accounting, rwnd clamping, coalesced burst
-   delivery, persist re-arms — per packet-hop, under the same 16
-   B/packet gate budget as the idealised scenarios. *)
-let hoststack_scenario () =
-  let engine = Sim.Engine.create () in
-  let topo =
-    Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:1.5e6
-      ~queue_capacity:10 ()
-  in
-  let network = topo.Topo.Dumbbell.network in
-  let sink = Net.Node.id topo.Topo.Dumbbell.sinks.(0) in
-  List.iter
-    (fun link ->
-      if Net.Link.dst link = sink then
-        Net.Link.set_coalescing link ~timer_s:0.001 ~max_burst:4)
-    (Net.Network.links network);
-  let config =
-    { (bounded_config 600) with
-      Tcp.Config.rcv_buf_segments = Some 32;
-      rcv_buf_max_segments = 64;
-      rcv_autotune = true;
-      rcv_app_rate = Some 100. }
-  in
-  let start ~at flow sender =
-    let c =
-      Tcp.Connection.create network ~flow ~src:topo.Topo.Dumbbell.sources.(0)
-        ~dst:topo.Topo.Dumbbell.sinks.(0) ~sender ~config
-        ~route_data:(fun () -> Topo.Dumbbell.route_forward topo ~pair:0)
-        ~route_ack:(fun () -> Topo.Dumbbell.route_reverse topo ~pair:0)
-        ()
-    in
-    Tcp.Connection.start c ~at
-  in
-  start ~at:0. 0 (snd Experiments.Variants.tcp_pr);
-  start ~at:0.05 1 (snd Experiments.Variants.tcp_sack);
-  Sim.Engine.run engine ~until:120.;
-  start ~at:120. 2 (snd Experiments.Variants.tcp_pr);
-  start ~at:120.05 3 (snd Experiments.Variants.tcp_sack);
-  { network; measured = (fun () -> Sim.Engine.run engine ~until:240.) }
-
-(* Closed-loop flow churn at 300 slots on Experiments.Scale's dumbbell
-   and config: the one scenario whose per-hop bill includes transfer
-   set-up. The warmup runs 4 s, past the 1 s ramp, so the slots have
-   run their first transfers (which build their connections); the
-   measured 4 s are the steady state, where every transfer starts on
-   its slot's connection reset in place. *)
+(* Closed-loop flow churn at 300 slots on Experiments.Scale's churn
+   shape: the one scenario whose per-hop bill includes transfer set-up.
+   The warmup runs 4 s, past the 1 s ramp, so the slots have run their
+   first transfers (which build their connections); the measured 4 s
+   are the steady state, where every transfer starts on its slot's
+   connection reset in place. *)
 let churn_scenario () =
   let flows = 300 and warmup = 4. and duration = 8. in
   let engine = Sim.Engine.create () in
-  (* Experiments.Scale.run's capacity scaling. *)
-  let pairs = min flows 32 in
-  let bottleneck_bandwidth_bps = Float.max 10e6 (float_of_int flows *. 1e6) in
-  let access_bandwidth_bps =
-    Float.max 100e6 (4. *. bottleneck_bandwidth_bps /. float_of_int pairs)
-  in
-  let queue_capacity = max 64 (flows / 2) in
-  let dumbbell =
-    Topo.Dumbbell.create engine ~pairs ~bottleneck_bandwidth_bps
-      ~bottleneck_delay_s:0.020 ~access_bandwidth_bps ~access_delay_s:0.001
-      ~queue_capacity ~access_queue_capacity:(2 * queue_capacity) ()
-  in
-  let workload =
-    Workload.Flow_churn.spawn dumbbell
-      ~sender:(snd Experiments.Variants.tcp_pr)
-      ~config:Experiments.Scale.default_config
-      ~churn:(Experiments.Scale.default_churn ~flows ~duration)
-      ~rng:(Sim.Rng.create 0) ()
+  let network, workload =
+    Experiments.Scale.spawn engine ~seed:0 ~sender:tcp_pr ~flows ~duration
   in
   Sim.Engine.run engine ~until:warmup;
   let started = Workload.Flow_churn.transfers_started workload in
@@ -322,14 +201,14 @@ let churn_scenario () =
         (Printf.sprintf "churn: %d transfers started in the measured phase, \
                          want >= %d" transfers flows)
   in
-  { network = dumbbell.Topo.Dumbbell.network; measured }
+  { network; measured }
 
 let scenarios =
-  [ ("dumbbell", dumbbell_scenario);
-    ("lattice", lattice_scenario);
+  [ ("dumbbell", dumbbell_scenario ~hoststack:false);
+    ("lattice", lattice_scenario ~analytics:false);
     ("jitter-chain", jitter_scenario);
-    ("hoststack", hoststack_scenario);
-    ("analytics", analytics_scenario);
+    ("hoststack", dumbbell_scenario ~hoststack:true);
+    ("analytics", lattice_scenario ~analytics:true);
     ("churn", churn_scenario) ]
 
 let run_all () = List.map (fun (name, f) -> measure name f) scenarios

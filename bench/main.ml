@@ -16,7 +16,8 @@
                - bytes per ACK for any sender variant exceeds its
                  entry by more than 16 B/ACK,
                - events/sec at 10k flows falls below 0.4x events/sec
-                 at 1k flows in the same run (Scale_suite);
+                 at 1k flows (the median of five runs) in the same run
+                 (Scale_suite);
              a missing baseline file, block or entry fails as well.
              Reads bench/baseline.json, writes nothing (`make ci`).
      record  run the allocation suite and write its numbers to

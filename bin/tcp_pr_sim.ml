@@ -340,8 +340,10 @@ let check seed seeds jobs variants golden write_golden =
     List.iter
       (fun report ->
         if Check.Oracle.passed report then
-          Printf.printf "  ok   %-9s %s\n" report.Check.Oracle.variant
+          Printf.printf "  ok   %-9s %s events=%d\n"
+            report.Check.Oracle.variant
             (Check.Oracle.describe report.Check.Oracle.scenario)
+            report.Check.Oracle.events
         else begin
           incr failures;
           Format.printf "  FAIL %a@." Check.Oracle.pp_report report

@@ -1,155 +1,80 @@
-type kind =
-  | Fig_dumbbell of { bottleneck_bps : float }
-  | Fig_lattice
-  | Fig_hoststack  (** dumbbell with the host-stack realism layer on *)
+module Scenario = Experiments.Scenario
+
+type figure =
+  | Fig2
+  | Fig3
+  | Fig6
+  | Hoststack
 
 type case = {
-  figure : string;
+  figure : figure;
   variant : string * (module Tcp.Sender.S);
-  kind : kind;
 }
 
+let figure_name = function
+  | Fig2 -> "fig2"
+  | Fig3 -> "fig3"
+  | Fig6 -> "fig6"
+  | Hoststack -> "hoststack"
+
 let id case =
-  case.figure ^ "__" ^ Experiments.Variants.canonical (fst case.variant)
+  figure_name case.figure ^ "__"
+  ^ Experiments.Variants.canonical (fst case.variant)
 
-(* Short bounded transfers: long enough to include slow start, loss
-   recovery and (on the lattice) persistent reordering, short enough
-   that the whole suite recomputes in well under a second. *)
-let golden_config =
-  { Tcp.Config.default with
-    Tcp.Config.total_segments = Some 80;
-    min_rto = 0.2;
-    initial_rto = 1.;
-    max_rto = 16. }
-
-let collect_lines probe =
+let run ?coalesce ~config figure sender =
+  let engine = Sim.Engine.create () in
+  let path =
+    match figure with
+    | Fig2 -> Scenario.dumbbell engine
+    | Fig3 -> Scenario.dumbbell ~bandwidth_scale:0.5 engine
+    | Fig6 ->
+      (* epsilon = 0: all paths equiprobable, maximal persistent
+         reordering — the Fig. 6 regime. *)
+      Scenario.eps_path (Scenario.lattice engine) (Sim.Rng.create 42)
+        ~epsilon:0.
+    | Hoststack -> Scenario.hoststack engine
+  in
+  Option.iter (Scenario.coalesce_sink path) coalesce;
+  let probe = Tcp.Probe.create () in
   let buffer = Buffer.create 4096 in
   Sim.Trace.on probe (fun event ->
       Buffer.add_string buffer (Tcp.Probe.to_line event);
       Buffer.add_char buffer '\n');
-  buffer
-
-let run_dumbbell ~bottleneck_bps (module M : Tcp.Sender.S) =
-  let engine = Sim.Engine.create () in
-  let topo =
-    Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:bottleneck_bps
-      ~queue_capacity:10 ()
-  in
-  let network = topo.Topo.Dumbbell.network in
-  let probe = Tcp.Probe.create () in
-  let buffer = collect_lines probe in
-  let connect flow sender =
-    Tcp.Connection.create ~probe network ~flow
-      ~src:topo.Topo.Dumbbell.sources.(0)
-      ~dst:topo.Topo.Dumbbell.sinks.(0)
-      ~sender ~config:golden_config
-      ~route_data:(fun () -> Topo.Dumbbell.route_forward topo ~pair:0)
-      ~route_ack:(fun () -> Topo.Dumbbell.route_reverse topo ~pair:0)
-      ()
-  in
-  (* The variant under test races the paper's TCP-SACK competitor for
-     the bottleneck, as in the Fig. 2/3 fairness runs. *)
-  let main = connect 0 (module M : Tcp.Sender.S) in
-  let competitor = connect 1 (snd Experiments.Variants.tcp_sack) in
-  Tcp.Connection.start main ~at:0.;
-  Tcp.Connection.start competitor ~at:0.05;
-  Sim.Engine.run engine ~until:60.;
-  Buffer.contents buffer
-
-let run_lattice (module M : Tcp.Sender.S) =
-  let engine = Sim.Engine.create () in
-  let topo = Topo.Multipath_lattice.create engine ~path_hops:[ 2; 3; 4 ] () in
-  let network = topo.Topo.Multipath_lattice.network in
-  let probe = Tcp.Probe.create () in
-  let buffer = collect_lines probe in
-  let rng = Sim.Rng.create 42 in
-  (* epsilon = 0: all paths equiprobable, maximal persistent
-     reordering — the Fig. 6 regime. *)
-  let sampler label =
-    Multipath.Epsilon_routing.for_lattice (Sim.Rng.split rng label)
-      ~epsilon:0. topo
-  in
-  let fwd = sampler "fwd" and rev = sampler "rev" in
   let connection =
-    Tcp.Connection.create ~probe network ~flow:0
-      ~src:topo.Topo.Multipath_lattice.source
-      ~dst:topo.Topo.Multipath_lattice.destination
-      ~sender:(module M : Tcp.Sender.S)
-      ~config:golden_config
-      ~route_data:(fun () ->
-        Multipath.Epsilon_routing.route fwd
-          topo.Topo.Multipath_lattice.forward_routes)
-      ~route_ack:(fun () ->
-        Multipath.Epsilon_routing.route rev
-          topo.Topo.Multipath_lattice.reverse_routes)
-      ()
+    match figure with
+    | Fig2 | Fig3 ->
+      (* The variant under test races the paper's TCP-SACK competitor
+         for the bottleneck, as in the Fig. 2/3 fairness runs. *)
+      Scenario.race ~probe path ~flow:0 ~at:0. ~sender ~config
+    | Fig6 | Hoststack ->
+      Scenario.connect ~probe path ~flow:0 ~at:0. ~sender ~config
   in
-  Tcp.Connection.start connection ~at:0.;
   Sim.Engine.run engine ~until:60.;
-  Buffer.contents buffer
+  (Buffer.contents buffer, connection)
 
-(* Host-stack golden: single flow over the Fig. 2 dumbbell with a
-   finite, autotuned receive buffer, a paced application reader slower
-   than the bottleneck, and GRO coalescing on the sink's ingress — the
-   full PR9 layer exercised in one deterministic trace (rwnd clamping,
-   buffer pressure, zero-window persist/reopen, coalesced bursts). *)
-let hoststack_config =
-  { golden_config with
-    Tcp.Config.rcv_buf_segments = Some 16;
-    rcv_buf_max_segments = 24;
-    rcv_autotune = true;
-    rcv_app_rate = Some 10. }
-
-let run_hoststack (module M : Tcp.Sender.S) =
-  let engine = Sim.Engine.create () in
-  let topo =
-    Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:1.5e6
-      ~queue_capacity:10 ()
-  in
-  let network = topo.Topo.Dumbbell.network in
-  let sink = Net.Node.id topo.Topo.Dumbbell.sinks.(0) in
-  List.iter
-    (fun link ->
-      if Net.Link.dst link = sink then
-        Net.Link.set_coalescing link ~timer_s:0.001 ~max_burst:4)
-    (Net.Network.links network);
-  let probe = Tcp.Probe.create () in
-  let buffer = collect_lines probe in
-  let connection =
-    Tcp.Connection.create ~probe network ~flow:0
-      ~src:topo.Topo.Dumbbell.sources.(0)
-      ~dst:topo.Topo.Dumbbell.sinks.(0)
-      ~sender:(module M : Tcp.Sender.S)
-      ~config:hoststack_config
-      ~route_data:(fun () -> Topo.Dumbbell.route_forward topo ~pair:0)
-      ~route_ack:(fun () -> Topo.Dumbbell.route_reverse topo ~pair:0)
-      ()
-  in
-  Tcp.Connection.start connection ~at:0.;
-  Sim.Engine.run engine ~until:60.;
-  Buffer.contents buffer
-
+(* Short bounded transfers: long enough to include slow start, loss
+   recovery and (on the lattice) persistent reordering, short enough
+   that the whole suite recomputes in well under a second. The
+   host-stack case adds a finite, autotuned receive buffer drained by a
+   reader slower than the bottleneck: rwnd clamping, buffer pressure,
+   zero-window persist/reopen and coalesced bursts in one trace. *)
 let compute case =
-  let _, sender = case.variant in
-  match case.kind with
-  | Fig_dumbbell { bottleneck_bps } -> run_dumbbell ~bottleneck_bps sender
-  | Fig_lattice -> run_lattice sender
-  | Fig_hoststack -> run_hoststack sender
+  let segments = 80 in
+  let config =
+    match case.figure with
+    | Fig2 | Fig3 | Fig6 -> Scenario.bounded_config segments
+    | Hoststack -> Scenario.hoststack_config ~app_rate:10. segments
+  in
+  fst (run ~config case.figure (snd case.variant))
 
 let cases =
-  let dumbbell figure bottleneck_bps variant =
-    { figure; variant; kind = Fig_dumbbell { bottleneck_bps } }
-  in
   let paired = [ Experiments.Variants.tcp_pr; Experiments.Variants.tcp_sack ] in
-  List.map (dumbbell "fig2" 1.5e6) paired
-  @ List.map (dumbbell "fig3" 0.75e6) paired
-  @ List.map
-      (fun variant -> { figure = "fig6"; variant; kind = Fig_lattice })
-      Experiments.Variants.fig6
-  @ [ { figure = "hoststack";
-        variant = Experiments.Variants.tcp_pr;
-        kind = Fig_hoststack }
-    ]
+  let with_figure figure variants =
+    List.map (fun variant -> { figure; variant }) variants
+  in
+  with_figure Fig2 paired @ with_figure Fig3 paired
+  @ with_figure Fig6 Experiments.Variants.fig6
+  @ with_figure Hoststack [ Experiments.Variants.tcp_pr ]
 
 let digest_of_trace trace = Digest.to_hex (Digest.string trace)
 

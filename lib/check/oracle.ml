@@ -1,3 +1,5 @@
+module Scenario = Experiments.Scenario
+
 type topology =
   | Dumbbell
   | Parking_lot
@@ -97,12 +99,8 @@ let describe s =
     | None -> "")
 
 let config s =
-  { Tcp.Config.default with
-    Tcp.Config.total_segments = Some s.total_segments;
-    delayed_ack = s.delayed_ack;
-    min_rto = 0.2;
-    initial_rto = 1.;
-    max_rto = 16.;
+  { (Scenario.bounded_config s.total_segments) with
+    Tcp.Config.delayed_ack = s.delayed_ack;
     rcv_buf_segments = s.rcv_buf;
     rcv_buf_max_segments =
       (match s.rcv_buf with
@@ -122,97 +120,49 @@ type report = {
 
 let tail_length = 40
 
-(* Build the scenario's network and return the connection endpoints and
-   per-packet route samplers. All randomness (loss, jitter, routing)
-   derives from the scenario seed, never from the variant, so every
-   variant faces the same environment. *)
-let build s engine rng =
-  let loss_model stream =
-    if s.loss > 0. then Some (Net.Loss_model.bernoulli stream ~p:s.loss)
-    else None
+(* The scenario's path. All randomness (loss, jitter, routing) derives
+   from [rng], split from the scenario seed and never from the variant,
+   so every variant faces the same environment. *)
+let path s engine rng =
+  (* The jitter stream is split before the loss stream: every seed's
+     realisation depends on that order. *)
+  let impairments () =
+    let jitter = Sim.Rng.split rng "jitter" in
+    let loss = Sim.Rng.split rng "loss" in
+    ( (if s.loss > 0. then Some (Net.Loss_model.bernoulli loss ~p:s.loss)
+       else None),
+      if s.jitter > 0. then Some (jitter, s.jitter) else None )
   in
-  let jitter_pair stream = if s.jitter > 0. then Some (stream, s.jitter) else None in
   match s.topology with
   | Dumbbell ->
-    let topo =
-      Topo.Dumbbell.create engine
-        ~bottleneck_bandwidth_bps:(1.5e6 *. s.bandwidth_scale)
-        ~queue_capacity:12
-        ?bottleneck_loss:(loss_model (Sim.Rng.split rng "loss"))
-        ?bottleneck_jitter:(jitter_pair (Sim.Rng.split rng "jitter"))
-        ()
-    in
-    ( topo.Topo.Dumbbell.network,
-      topo.Topo.Dumbbell.sources.(0),
-      topo.Topo.Dumbbell.sinks.(0),
-      (fun () -> Topo.Dumbbell.route_forward topo ~pair:0),
-      fun () -> Topo.Dumbbell.route_reverse topo ~pair:0 )
+    let loss, jitter = impairments () in
+    Scenario.dumbbell ~bandwidth_scale:s.bandwidth_scale ~queue:12 ?loss
+      ?jitter engine
   | Parking_lot ->
-    let topo =
-      Topo.Parking_lot.create engine ~bandwidth_scale:s.bandwidth_scale ()
-    in
-    ( topo.Topo.Parking_lot.network,
-      topo.Topo.Parking_lot.source,
-      topo.Topo.Parking_lot.destination,
-      (fun () -> Topo.Parking_lot.route_forward topo),
-      fun () -> Topo.Parking_lot.route_reverse topo )
+    Scenario.parking_lot ~bandwidth_scale:s.bandwidth_scale engine
   | Lattice ->
-    let topo =
-      Topo.Multipath_lattice.create engine ~path_hops:[ 2; 3; 4 ]
-        ?loss:(loss_model (Sim.Rng.split rng "loss"))
-        ?jitter:(jitter_pair (Sim.Rng.split rng "jitter"))
-        ()
-    in
-    let forward = topo.Topo.Multipath_lattice.forward_routes in
-    let reverse = topo.Topo.Multipath_lattice.reverse_routes in
-    let route_data, route_ack =
-      if s.route_flap then begin
-        (* A mobile-network route change: all traffic hops to the next
-           path at a fixed cadence (cf. the paper's Section 5 route
-           fluctuation argument). *)
-        let current = ref 0 in
-        let paths = Array.length forward in
-        let period = 0.75 in
-        let flips = int_of_float (s.time_limit /. period) in
-        for k = 1 to flips do
-          Sim.Engine.schedule_at engine
-            ~time:(float_of_int k *. period)
-            (fun () -> current := (!current + 1) mod paths)
-        done;
-        ((fun () -> forward.(!current)), fun () -> reverse.(!current))
-      end
-      else begin
-        let sampler stream =
-          Multipath.Epsilon_routing.for_lattice stream ~epsilon:s.epsilon topo
-        in
-        let fwd = sampler (Sim.Rng.split rng "fwd") in
-        let rev = sampler (Sim.Rng.split rng "rev") in
-        ( (fun () -> Multipath.Epsilon_routing.route fwd forward),
-          fun () -> Multipath.Epsilon_routing.route rev reverse )
-      end
-    in
-    ( topo.Topo.Multipath_lattice.network,
-      topo.Topo.Multipath_lattice.source,
-      topo.Topo.Multipath_lattice.destination,
-      route_data,
-      route_ack )
+    let loss, jitter = impairments () in
+    let lattice = Scenario.lattice ?loss ?jitter engine in
+    if s.route_flap then begin
+      (* A mobile-network route change: all traffic hops to the next
+         path at a fixed cadence (cf. the paper's Section 5 route
+         fluctuation argument). *)
+      let path, next = Scenario.rotating lattice in
+      let period = 0.75 in
+      for k = 1 to int_of_float (s.time_limit /. period) do
+        Sim.Engine.schedule_at engine ~time:(float_of_int k *. period) next
+      done;
+      path
+    end
+    else Scenario.eps_path lattice rng ~epsilon:s.epsilon
 
 let run s ~variant:(variant_name, sender) =
   let config = config s in
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.split (Sim.Rng.create s.seed) "oracle-network" in
-  let network, src, dst, route_data, route_ack = build s engine rng in
-  (* The GRO model sits on the sink's ingress: every link whose
-     downstream endpoint is the destination node coalesces. *)
-  (match s.coalesce with
-  | Some (timer_s, max_burst) ->
-    let sink = Net.Node.id dst in
-    List.iter
-      (fun link ->
-        if Net.Link.dst link = sink then
-          Net.Link.set_coalescing link ~timer_s ~max_burst)
-      (Net.Network.links network)
-  | None -> ());
+  let path = path s engine rng in
+  (* The GRO model sits on the sink's ingress. *)
+  Option.iter (Scenario.coalesce_sink path) s.coalesce;
   let probe = Tcp.Probe.create () in
   let monitors = Monitor.for_variant ~variant:variant_name ~config in
   Monitor.arm probe monitors;
@@ -221,10 +171,8 @@ let run s ~variant:(variant_name, sender) =
      actually needs the tail. *)
   let recorder = Obs.Flight_recorder.attach ~capacity:tail_length probe in
   let connection =
-    Tcp.Connection.create ~probe network ~flow:0 ~src ~dst ~sender ~config
-      ~route_data ~route_ack ()
+    Scenario.connect ~probe path ~flow:0 ~at:0. ~sender ~config
   in
-  Tcp.Connection.start connection ~at:0.;
   Sim.Engine.run engine ~until:s.time_limit;
   let trace_tail =
     List.map Tcp.Probe.to_line (Obs.Flight_recorder.to_list recorder)

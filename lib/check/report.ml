@@ -9,6 +9,8 @@
    the golden test enforces. The header deliberately omits anything
    host- or parallelism-dependent. *)
 
+module Scenario = Experiments.Scenario
+
 type scenario =
   | Dumbbell
   | Lattice
@@ -31,75 +33,20 @@ let scenarios = [ Dumbbell; Lattice; Jitter_chain ]
 (* Bounded transfers keep a full report under a second while still
    covering slow start, recovery, and (on the lattice) persistent
    reordering. *)
-let report_config =
-  { Tcp.Config.default with
-    Tcp.Config.total_segments = Some 200;
-    min_rto = 0.2;
-    initial_rto = 1.;
-    max_rto = 16. }
+let segments = 200
 
 let time_limit = 60.
 
-(* Each builder returns the network, connection endpoints and the
-   per-packet route samplers; all randomness derives from [seed]. *)
-let build scenario engine ~seed =
+(* All randomness derives from [seed]. *)
+let path scenario engine ~seed =
   match scenario with
-  | Dumbbell ->
-    let topo =
-      Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:1.5e6
-        ~queue_capacity:10 ()
-    in
-    ( topo.Topo.Dumbbell.network,
-      topo.Topo.Dumbbell.sources.(0),
-      topo.Topo.Dumbbell.sinks.(0),
-      (fun () -> Topo.Dumbbell.route_forward topo ~pair:0),
-      fun () -> Topo.Dumbbell.route_reverse topo ~pair:0 )
+  | Dumbbell -> Scenario.dumbbell engine
   | Lattice ->
-    let topo = Topo.Multipath_lattice.create engine ~path_hops:[ 2; 3; 4 ] () in
-    let rng = Sim.Rng.create seed in
     (* epsilon = 0: uniform path choice, maximal persistent
        reordering. *)
-    let sampler label =
-      Multipath.Epsilon_routing.for_lattice (Sim.Rng.split rng label)
-        ~epsilon:0. topo
-    in
-    let fwd = sampler "fwd" and rev = sampler "rev" in
-    ( topo.Topo.Multipath_lattice.network,
-      topo.Topo.Multipath_lattice.source,
-      topo.Topo.Multipath_lattice.destination,
-      (fun () ->
-        Multipath.Epsilon_routing.route fwd
-          topo.Topo.Multipath_lattice.forward_routes),
-      fun () ->
-        Multipath.Epsilon_routing.route rev
-          topo.Topo.Multipath_lattice.reverse_routes )
-  | Jitter_chain ->
-    let network = Net.Network.create engine in
-    let rng = Sim.Rng.create seed in
-    let source = Net.Network.add_node network in
-    let mid = Net.Network.add_node network in
-    let sink = Net.Network.add_node network in
-    let duplex ~src ~dst label =
-      ignore
-        (Net.Network.add_link network ~src ~dst ~bandwidth_bps:10e6
-           ~delay_s:0.020 ~capacity:100
-           ~jitter:(Sim.Rng.split rng label, 0.005)
-           ());
-      ignore
-        (Net.Network.add_link network ~src:dst ~dst:src ~bandwidth_bps:10e6
-           ~delay_s:0.020 ~capacity:100
-           ~jitter:(Sim.Rng.split rng (label ^ "-rev"), 0.005)
-           ())
-    in
-    duplex ~src:source ~dst:mid "hop1";
-    duplex ~src:mid ~dst:sink "hop2";
-    let data_route = [| Net.Node.id mid; Net.Node.id sink |] in
-    let ack_route = [| Net.Node.id mid; Net.Node.id source |] in
-    ( network,
-      source,
-      sink,
-      (fun () -> data_route),
-      fun () -> ack_route )
+    Scenario.eps_path (Scenario.lattice engine) (Sim.Rng.create seed)
+      ~epsilon:0.
+  | Jitter_chain -> Scenario.jitter_chain engine (Sim.Rng.create seed)
 
 type variant_result = {
   variant : string;
@@ -109,7 +56,7 @@ type variant_result = {
 
 let run_variant ~seed ~scenario ~tail (variant, sender) =
   let engine = Sim.Engine.create () in
-  let network, src, dst, route_data, route_ack = build scenario engine ~seed in
+  let path = path scenario engine ~seed in
   let probe = Tcp.Probe.create () in
   let recorder =
     if tail > 0 then Some (Obs.Flight_recorder.attach ~capacity:tail probe)
@@ -120,13 +67,13 @@ let run_variant ~seed ~scenario ~tail (variant, sender) =
      variants keep their reports unchanged. *)
   let sketch = Obs.Reorder_sketch.create () in
   let connection =
-    Tcp.Connection.create ~probe ~sketch network ~flow:0 ~src ~dst ~sender
-      ~config:report_config ~route_data ~route_ack ()
+    Scenario.connect ~probe ~sketch path ~flow:0 ~at:0. ~sender
+      ~config:(Scenario.bounded_config segments)
   in
-  Tcp.Connection.start connection ~at:0.;
   Sim.Engine.run engine ~until:time_limit;
   let registry = Obs.Registry.create () in
-  Telemetry.network registry network ~now:(Sim.Engine.now engine);
+  Telemetry.network registry path.Scenario.network
+    ~now:(Sim.Engine.now engine);
   Telemetry.connection registry connection;
   Telemetry.reorder_sketch registry sketch;
   Obs.Registry.set_value registry "run.duration" (Sim.Engine.now engine);
@@ -148,10 +95,7 @@ let render_text ~seed ~scenario results =
   let buffer = Buffer.create 8192 in
   Buffer.add_string buffer
     (Printf.sprintf "tcp_pr_sim report — scenario=%s seed=%d segments=%d\n"
-       (scenario_name scenario) seed
-       (match report_config.Tcp.Config.total_segments with
-       | Some n -> n
-       | None -> 0));
+       (scenario_name scenario) seed segments);
   List.iter
     (fun result ->
       Buffer.add_string buffer

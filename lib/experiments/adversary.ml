@@ -83,40 +83,22 @@ let lattice_bandwidth_bps = 50e6
 let run ?(seed = 1) ?(epoch_s = 3.) ?(max_epochs = 16) ?(hold_arrivals = 20_000)
     ?(target = 0.05) ?(tolerance = 0.1) ~variant ~sender () =
   let engine = Sim.Engine.create () in
-  let topo =
-    Topo.Multipath_lattice.create engine ~path_hops:[ 2; 3; 4 ]
-      ~bandwidth_bps:lattice_bandwidth_bps ()
-  in
-  let rng = Sim.Rng.create seed in
   let ctrl = Workload.Adversary.create ~target () in
-  let sampler label =
-    Multipath.Epsilon_routing.for_lattice (Sim.Rng.split rng label)
+  let path =
+    Scenario.eps_path
+      (Scenario.lattice ~bandwidth_bps:lattice_bandwidth_bps engine)
+      (Sim.Rng.create seed)
       ~epsilon:(Workload.Adversary.epsilon ctrl)
-      topo
   in
-  let fwd = sampler "fwd" and rev = sampler "rev" in
   let connection =
-    Tcp.Connection.create topo.Topo.Multipath_lattice.network ~flow:0
-      ~src:topo.Topo.Multipath_lattice.source
-      ~dst:topo.Topo.Multipath_lattice.destination ~sender
+    Scenario.connect path ~flow:0 ~at:0. ~sender
       ~config:adversary_config (* unbounded transfer: epochs slice it *)
-      ~route_data:(fun () ->
-        Multipath.Epsilon_routing.route fwd
-          topo.Topo.Multipath_lattice.forward_routes)
-      ~route_ack:(fun () ->
-        Multipath.Epsilon_routing.route rev
-          topo.Topo.Multipath_lattice.reverse_routes)
-      ()
   in
-  Tcp.Connection.start connection ~at:0.;
   let ro = Tcp.Connection.receiver_reorder connection in
   (* Reordered singletons only: late retransmissions track the
      sender's loss recovery and would bias the dial on lossy paths. *)
   let late () = Obs.Reorder.reordered ro in
-  let set_dial epsilon =
-    Multipath.Epsilon_routing.set_epsilon fwd ~epsilon;
-    Multipath.Epsilon_routing.set_epsilon rev ~epsilon
-  in
+  let set_dial epsilon = Scenario.set_epsilon path ~epsilon in
   let prev_arrivals = ref 0 in
   let prev_late = ref 0 in
   let epochs = ref [] in

@@ -18,39 +18,14 @@ type point = {
    becomes the binding constraint, and the run exercises zero-window
    persistence and reopening. *)
 let run ~total_segments ~app_rate ~sender =
-  let config =
-    { Tcp.Config.default with
-      Tcp.Config.total_segments = Some total_segments;
-      min_rto = 0.2;
-      initial_rto = 1.;
-      max_rto = 16.;
-      rcv_buf_segments = Some 16;
-      rcv_buf_max_segments = 24;
-      rcv_autotune = true;
-      rcv_app_rate = (if app_rate > 0. then Some app_rate else None) }
-  in
   let engine = Sim.Engine.create () in
-  let topo =
-    Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:1.5e6
-      ~queue_capacity:10 ()
-  in
-  let network = topo.Topo.Dumbbell.network in
-  let sink = Net.Node.id topo.Topo.Dumbbell.sinks.(0) in
-  List.iter
-    (fun link ->
-      if Net.Link.dst link = sink then
-        Net.Link.set_coalescing link ~timer_s:0.001 ~max_burst:4)
-    (Net.Network.links network);
   let connection =
-    Tcp.Connection.create network ~flow:0
-      ~src:topo.Topo.Dumbbell.sources.(0)
-      ~dst:topo.Topo.Dumbbell.sinks.(0)
-      ~sender ~config
-      ~route_data:(fun () -> Topo.Dumbbell.route_forward topo ~pair:0)
-      ~route_ack:(fun () -> Topo.Dumbbell.route_reverse topo ~pair:0)
-      ()
+    Scenario.connect (Scenario.hoststack engine) ~flow:0 ~at:0. ~sender
+      ~config:
+        (Scenario.hoststack_config
+           ?app_rate:(if app_rate > 0. then Some app_rate else None)
+           total_segments)
   in
-  Tcp.Connection.start connection ~at:0.;
   Sim.Engine.run engine ~until:600.;
   connection
 

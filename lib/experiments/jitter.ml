@@ -7,38 +7,11 @@ type point = {
 
 let run ~seed ~duration ~jitter_s ~sender =
   let engine = Sim.Engine.create () in
-  let network = Net.Network.create engine in
-  let rng = Sim.Rng.create seed in
-  let source = Net.Network.add_node network in
-  let mid = Net.Network.add_node network in
-  let sink = Net.Network.add_node network in
-  let duplex ~src ~dst label =
-    let jitter =
-      if jitter_s > 0. then Some (Sim.Rng.split rng label, jitter_s) else None
-    in
-    ignore
-      (Net.Network.add_link network ~src ~dst ~bandwidth_bps:10e6
-         ~delay_s:0.020 ~capacity:100 ?jitter ());
-    let jitter_back =
-      if jitter_s > 0. then Some (Sim.Rng.split rng (label ^ "-rev"), jitter_s)
-      else None
-    in
-    ignore
-      (Net.Network.add_link network ~src:dst ~dst:src ~bandwidth_bps:10e6
-         ~delay_s:0.020 ~capacity:100 ?jitter:jitter_back ())
-  in
-  duplex ~src:source ~dst:mid "hop1";
-  duplex ~src:mid ~dst:sink "hop2";
-  let data_route = [| Net.Node.id mid; Net.Node.id sink |] in
-  let ack_route = [| Net.Node.id mid; Net.Node.id source |] in
   let connection =
-    Tcp.Connection.create network ~flow:0 ~src:source ~dst:sink ~sender
-      ~config:Tcp.Config.default
-      ~route_data:(fun () -> data_route)
-      ~route_ack:(fun () -> ack_route)
-      ()
+    Scenario.connect
+      (Scenario.jitter_chain ~jitter:jitter_s engine (Sim.Rng.create seed))
+      ~flow:0 ~at:0. ~sender ~config:Tcp.Config.default
   in
-  Tcp.Connection.start connection ~at:0.;
   Sim.Engine.run engine ~until:duration;
   ( Stats.Throughput.mbps
       ~bytes:(Tcp.Connection.received_bytes connection)

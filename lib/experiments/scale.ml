@@ -30,24 +30,12 @@ let default_churn ~flows ~duration =
     max_segments = 256;
     ramp_s = Float.min 1.0 (duration /. 4.) }
 
-let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
-    ?(duration = 5.) ~flows () =
-  if flows < 1 then invalid_arg "Scale.run: flows must be >= 1";
-  if not (duration > 0.) then
-    invalid_arg "Scale.run: duration must be positive";
-  (* Closed-loop churn never drains, so an unbounded run never
-     returns. *)
-  if not (Float.is_finite duration) then
-    invalid_arg "Scale.run: duration must be finite";
-  let _, sender_module = sender in
-  let config = default_config in
-  let churn = default_churn ~flows ~duration in
-  let engine = Sim.Engine.create () in
-  (* Capacity scales with the population: ~1 Mb/s of bottleneck per
-     slot so mice finish in a handful of RTTs, 32 host pairs shared
-     round-robin, and bottleneck queues deep enough that loss stays a
-     pressure rather than a collapse — RTO churn is the workload, total
-     starvation is not. *)
+(* Capacity scales with the population: ~1 Mb/s of bottleneck per slot
+   so mice finish in a handful of RTTs, 32 host pairs shared
+   round-robin, and bottleneck queues deep enough that loss stays a
+   pressure rather than a collapse — RTO churn is the workload, total
+   starvation is not. *)
+let spawn engine ~seed ~sender ~flows ~duration =
   let pairs = min flows 32 in
   let bottleneck_bandwidth_bps = Float.max 10e6 (float_of_int flows *. 1e6) in
   let access_bandwidth_bps =
@@ -59,10 +47,23 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
       ~bottleneck_delay_s:0.020 ~access_bandwidth_bps ~access_delay_s:0.001
       ~queue_capacity ~access_queue_capacity:(2 * queue_capacity) ()
   in
-  let rng = Sim.Rng.create seed in
-  let workload =
-    Workload.Flow_churn.spawn dumbbell ~sender:sender_module ~config ~churn
-      ~rng ()
+  ( dumbbell.Topo.Dumbbell.network,
+    Workload.Flow_churn.spawn dumbbell ~sender ~config:default_config
+      ~churn:(default_churn ~flows ~duration)
+      ~rng:(Sim.Rng.create seed) () )
+
+let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
+    ?(duration = 5.) ~flows () =
+  if flows < 1 then invalid_arg "Scale.run: flows must be >= 1";
+  if not (duration > 0.) then
+    invalid_arg "Scale.run: duration must be positive";
+  (* Closed-loop churn never drains, so an unbounded run never
+     returns. *)
+  if not (Float.is_finite duration) then
+    invalid_arg "Scale.run: duration must be finite";
+  let engine = Sim.Engine.create () in
+  let _, workload =
+    spawn engine ~seed ~sender:(snd sender) ~flows ~duration
   in
   Sim.Engine.run engine ~until:duration;
   let segments = Workload.Flow_churn.segments_completed workload in

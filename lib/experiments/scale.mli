@@ -29,14 +29,26 @@ val default_config : Tcp.Config.t
     transfers, ramp capped at 1 s. *)
 val default_churn : flows:int -> duration:float -> Workload.Flow_churn.config
 
-(** [run ~flows ()] builds the topology (32 host pairs, ~1 Mb/s of
-    bottleneck per slot), spawns the churn workload and runs [duration]
-    simulated seconds (default 5) with {!default_config} and
-    {!default_churn}. [sender] defaults to TCP-PR — the all-timer
-    protocol, the wheel's worst case. Raises [Invalid_argument] when
-    [flows < 1] or [duration] is not positive and finite (NaN and
-    [infinity] included: closed-loop churn never drains, so an
-    unbounded run would never return). *)
+(** [spawn engine ~seed ~sender ~flows ~duration] builds the churn
+    shape on [engine]: a dumbbell whose capacity scales with [flows]
+    (at most 32 host pairs, ~1 Mb/s of bottleneck per slot, bottleneck
+    queues of [max 64 (flows / 2)] packets), carrying {!default_churn}
+    with {!default_config} from [Sim.Rng.create seed]. Returns the
+    network and the workload; run the engine afterwards. *)
+val spawn :
+  Sim.Engine.t ->
+  seed:int ->
+  sender:(module Tcp.Sender.S) ->
+  flows:int ->
+  duration:float ->
+  Net.Network.t * Workload.Flow_churn.t
+
+(** [run ~flows ()] builds the churn with {!spawn} and runs [duration]
+    simulated seconds (default 5). [sender] defaults to TCP-PR — the
+    all-timer protocol, the wheel's worst case. Raises
+    [Invalid_argument] when [flows < 1] or [duration] is not positive
+    and finite (NaN and [infinity] included: closed-loop churn never
+    drains, so an unbounded run would never return). *)
 val run :
   ?seed:int ->
   ?sender:Variants.t ->

@@ -9,159 +9,53 @@
    TCP-PR completes without spurious retransmissions where the
    duplicate-ACK variants fast-retransmit spuriously. *)
 
-let collect_lines probe =
-  let buffer = Buffer.create 4096 in
-  Sim.Trace.on probe (fun event ->
-      Buffer.add_string buffer (Tcp.Probe.to_line event);
-      Buffer.add_char buffer '\n');
-  buffer
+module Golden = Check.Golden
+module Scenario = Experiments.Scenario
 
-let bounded_config =
-  { Tcp.Config.default with
-    Tcp.Config.total_segments = Some 80;
-    min_rto = 0.2;
-    initial_rto = 1.;
-    max_rto = 16. }
+(* The traced runs below are the golden miniatures ([Golden.run]):
+   [Fig2] races the variant under test against TCP-SACK on the
+   dumbbell, [Fig6] runs it alone on the lattice at epsilon = 0
+   (maximal persistent reordering), each under [config], the golden
+   80-segment transfer, unless a case names another, and with
+   [coalesce] optionally arming GRO on the sink's ingress links. *)
+let config = Scenario.bounded_config 80
+
+let tcp_pr = snd Experiments.Variants.tcp_pr
 
 (* An enormous buffer an 80-segment transfer can never pressure: with
    an instant reader the advertised window never binds, so the only
    difference from the disabled layer is that acknowledgements carry a
    finite window — which must not change a single event. *)
 let huge_buffer_config =
-  { bounded_config with
+  { config with
     Tcp.Config.rcv_buf_segments = Some 1_000_000;
     rcv_buf_max_segments = 1_000_000 }
 
-(* Fig. 2 dumbbell pairing (variant under test vs TCP-SACK), the same
-   shape as the stored goldens. [coalesce] optionally arms GRO on the
-   sink's ingress links. *)
-let run_dumbbell ?coalesce ~config (module M : Tcp.Sender.S) =
-  let engine = Sim.Engine.create () in
-  let topo =
-    Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:1.5e6
-      ~queue_capacity:10 ()
-  in
-  let network = topo.Topo.Dumbbell.network in
-  (match coalesce with
-  | Some (timer_s, max_burst) ->
-    let sink = Net.Node.id topo.Topo.Dumbbell.sinks.(0) in
-    List.iter
-      (fun link ->
-        if Net.Link.dst link = sink then
-          Net.Link.set_coalescing link ~timer_s ~max_burst)
-      (Net.Network.links network)
-  | None -> ());
-  let probe = Tcp.Probe.create () in
-  let buffer = collect_lines probe in
-  let connect flow sender =
-    Tcp.Connection.create ~probe network ~flow
-      ~src:topo.Topo.Dumbbell.sources.(0)
-      ~dst:topo.Topo.Dumbbell.sinks.(0)
-      ~sender ~config
-      ~route_data:(fun () -> Topo.Dumbbell.route_forward topo ~pair:0)
-      ~route_ack:(fun () -> Topo.Dumbbell.route_reverse topo ~pair:0)
-      ()
-  in
-  let main = connect 0 (module M : Tcp.Sender.S) in
-  let competitor = connect 1 (snd Experiments.Variants.tcp_sack) in
-  Tcp.Connection.start main ~at:0.;
-  Tcp.Connection.start competitor ~at:0.05;
-  Sim.Engine.run engine ~until:60.;
-  (Buffer.contents buffer, main)
-
-(* Fig. 6 lattice, epsilon = 0: maximal persistent reordering. *)
-let run_lattice ?coalesce ~config (module M : Tcp.Sender.S) =
-  let engine = Sim.Engine.create () in
-  let topo = Topo.Multipath_lattice.create engine ~path_hops:[ 2; 3; 4 ] () in
-  let network = topo.Topo.Multipath_lattice.network in
-  (match coalesce with
-  | Some (timer_s, max_burst) ->
-    let sink = Net.Node.id topo.Topo.Multipath_lattice.destination in
-    List.iter
-      (fun link ->
-        if Net.Link.dst link = sink then
-          Net.Link.set_coalescing link ~timer_s ~max_burst)
-      (Net.Network.links network)
-  | None -> ());
-  let probe = Tcp.Probe.create () in
-  let buffer = collect_lines probe in
-  let rng = Sim.Rng.create 42 in
-  let sampler label =
-    Multipath.Epsilon_routing.for_lattice (Sim.Rng.split rng label) ~epsilon:0.
-      topo
-  in
-  let fwd = sampler "fwd" and rev = sampler "rev" in
-  let connection =
-    Tcp.Connection.create ~probe network ~flow:0
-      ~src:topo.Topo.Multipath_lattice.source
-      ~dst:topo.Topo.Multipath_lattice.destination
-      ~sender:(module M : Tcp.Sender.S)
-      ~config
-      ~route_data:(fun () ->
-        Multipath.Epsilon_routing.route fwd
-          topo.Topo.Multipath_lattice.forward_routes)
-      ~route_ack:(fun () ->
-        Multipath.Epsilon_routing.route rev
-          topo.Topo.Multipath_lattice.reverse_routes)
-      ()
-  in
-  Tcp.Connection.start connection ~at:0.;
-  Sim.Engine.run engine ~until:60.;
-  (Buffer.contents buffer, connection)
-
-let first_diff a b =
-  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
-  let rec scan n la lb =
-    match (la, lb) with
-    | [], [] -> "traces differ but no line does"
-    | x :: _, [] | [], x :: _ -> Printf.sprintf "line %d: one trace ends at %S" n x
-    | x :: la', y :: lb' ->
-      if String.equal x y then scan (n + 1) la' lb'
-      else Printf.sprintf "line %d:\n  a: %s\n  b: %s" n x y
-  in
-  scan 1 la lb
-
 let check_identical what a b =
   if not (String.equal a b) then
-    Alcotest.failf "%s: traces diverge at %s" what (first_diff a b)
+    Alcotest.failf "%s: traces diverge at %s" what
+      (Golden.first_diff ~expected:a ~actual:b)
 
 (* --- differential: the layer off (or inert) is byte-invisible ------- *)
 
-let test_unbounded_equivalence_dumbbell () =
+let test_unbounded_equivalence figure variants () =
   List.iter
     (fun (name, sender) ->
-      let base, _ = run_dumbbell ~config:bounded_config sender in
-      let huge, _ = run_dumbbell ~config:huge_buffer_config sender in
+      let base, _ = Golden.run ~config figure sender in
+      let huge, _ = Golden.run ~config:huge_buffer_config figure sender in
       check_identical
-        (Printf.sprintf "%s dumbbell: disabled vs huge finite buffer" name)
+        (Printf.sprintf "%s: disabled vs huge finite buffer" name)
         base huge)
-    [ Experiments.Variants.tcp_pr; Experiments.Variants.tcp_sack ]
-
-let test_unbounded_equivalence_lattice () =
-  List.iter
-    (fun (name, sender) ->
-      let base, _ = run_lattice ~config:bounded_config sender in
-      let huge, _ = run_lattice ~config:huge_buffer_config sender in
-      check_identical
-        (Printf.sprintf "%s lattice: disabled vs huge finite buffer" name)
-        base huge)
-    [ Experiments.Variants.tcp_pr;
-      ("TD-FR", (module Tcp.Td_fr : Tcp.Sender.S)) ]
+    variants
 
 let test_coalescing_burst1_identity () =
-  let base, _ = run_dumbbell ~config:bounded_config (snd Experiments.Variants.tcp_pr) in
-  let b1, _ =
-    run_dumbbell ~coalesce:(0.002, 1) ~config:bounded_config
-      (snd Experiments.Variants.tcp_pr)
-  in
+  let base, _ = Golden.run ~config Fig2 tcp_pr in
+  let b1, _ = Golden.run ~coalesce:(0.002, 1) ~config Fig2 tcp_pr in
   check_identical "coalescing max_burst=1 vs off" base b1
 
 let test_coalescing_timer0_identity () =
-  let base, _ = run_lattice ~config:bounded_config (snd Experiments.Variants.tcp_pr) in
-  let t0, _ =
-    run_lattice ~coalesce:(0., 4) ~config:bounded_config
-      (snd Experiments.Variants.tcp_pr)
-  in
+  let base, _ = Golden.run ~config Fig6 tcp_pr in
+  let t0, _ = Golden.run ~coalesce:(0., 4) ~config Fig6 tcp_pr in
   check_identical "coalescing timer=0 vs off" base t0
 
 (* --- qcheck: buffer accounting invariants --------------------------- *)
@@ -235,13 +129,8 @@ let coalescing_identity_prop =
   QCheck.Test.make ~count:8 ~name:"max_burst=1 trace-identical at any timer"
     QCheck.(float_range 0.0002 0.004)
     (fun timer_s ->
-      let base, _ =
-        run_dumbbell ~config:bounded_config (snd Experiments.Variants.tcp_pr)
-      in
-      let b1, _ =
-        run_dumbbell ~coalesce:(timer_s, 1) ~config:bounded_config
-          (snd Experiments.Variants.tcp_pr)
-      in
+      let base, _ = Golden.run ~config Fig2 tcp_pr in
+      let b1, _ = Golden.run ~coalesce:(timer_s, 1) ~config Fig2 tcp_pr in
       String.equal base b1)
 
 (* --- zero-window persistence and reopening -------------------------- *)
@@ -251,36 +140,16 @@ let coalescing_identity_prop =
    forces standing zero windows; the transfer must still complete, via
    the persist re-arm on the sender and the repeated window-reopen
    announcements from the app-drain timer. *)
-let pressured_config =
-  { bounded_config with
-    Tcp.Config.rcv_buf_segments = Some 16;
-    rcv_buf_max_segments = 24;
-    rcv_autotune = true;
-    rcv_app_rate = Some 10. }
-
 let test_zero_window_liveness () =
+  let config = Scenario.hoststack_config ~app_rate:10. 80 in
   let engine = Sim.Engine.create () in
-  let topo =
-    Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:1.5e6
-      ~queue_capacity:10 ()
-  in
-  let network = topo.Topo.Dumbbell.network in
   let probe = Tcp.Probe.create () in
-  let monitors =
-    Check.Monitor.for_variant ~variant:"TCP-PR" ~config:pressured_config
-  in
+  let monitors = Check.Monitor.for_variant ~variant:"TCP-PR" ~config in
   Check.Monitor.arm probe monitors;
   let connection =
-    Tcp.Connection.create ~probe network ~flow:0
-      ~src:topo.Topo.Dumbbell.sources.(0)
-      ~dst:topo.Topo.Dumbbell.sinks.(0)
-      ~sender:(snd Experiments.Variants.tcp_pr)
-      ~config:pressured_config
-      ~route_data:(fun () -> Topo.Dumbbell.route_forward topo ~pair:0)
-      ~route_ack:(fun () -> Topo.Dumbbell.route_reverse topo ~pair:0)
-      ()
+    Scenario.connect ~probe (Scenario.dumbbell engine) ~flow:0 ~at:0.
+      ~sender:tcp_pr ~config
   in
-  Tcp.Connection.start connection ~at:0.;
   Sim.Engine.run engine ~until:120.;
   Alcotest.(check bool)
     "transfer completes despite standing zero windows" true
@@ -307,7 +176,7 @@ let test_zero_window_liveness () =
    retransmission, while every duplicate-ACK variant fast-retransmits
    spuriously — segments the receiver then counts as duplicates. *)
 let realism_config =
-  { bounded_config with
+  { config with
     Tcp.Config.rcv_buf_segments = Some 32;
     rcv_buf_max_segments = 64;
     rcv_autotune = true }
@@ -319,16 +188,13 @@ let metric name c =
 
 let test_spurious_retransmit_differential () =
   let coalesce = (0.001, 4) in
-  let _, pr =
-    run_lattice ~coalesce ~config:realism_config
-      (snd Experiments.Variants.tcp_pr)
-  in
+  let _, pr = Golden.run ~coalesce ~config:realism_config Fig6 tcp_pr in
   Alcotest.(check bool) "TCP-PR completes" true (Tcp.Connection.finished pr);
   Alcotest.(check int) "TCP-PR: no spurious retransmissions" 0
     (Tcp.Connection.receiver_duplicates pr);
   List.iter
     (fun (name, sender) ->
-      let _, c = run_lattice ~coalesce ~config:realism_config sender in
+      let _, c = Golden.run ~coalesce ~config:realism_config Fig6 sender in
       Alcotest.(check bool)
         (Printf.sprintf "%s completes" name)
         true
@@ -374,9 +240,12 @@ let () =
   Alcotest.run "hoststack"
     [ ( "differential",
         [ Alcotest.test_case "unbounded equivalence (dumbbell)" `Quick
-            test_unbounded_equivalence_dumbbell;
+            (test_unbounded_equivalence Fig2
+               [ Experiments.Variants.tcp_pr; Experiments.Variants.tcp_sack ]);
           Alcotest.test_case "unbounded equivalence (lattice)" `Quick
-            test_unbounded_equivalence_lattice;
+            (test_unbounded_equivalence Fig6
+               [ Experiments.Variants.tcp_pr;
+                 ("TD-FR", (module Tcp.Td_fr : Tcp.Sender.S)) ]);
           Alcotest.test_case "coalescing burst=1 identity" `Quick
             test_coalescing_burst1_identity;
           Alcotest.test_case "coalescing timer=0 identity" `Quick

@@ -514,23 +514,8 @@ let test_telemetry_sketch_rows_gated () =
 let report_variants =
   [ Experiments.Variants.tcp_pr; Experiments.Variants.tcp_sack ]
 
-let render_report ~jobs =
-  Check.Report.render ~seed:1 ~jobs ~scenario:Check.Report.Dumbbell
-    ~variants:report_variants ()
-
-let first_diff_line expected actual =
-  let e = String.split_on_char '\n' expected in
-  let a = String.split_on_char '\n' actual in
-  let rec scan n e a =
-    match (e, a) with
-    | [], [] -> Printf.sprintf "no differing line found (line %d)" n
-    | x :: _, [] -> Printf.sprintf "line %d: report ends; stored has %S" n x
-    | [], y :: _ -> Printf.sprintf "line %d: stored ends; report has %S" n y
-    | x :: e', y :: a' ->
-      if String.equal x y then scan (n + 1) e' a'
-      else Printf.sprintf "line %d:\n  stored:   %s\n  computed: %s" n x y
-  in
-  scan 1 e a
+let render_report ~scenario ~jobs =
+  Check.Report.render ~seed:1 ~jobs ~scenario ~variants:report_variants ()
 
 let golden_report_path = Filename.concat "golden" "report.txt"
 
@@ -540,18 +525,23 @@ let test_report_matches_golden () =
   let stored =
     In_channel.with_open_bin golden_report_path In_channel.input_all
   in
-  let actual = render_report ~jobs:1 in
+  let actual = render_report ~scenario:Check.Report.Dumbbell ~jobs:1 in
   if not (String.equal stored actual) then
     Alcotest.failf
       "report drifted from %s at %s\n\
        (if the change is intended, regenerate with `make golden`)"
       golden_report_path
-      (first_diff_line stored actual)
+      (Check.Golden.first_diff ~expected:stored ~actual)
 
 let test_report_jobs_independent () =
-  Alcotest.(check string)
-    "jobs=2 byte-identical to jobs=1" (render_report ~jobs:1)
-    (render_report ~jobs:2)
+  List.iter
+    (fun scenario ->
+      Alcotest.(check string)
+        (Check.Report.scenario_name scenario
+        ^ ": jobs=2 byte-identical to jobs=1")
+        (render_report ~scenario ~jobs:1)
+        (render_report ~scenario ~jobs:2))
+    Check.Report.scenarios
 
 let test_report_csv_shape () =
   let csv =
