@@ -22,8 +22,8 @@ let () =
     Tcp.Connection.start c ~at:0.;
     c
   in
-  let pr = connect ~flow:0 (module Core.Tcp_pr) in
-  let sack = connect ~flow:1 (module Tcp.Sack) in
+  let pr = connect ~flow:0 (snd Experiments.Variants.tcp_pr) in
+  let sack = connect ~flow:1 (snd Experiments.Variants.tcp_sack) in
   let horizon = 60. in
   let pr_series = Experiments.Probe.cwnd_series engine pr ~interval:0.5 ~until:horizon in
   let sack_series =

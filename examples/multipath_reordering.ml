@@ -7,11 +7,7 @@
 
    Run with: dune exec examples/multipath_reordering.exe *)
 
-let variants : (string * (module Tcp.Sender.S)) list =
-  [ ("TCP-PR", (module Core.Tcp_pr));
-    ("TCP-SACK", (module Tcp.Sack));
-    ("TD-FR", (module Tcp.Td_fr));
-    ("DSACK-NM", (module Tcp.Dsack_nm)) ]
+let variants = Experiments.Variants.[ tcp_pr; tcp_sack; td_fr; dsack_nm ]
 
 let run ~epsilon ~sender =
   let engine = Sim.Engine.create () in

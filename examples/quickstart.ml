@@ -14,27 +14,25 @@ let () =
   let route_data () = Topo.Dumbbell.route_forward dumbbell ~pair:0 in
   let route_ack () = Topo.Dumbbell.route_reverse dumbbell ~pair:0 in
   let config = Tcp.Config.default in
-  let connect ~flow sender =
+  let connect ~flow (label, sender) =
     let connection =
       Tcp.Connection.create network ~flow ~src ~dst ~sender ~config
         ~route_data ~route_ack ()
     in
     Tcp.Connection.start connection ~at:0.;
-    connection
+    (label, connection)
   in
-  let pr = connect ~flow:0 (module Core.Tcp_pr : Tcp.Sender.S) in
-  let sack = connect ~flow:1 (module Tcp.Sack : Tcp.Sender.S) in
+  let pr = connect ~flow:0 Experiments.Variants.tcp_pr in
+  let sack = connect ~flow:1 Experiments.Variants.tcp_sack in
   let horizon = 60. in
   Sim.Engine.run engine ~until:horizon;
-  let report connection =
+  let report (label, connection) =
     let mbps =
       Stats.Throughput.mbps
         ~bytes:(Tcp.Connection.received_bytes connection)
         ~seconds:horizon
     in
-    Printf.printf "%-8s  %6.2f Mb/s  (cwnd %.1f)\n"
-      (Tcp.Connection.sender_name connection)
-      mbps
+    Printf.printf "%-8s  %6.2f Mb/s  (cwnd %.1f)\n" label mbps
       (Tcp.Connection.cwnd connection)
   in
   Printf.printf "Two flows sharing a 15 Mb/s dumbbell for %.0f s:\n" horizon;

@@ -73,7 +73,7 @@ let cases =
     List.map (fun variant -> { figure; variant }) variants
   in
   with_figure Fig2 paired @ with_figure Fig3 paired
-  @ with_figure Fig6 Experiments.Variants.fig6
+  @ with_figure Fig6 Experiments.Variants.all
   @ with_figure Hoststack [ Experiments.Variants.tcp_pr ]
 
 let digest_of_trace trace = Digest.to_hex (Digest.string trace)

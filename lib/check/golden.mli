@@ -41,8 +41,8 @@ val run :
   string * Tcp.Connection.t
 
 (** The checked-in case set: fig2 and fig3 for TCP-PR and TCP-SACK,
-    fig6 for the paper's six compared variants, hoststack for
-    TCP-PR. *)
+    fig6 for every variant of {!Experiments.Variants.all}, hoststack
+    for TCP-PR. *)
 val cases : case list
 
 (** Stable case identifier, e.g. ["fig6__tcp-pr"]; also the trace file

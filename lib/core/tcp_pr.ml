@@ -1,5 +1,3 @@
-let name = "TCP-PR"
-
 let drop_timer_key = 0
 
 let backoff_timer_key = 1

@@ -15,18 +15,10 @@ type point = {
   mean_sack : float;
 }
 
-let pr_label = "TCP-PR"
-
-let sack_label = "TCP-SACK"
-
-let fairness_specs ~flows_per_protocol : Runner.flow_spec list =
-  let pr_name, pr_module = Variants.tcp_pr in
-  let sack_name, sack_module = Variants.tcp_sack in
-  assert (pr_name = pr_label && sack_name = sack_label);
-  [ { Runner.label = pr_label; sender = pr_module; count = flows_per_protocol };
-    { Runner.label = sack_label;
-      sender = sack_module;
-      count = flows_per_protocol } ]
+let fairness_specs ~flows_per_protocol =
+  List.map
+    (fun (label, sender) -> { Runner.label; sender; count = flows_per_protocol })
+    [ Variants.tcp_pr; Variants.tcp_sack ]
 
 let run ?seed ?warmup ?window topology ~flows_per_protocol () =
   let specs = fairness_specs ~flows_per_protocol in
@@ -40,8 +32,8 @@ let run ?seed ?warmup ?window topology ~flows_per_protocol () =
     let average = List.fold_left ( +. ) 0. all /. float_of_int (List.length all) in
     List.map (fun x -> x /. average) (Runner.group result ~label)
   in
-  let pr_normalized = normalize pr_label in
-  let sack_normalized = normalize sack_label in
+  let pr_normalized = normalize (fst Variants.tcp_pr) in
+  let sack_normalized = normalize (fst Variants.tcp_sack) in
   let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs) in
   { topology;
     flows_per_protocol;

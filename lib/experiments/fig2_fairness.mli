@@ -21,6 +21,11 @@ type point = {
   mean_sack : float;
 }
 
+(** [fairness_specs ~flows_per_protocol] is the paper's mix:
+    [flows_per_protocol] TCP-PR and as many TCP-SACK flows, labelled
+    as in {!Variants}. *)
+val fairness_specs : flows_per_protocol:int -> Runner.flow_spec list
+
 (** [run topology ~flows_per_protocol ()] produces one x-axis point. *)
 val run :
   ?seed:int ->

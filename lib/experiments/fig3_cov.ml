@@ -10,14 +10,7 @@ type point = {
 
 let run ?seed ?warmup ?window ?(flows_per_protocol = 8) topology
     ~bandwidth_scale () =
-  let specs =
-    [ { Runner.label = "TCP-PR";
-        sender = snd Variants.tcp_pr;
-        count = flows_per_protocol };
-      { Runner.label = "TCP-SACK";
-        sender = snd Variants.tcp_sack;
-        count = flows_per_protocol } ]
-  in
+  let specs = Fig2_fairness.fairness_specs ~flows_per_protocol in
   let result =
     match topology with
     | Fig2_fairness.Dumbbell ->
@@ -28,8 +21,8 @@ let run ?seed ?warmup ?window ?(flows_per_protocol = 8) topology
         ~specs ()
   in
   let all = Runner.all_throughputs result in
-  let pr = Runner.group result ~label:"TCP-PR" in
-  let sack = Runner.group result ~label:"TCP-SACK" in
+  let pr = Runner.group result ~label:(fst Variants.tcp_pr) in
+  let sack = Runner.group result ~label:(fst Variants.tcp_sack) in
   { topology;
     bandwidth_scale;
     loss_rate_pct = 100. *. result.Runner.loss_rate;

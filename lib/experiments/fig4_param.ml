@@ -11,14 +11,7 @@ let run ?seed ?warmup ?window ?(flows_per_protocol = 8) topology ~alpha ~beta
   let config =
     { Tcp.Config.default with Tcp.Config.pr_alpha = alpha; pr_beta = beta }
   in
-  let specs =
-    [ { Runner.label = "TCP-PR";
-        sender = snd Variants.tcp_pr;
-        count = flows_per_protocol };
-      { Runner.label = "TCP-SACK";
-        sender = snd Variants.tcp_sack;
-        count = flows_per_protocol } ]
-  in
+  let specs = Fig2_fairness.fairness_specs ~flows_per_protocol in
   let result =
     match topology with
     | Fig2_fairness.Dumbbell ->
@@ -32,11 +25,11 @@ let run ?seed ?warmup ?window ?(flows_per_protocol = 8) topology ~alpha ~beta
     beta;
     mean_sack =
       Stats.Fairness.mean_normalized
-        ~group:(Runner.group result ~label:"TCP-SACK")
+        ~group:(Runner.group result ~label:(fst Variants.tcp_sack))
         ~all;
     mean_pr =
       Stats.Fairness.mean_normalized
-        ~group:(Runner.group result ~label:"TCP-PR")
+        ~group:(Runner.group result ~label:(fst Variants.tcp_pr))
         ~all }
 
 let grid ?seed ?warmup ?window ?flows_per_protocol

@@ -27,36 +27,8 @@ let grid ?seed ?(warmup = 0.) ?(duration = 60.) ?(epsilons = [ 0.; 1.; 4.; 10.; 
     cells
 
 let to_table ~delay_s points =
-  let points = List.filter (fun p -> p.delay_s = delay_s) points in
-  let epsilons =
-    List.sort_uniq compare (List.map (fun p -> p.epsilon) points)
-  in
-  let variants =
-    (* Preserve first-appearance order. *)
-    List.fold_left
-      (fun acc p -> if List.mem p.variant acc then acc else acc @ [ p.variant ])
-      [] points
-  in
-  let table =
-    Stats.Table.create
-      ~columns:
-        ("variant"
-        :: List.map (fun e -> Printf.sprintf "eps=%g" e) epsilons)
-  in
-  let add variant =
-    let row =
-      List.map
-        (fun epsilon ->
-          match
-            List.find_opt
-              (fun p -> p.variant = variant && p.epsilon = epsilon)
-              points
-          with
-          | Some p -> p.mbps
-          | None -> nan)
-        epsilons
-    in
-    Stats.Table.add_float_row table ~decimals:2 variant row
-  in
-  List.iter add variants;
-  table
+  List.filter_map
+    (fun p ->
+      if p.delay_s = delay_s then Some (p.variant, p.epsilon, p.mbps) else None)
+    points
+  |> Stats.Table.pivot ~column:(Printf.sprintf "eps=%g")

@@ -29,10 +29,7 @@ let run ~total_segments ~app_rate ~sender =
   Sim.Engine.run engine ~until:600.;
   connection
 
-let variants =
-  [ Variants.tcp_pr;
-    Variants.tcp_sack;
-    ("NewReno", (module Tcp.Newreno : Tcp.Sender.S)) ]
+let variants = [ Variants.tcp_pr; Variants.tcp_sack; Variants.newreno ]
 
 let rates = [ 0.; 120.; 60.; 30.; 10. ]
 
@@ -66,35 +63,6 @@ let sweep ?(total_segments = 80) ?(jobs = 1) () =
 (* Completion time (s) per variant x application rate; rate 0 denotes
    an instant reader (drain keeps pace with delivery). *)
 let to_table points =
-  let rates = List.sort_uniq compare (List.map (fun p -> p.app_rate) points) in
-  let variants =
-    List.fold_left
-      (fun acc p -> if List.mem p.variant acc then acc else acc @ [ p.variant ])
-      [] points
-  in
-  let table =
-    Stats.Table.create
-      ~columns:
-        ("variant"
-        :: List.map
-             (fun r ->
-               if r = 0. then "app=inst" else Printf.sprintf "app=%g/s" r)
-             rates)
-  in
-  List.iter
-    (fun variant ->
-      let row =
-        List.map
-          (fun rate ->
-            match
-              List.find_opt
-                (fun p -> p.variant = variant && p.app_rate = rate)
-                points
-            with
-            | Some p -> p.completion_s
-            | None -> nan)
-          rates
-      in
-      Stats.Table.add_float_row table ~decimals:2 variant row)
-    variants;
-  table
+  List.map (fun p -> (p.variant, p.app_rate, p.completion_s)) points
+  |> Stats.Table.pivot ~column:(fun r ->
+         if r = 0. then "app=inst" else Printf.sprintf "app=%g/s" r)

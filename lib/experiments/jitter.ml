@@ -19,10 +19,7 @@ let run ~seed ~duration ~jitter_s ~sender =
     Tcp.Connection.receiver_duplicates connection )
 
 let default_variants =
-  [ Variants.tcp_pr;
-    Variants.tcp_sack;
-    ("TD-FR", (module Tcp.Td_fr : Tcp.Sender.S));
-    ("RACK", (module Tcp.Rack : Tcp.Sender.S)) ]
+  [ Variants.tcp_pr; Variants.tcp_sack; Variants.td_fr; Variants.rack ]
 
 let sweep ?(seed = 1) ?(duration = 60.) ?(jitters_ms = [ 0.; 5.; 20.; 50. ])
     ?(variants = default_variants) ?(jobs = 1) () =
@@ -41,34 +38,5 @@ let sweep ?(seed = 1) ?(duration = 60.) ?(jitters_ms = [ 0.; 5.; 20.; 50. ])
     cells
 
 let to_table points =
-  let jitters =
-    List.sort_uniq compare (List.map (fun p -> p.jitter_ms) points)
-  in
-  let variants =
-    List.fold_left
-      (fun acc p -> if List.mem p.variant acc then acc else acc @ [ p.variant ])
-      [] points
-  in
-  let table =
-    Stats.Table.create
-      ~columns:
-        ("variant"
-        :: List.map (fun j -> Printf.sprintf "jitter=%gms" j) jitters)
-  in
-  List.iter
-    (fun variant ->
-      let row =
-        List.map
-          (fun jitter_ms ->
-            match
-              List.find_opt
-                (fun p -> p.variant = variant && p.jitter_ms = jitter_ms)
-                points
-            with
-            | Some p -> p.mbps
-            | None -> nan)
-          jitters
-      in
-      Stats.Table.add_float_row table ~decimals:2 variant row)
-    variants;
-  table
+  List.map (fun p -> (p.variant, p.jitter_ms, p.mbps)) points
+  |> Stats.Table.pivot ~column:(Printf.sprintf "jitter=%gms")

@@ -30,10 +30,7 @@ let run ?(seed = 1) ?(duration = 60.) ~sender () =
   Runner.flow_result connection ~duration
 
 let variants =
-  [ Variants.tcp_pr;
-    Variants.tcp_sack;
-    ("TCP-DOOR", (module Tcp.Tcp_door : Tcp.Sender.S));
-    ("RACK", (module Tcp.Rack : Tcp.Sender.S)) ]
+  [ Variants.tcp_pr; Variants.tcp_sack; Variants.tcp_door; Variants.rack ]
 
 let compare ?seed ?duration ?(jobs = 1) () =
   Runner.parallel_map ~jobs

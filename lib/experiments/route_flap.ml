@@ -43,10 +43,7 @@ let run ?(duration = 60.) ~sender () =
   Runner.flow_result connection ~duration
 
 let variants =
-  [ Variants.tcp_pr;
-    Variants.tcp_sack;
-    ("TD-FR", (module Tcp.Td_fr : Tcp.Sender.S));
-    ("RACK", (module Tcp.Rack : Tcp.Sender.S)) ]
+  [ Variants.tcp_pr; Variants.tcp_sack; Variants.td_fr; Variants.rack ]
 
 let compare ?duration ?(jobs = 1) () =
   Runner.parallel_map ~jobs

@@ -115,71 +115,34 @@ let multipath_fairness ?(seed = 1) ?(warmup = 20.) ?(duration = 80.) ~epsilon
     ~specs () =
   let engine = Sim.Engine.create () in
   let lattice = Topo.Multipath_lattice.create engine ~delay_s:0.010 () in
-  let network = lattice.Topo.Multipath_lattice.network in
   let rng = Sim.Rng.create seed in
   let next_flow = ref 0 in
   let spawn spec =
     List.init spec.count (fun index ->
         let flow = !next_flow in
         incr next_flow;
-        let stream label =
-          Sim.Rng.split rng (Printf.sprintf "%s-%d-%d" label flow index)
-        in
-        let forward =
-          Multipath.Epsilon_routing.for_lattice (stream "fwd") ~epsilon lattice
-        in
-        let reverse =
-          Multipath.Epsilon_routing.for_lattice (stream "rev") ~epsilon lattice
-        in
+        let suffix = Printf.sprintf "-%d-%d" flow index in
+        let path = Scenario.eps_path ~suffix lattice rng ~epsilon in
+        let start = Sim.Rng.split rng ("start" ^ suffix) in
+        let at = Sim.Rng.float_range start ~lo:0. ~hi:2. in
         let connection =
-          Tcp.Connection.create network ~flow
-            ~src:lattice.Topo.Multipath_lattice.source
-            ~dst:lattice.Topo.Multipath_lattice.destination ~sender:spec.sender
+          Scenario.connect path ~flow ~at ~sender:spec.sender
             ~config:Tcp.Config.default
-            ~route_data:(fun () ->
-              Multipath.Epsilon_routing.route forward
-                lattice.Topo.Multipath_lattice.forward_routes)
-            ~route_ack:(fun () ->
-              Multipath.Epsilon_routing.route reverse
-                lattice.Topo.Multipath_lattice.reverse_routes)
-            ()
         in
-        Tcp.Connection.start connection
-          ~at:(Sim.Rng.float_range (stream "start") ~lo:0. ~hi:2.);
         { Workload.Ftp.label = spec.label; connection })
   in
   let flows = List.concat_map spawn specs in
   let throughputs = measure_window engine flows ~warmup ~window:(duration -. warmup) in
-  { throughputs; loss_rate = measure_loss_rate network }
+  { throughputs;
+    loss_rate = measure_loss_rate lattice.Topo.Multipath_lattice.network }
 
 let multipath_throughput ?(seed = 1) ?(delay_s = 0.010)
     ?(config = Tcp.Config.default) ?(warmup = 0.) ?(duration = 60.) ~epsilon
     ~sender () =
   let engine = Sim.Engine.create () in
   let lattice = Topo.Multipath_lattice.create engine ~delay_s () in
-  let network = lattice.Topo.Multipath_lattice.network in
-  let rng = Sim.Rng.create seed in
-  let forward =
-    Multipath.Epsilon_routing.for_lattice (Sim.Rng.split rng "fwd") ~epsilon
-      lattice
-  in
-  let reverse =
-    Multipath.Epsilon_routing.for_lattice (Sim.Rng.split rng "rev") ~epsilon
-      lattice
-  in
-  let connection =
-    Tcp.Connection.create network ~flow:0
-      ~src:lattice.Topo.Multipath_lattice.source
-      ~dst:lattice.Topo.Multipath_lattice.destination ~sender ~config
-      ~route_data:(fun () ->
-        Multipath.Epsilon_routing.route forward
-          lattice.Topo.Multipath_lattice.forward_routes)
-      ~route_ack:(fun () ->
-        Multipath.Epsilon_routing.route reverse
-          lattice.Topo.Multipath_lattice.reverse_routes)
-      ()
-  in
-  Tcp.Connection.start connection ~at:0.;
+  let path = Scenario.eps_path lattice (Sim.Rng.create seed) ~epsilon in
+  let connection = Scenario.connect path ~flow:0 ~at:0. ~sender ~config in
   Sim.Engine.run engine ~until:warmup;
   let at_warmup = Tcp.Connection.received_bytes connection in
   Sim.Engine.run engine ~until:duration;

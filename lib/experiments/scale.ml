@@ -52,8 +52,7 @@ let spawn engine ~seed ~sender ~flows ~duration =
       ~churn:(default_churn ~flows ~duration)
       ~rng:(Sim.Rng.create seed) () )
 
-let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
-    ?(duration = 5.) ~flows () =
+let run ?(seed = 0) ?(sender = Variants.tcp_pr) ?(duration = 5.) ~flows () =
   if flows < 1 then invalid_arg "Scale.run: flows must be >= 1";
   if not (duration > 0.) then
     invalid_arg "Scale.run: duration must be positive";

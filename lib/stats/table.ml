@@ -10,6 +10,24 @@ let add_row t cells =
 let add_float_row t ?(decimals = 3) label values =
   add_row t (label :: List.map (Printf.sprintf "%.*f" decimals) values)
 
+let pivot ~column cells =
+  let keys = List.sort_uniq compare (List.map (fun (_, key, _) -> key) cells) in
+  let rows =
+    List.fold_left
+      (fun acc (row, _, _) -> if List.mem row acc then acc else acc @ [ row ])
+      [] cells
+  in
+  let t = create ~columns:("variant" :: List.map column keys) in
+  let value row key =
+    match List.find_opt (fun (r, k, _) -> r = row && k = key) cells with
+    | Some (_, _, value) -> value
+    | None -> nan
+  in
+  List.iter
+    (fun row -> add_float_row t ~decimals:2 row (List.map (value row) keys))
+    rows;
+  t
+
 let to_string t =
   let rows = List.rev t.rows_rev in
   let all = t.columns :: rows in

@@ -12,6 +12,13 @@ val add_row : t -> string list -> unit
     followed by formatted floats. *)
 val add_float_row : t -> ?decimals:int -> string -> float list -> unit
 
+(** [pivot ~column cells] tabulates [(row, key, value)] cells: one row
+    per distinct [row] label in order of first appearance, one column
+    per distinct [key] in ascending order, headed ["variant"] and then
+    [column key]. Values print with 2 decimals; a missing cell reads
+    [nan]. *)
+val pivot : column:('a -> string) -> (string * 'a * float) list -> t
+
 (** [print t] renders to stdout. *)
 val print : t -> unit
 

@@ -460,8 +460,6 @@ let start t ~at =
       Sender.start t.sender ~now t.buf;
       arm_flush t)
 
-let sender_name t = Sender.name t.sender
-
 let received_segments t = Receiver.in_order_segments t.receiver
 
 let received_bytes t = received_segments t * Config.mss

@@ -23,7 +23,8 @@ type t
     @param on_finish called once, when a bounded transfer completes
     (from within the completing event); used by closed-loop workloads
     to start the flow's successor.
-    @param sender the variant, e.g. [(module Tcp.Sack : Tcp.Sender.S)].
+    @param sender the variant, e.g. [Sack_core.sender Sack_core.create]
+    (plain TCP-SACK); [Experiments.Variants] names all of them.
     @param route_data returns the forward route: node ids after [src],
     ending with [dst].
     @param route_ack returns the reverse route: node ids after [dst],
@@ -65,9 +66,6 @@ val reusable : t -> bool
     beyond a finite socket buffer's. Raises [Invalid_argument] unless
     [reusable t]. *)
 val reuse : t -> flow:int -> config:Config.t -> unit
-
-(** Variant name of the sender. *)
-val sender_name : t -> string
 
 (** Segments delivered in order at the receiver. *)
 val received_segments : t -> int

@@ -320,3 +320,26 @@ let on_rto t ~now buf =
   end
 
 let on_timer t ~now ~key buf = if key = rto_key then on_rto t ~now buf
+
+let sender create : (module Sender.S) =
+  (module struct
+    type nonrec t = t
+
+    let create = create
+
+    let reset = reset
+
+    let start = start
+
+    let on_ack = on_ack
+
+    let on_timer = on_timer
+
+    let cwnd = cwnd
+
+    let acked = acked
+
+    let finished = finished
+
+    let metrics = metrics
+  end)

@@ -5,9 +5,10 @@
     partial-ACK handling, RFC 2988 retransmission timeouts with
     exponential back-off, Karn's rule for RTT sampling, and RFC 3042
     limited transmit of at most two new segments before recovery. The
-    [Tcp.Tahoe], [Tcp.Reno] and [Tcp.Newreno] senders are this engine
-    with one {!recovery_style} each. The time-delayed fast recovery of the
-    paper's Fig. 6 is [Tcp.Td_fr], on the SACK engine. *)
+    catalogue's Tahoe, Reno and NewReno ([Experiments.Variants]) are
+    this engine with one {!recovery_style} each. The time-delayed fast
+    recovery of the paper's Fig. 6 runs on the SACK engine
+    ({!Sack_core.trigger}). *)
 
 (** Reaction to duplicate-ACK loss inference: [Tahoe] retransmits and
     slow-starts from one; [Reno] runs fast recovery but ends it at the
@@ -44,3 +45,7 @@ val in_recovery : t -> bool
 val finished : t -> bool
 
 val metrics : t -> (string * float) list
+
+(** [sender create] packs the engine as a {!Sender.S} that builds its
+    state with [create], e.g. [sender (create ~style:Reno)]. *)
+val sender : (Config.t -> t) -> (module Sender.S)

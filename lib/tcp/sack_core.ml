@@ -804,3 +804,26 @@ let on_timer t ~now ~key buf =
   end
   else if key = td_key then on_td_timer t ~now buf
   else if key = rack_key && t.trigger = Rack then on_rack_timer t ~now buf
+
+let sender create : (module Sender.S) =
+  (module struct
+    type nonrec t = t
+
+    let create = create
+
+    let reset = reset
+
+    let start = start
+
+    let on_ack = on_ack
+
+    let on_timer = on_timer
+
+    let cwnd = cwnd
+
+    let acked = acked
+
+    let finished = finished
+
+    let metrics = metrics
+  end)

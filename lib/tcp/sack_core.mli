@@ -107,3 +107,9 @@ val pipe : t -> int
 val finished : t -> bool
 
 val metrics : t -> (string * float) list
+
+(** [sender create] packs the engine as a {!Sender.S} that builds its
+    state with [create]: a partial application such as
+    [sender (create ~trigger:Rack)], or [sender create] for plain
+    TCP-SACK. *)
+val sender : (Config.t -> t) -> (module Sender.S)

@@ -1,6 +1,4 @@
 module type S = sig
-  val name : string
-
   type t
 
   val create : Config.t -> t
@@ -25,8 +23,6 @@ end
 type packed = Packed : (module S with type t = 'a) * 'a -> packed
 
 let pack (module M : S) config = Packed ((module M), M.create config)
-
-let name (Packed ((module M), _)) = M.name
 
 let reset (Packed ((module M), state)) config = M.reset state config
 

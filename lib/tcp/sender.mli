@@ -12,9 +12,6 @@
     {!Action_buffer.collect} to get the familiar list back. *)
 
 module type S = sig
-  (** Human-readable variant name (appears in experiment tables). *)
-  val name : string
-
   type t
 
   val create : Config.t -> t
@@ -64,8 +61,6 @@ type packed = Packed : (module S with type t = 'a) * 'a -> packed
 
 (** [pack (module M) config] instantiates a variant. *)
 val pack : (module S) -> Config.t -> packed
-
-val name : packed -> string
 
 (** [reset p config] is {!S.reset} on the packed state. *)
 val reset : packed -> Config.t -> unit

@@ -2,7 +2,7 @@ let spawn (lot : Topo.Parking_lot.t) ~flows_per_pair ~first_flow ~config
     ~start_rng ~start_window () =
   let spawn_pair (pair : Topo.Parking_lot.cross_pair) =
     Ftp.spawn lot.Topo.Parking_lot.network
-      ~sender:(module Tcp.Sack : Tcp.Sender.S)
+      ~sender:(Tcp.Sack_core.sender Tcp.Sack_core.create)
       ~label:(Printf.sprintf "cross-%d" pair.Topo.Parking_lot.index)
       ~count:flows_per_pair
       ~first_flow:(first_flow + (pair.Topo.Parking_lot.index * flows_per_pair))

@@ -5,11 +5,7 @@
 
 (* The handlers now write into an {!Tcp.Action_buffer.t} instead of
    returning a list; shadow them with list-returning adapters so the
-   assertions below keep their original shape. The originals stay
-   available under [_sender] aliases for first-class-module use. *)
-module Tahoe_sender = Tcp.Tahoe
-module Reno_sender = Tcp.Reno
-
+   assertions below keep their original shape. *)
 module Tcp = struct
   include Tcp
 
@@ -24,28 +20,17 @@ module Tcp = struct
       Action_buffer.collect (Sack_core.on_timer t ~now ~key)
   end
 
-  module Tahoe = struct
-    include Tahoe
+  module Newreno_core = struct
+    include Newreno_core
 
-    let start t ~now = Action_buffer.collect (Tahoe.start t ~now)
+    let start t ~now = Action_buffer.collect (Newreno_core.start t ~now)
 
-    let on_ack t ~now ack = Action_buffer.collect (Tahoe.on_ack t ~now ack)
-
-    let[@warning "-32"] on_timer t ~now ~key =
-      Action_buffer.collect (Tahoe.on_timer t ~now ~key)
-  end
-
-  module Reno = struct
-    include Reno
-
-    let start t ~now = Action_buffer.collect (Reno.start t ~now)
-
-    let on_ack t ~now ack = Action_buffer.collect (Reno.on_ack t ~now ack)
-
-    let[@warning "-32"] on_timer t ~now ~key =
-      Action_buffer.collect (Reno.on_timer t ~now ~key)
+    let on_ack t ~now ack =
+      Action_buffer.collect (Newreno_core.on_ack t ~now ack)
   end
 end
+
+let sack_sender = snd Experiments.Variants.tcp_sack
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -131,7 +116,7 @@ let test_delack_end_to_end () =
   in
   let c =
     Tcp.Connection.create network ~flow:0 ~src:a ~dst:b
-      ~sender:(module Tcp.Sack) ~config
+      ~sender:sack_sender ~config
       ~route_data:(fun () -> [| Net.Node.id b |])
       ~route_ack:(fun () -> [| Net.Node.id a |])
       ()
@@ -163,7 +148,7 @@ let test_delack_timer_flushes () =
   let config = { delack_config with Tcp.Config.total_segments = Some 1 } in
   let c =
     Tcp.Connection.create network ~flow:0 ~src:a ~dst:b
-      ~sender:(module Tcp.Sack) ~config
+      ~sender:sack_sender ~config
       ~route_data:(fun () -> [| Net.Node.id b |])
       ~route_ack:(fun () -> [| Net.Node.id a |])
       ()
@@ -260,7 +245,7 @@ let test_red_with_tcp () =
   let config = { Tcp.Config.default with Tcp.Config.total_segments = Some 2000 } in
   let c =
     Tcp.Connection.create network ~flow:0 ~src:a ~dst:b
-      ~sender:(module Tcp.Sack) ~config
+      ~sender:sack_sender ~config
       ~route_data:(fun () -> [| Net.Node.id b |])
       ~route_ack:(fun () -> [| Net.Node.id a |])
       ()
@@ -461,11 +446,11 @@ let test_door_no_freeze_without_ooo () =
 let test_door_completes_under_multipath () =
   let mbps =
     Experiments.Runner.multipath_throughput ~seed:9 ~duration:20. ~epsilon:0.
-      ~sender:(module Tcp.Tcp_door) ()
+      ~sender:(snd Experiments.Variants.tcp_door) ()
   in
   let sack =
     Experiments.Runner.multipath_throughput ~seed:9 ~duration:20. ~epsilon:0.
-      ~sender:(module Tcp.Sack) ()
+      ~sender:sack_sender ()
   in
   Alcotest.(check bool)
     (Printf.sprintf "DOOR beats SACK under reordering (%.1f vs %.1f)" mbps sack)
@@ -503,7 +488,7 @@ let probe_connection () =
        ~delay_s:0.01 ~capacity:50 ());
   let c =
     Tcp.Connection.create network ~flow:0 ~src:a ~dst:b
-      ~sender:(module Tcp.Sack) ~config:Tcp.Config.default
+      ~sender:sack_sender ~config:Tcp.Config.default
       ~route_data:(fun () -> [| Net.Node.id b |])
       ~route_ack:(fun () -> [| Net.Node.id a |])
       ()
@@ -557,7 +542,7 @@ let test_route_flap_pr_clean () =
 
 let test_route_flap_sack_spurious () =
   let r =
-    Experiments.Route_flap.run ~duration:20. ~sender:(module Tcp.Sack) ()
+    Experiments.Route_flap.run ~duration:20. ~sender:sack_sender ()
   in
   Alcotest.(check bool) "sack retransmits spuriously" true
     (r.Experiments.Runner.spurious_duplicates > 0)
@@ -569,29 +554,33 @@ let test_route_flap_sack_spurious () =
 
 let test_tahoe_slow_starts_on_fast_retransmit () =
   let config = { Tcp.Config.default with Tcp.Config.initial_cwnd = 8. } in
-  let t = Tcp.Tahoe.create config in
-  ignore (Tcp.Tahoe.start t ~now:0.);
+  let t = Tcp.Newreno_core.create ~style:Tahoe config in
+  ignore (Tcp.Newreno_core.start t ~now:0.);
   let dup for_seq = ack ~next:0 ~for_seq () in
-  ignore (Tcp.Tahoe.on_ack t ~now:0.1 (dup 1));
-  ignore (Tcp.Tahoe.on_ack t ~now:0.11 (dup 2));
-  let a = Tcp.Tahoe.on_ack t ~now:0.12 (dup 3) in
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.1 (dup 1));
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.11 (dup 2));
+  let a = Tcp.Newreno_core.on_ack t ~now:0.12 (dup 3) in
   Alcotest.(check (list int)) "retransmits" [ 0 ] (retransmissions a);
-  Alcotest.(check (float 1e-9)) "window collapses to one" 1. (Tcp.Tahoe.cwnd t)
+  Alcotest.(check (float 1e-9)) "window collapses to one" 1.
+    (Tcp.Newreno_core.cwnd t)
 
 let test_reno_exits_recovery_on_partial_ack () =
   let config = { Tcp.Config.default with Tcp.Config.initial_cwnd = 8. } in
-  let t = Tcp.Reno.create config in
-  ignore (Tcp.Reno.start t ~now:0.);
+  let t = Tcp.Newreno_core.create ~style:Reno config in
+  ignore (Tcp.Newreno_core.start t ~now:0.);
   let dup for_seq = ack ~next:0 ~for_seq () in
-  ignore (Tcp.Reno.on_ack t ~now:0.1 (dup 1));
-  ignore (Tcp.Reno.on_ack t ~now:0.11 (dup 2));
-  ignore (Tcp.Reno.on_ack t ~now:0.12 (dup 4));
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.1 (dup 1));
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.11 (dup 2));
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.12 (dup 4));
   (* Partial acknowledgement: classic Reno ends recovery without
      retransmitting the next hole. *)
-  let partial = Tcp.Reno.on_ack t ~now:0.2 (ack ~next:3 ~for_seq:0 ()) in
+  let partial =
+    Tcp.Newreno_core.on_ack t ~now:0.2 (ack ~next:3 ~for_seq:0 ())
+  in
   Alcotest.(check (list int)) "no hole retransmission" []
     (retransmissions partial);
-  Alcotest.(check (float 1e-9)) "deflated to ssthresh" 4. (Tcp.Reno.cwnd t)
+  Alcotest.(check (float 1e-9)) "deflated to ssthresh" 4.
+    (Tcp.Newreno_core.cwnd t)
 
 let test_tahoe_reno_complete_end_to_end () =
   let run (module M : Tcp.Sender.S) =
@@ -622,8 +611,10 @@ let test_tahoe_reno_complete_end_to_end () =
     Sim.Engine.run engine ~until:300.;
     Tcp.Connection.finished c
   in
-  Alcotest.(check bool) "tahoe finishes" true (run (module Tahoe_sender));
-  Alcotest.(check bool) "reno finishes" true (run (module Reno_sender))
+  Alcotest.(check bool) "tahoe finishes" true
+    (run (snd Experiments.Variants.tahoe));
+  Alcotest.(check bool) "reno finishes" true
+    (run (snd Experiments.Variants.reno))
 
 (* ------------------------------------------------------------------ *)
 (* Link jitter                                                         *)

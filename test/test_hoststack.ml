@@ -203,9 +203,7 @@ let test_spurious_retransmit_differential () =
         Alcotest.failf "%s: expected spurious fast retransmits under \
                         persistent reordering, got none"
           name)
-    [ ("NewReno", (module Tcp.Newreno : Tcp.Sender.S));
-      Experiments.Variants.tcp_sack;
-      ("TD-FR", (module Tcp.Td_fr : Tcp.Sender.S)) ]
+    Experiments.Variants.[ newreno; tcp_sack; td_fr ]
 
 (* --- oracle sweep with the layer forced on -------------------------- *)
 
@@ -244,8 +242,7 @@ let () =
                [ Experiments.Variants.tcp_pr; Experiments.Variants.tcp_sack ]);
           Alcotest.test_case "unbounded equivalence (lattice)" `Quick
             (test_unbounded_equivalence Fig6
-               [ Experiments.Variants.tcp_pr;
-                 ("TD-FR", (module Tcp.Td_fr : Tcp.Sender.S)) ]);
+               [ Experiments.Variants.tcp_pr; Experiments.Variants.td_fr ]);
           Alcotest.test_case "coalescing burst=1 identity" `Quick
             test_coalescing_burst1_identity;
           Alcotest.test_case "coalescing timer=0 identity" `Quick

@@ -2,15 +2,11 @@
    real simulated network — clean paths, lossy paths, reordering paths —
    plus small versions of the paper's experiments. *)
 
-let variants : (string * (module Tcp.Sender.S)) list =
-  [ ("TCP-PR", (module Core.Tcp_pr));
-    ("TCP-SACK", (module Tcp.Sack));
-    ("NewReno", (module Tcp.Newreno));
-    ("TD-FR", (module Tcp.Td_fr));
-    ("DSACK-NM", (module Tcp.Dsack_nm));
-    ("Inc by 1", (module Tcp.Inc_by_1));
-    ("Inc by N", (module Tcp.Inc_by_n));
-    ("EWMA", (module Tcp.Dupthresh_ewma)) ]
+let variants =
+  Experiments.Variants.
+    [ tcp_pr; tcp_sack; newreno; td_fr; dsack_nm; inc_by_1; inc_by_n; ewma ]
+
+let sack_sender = snd Experiments.Variants.tcp_sack
 
 (* A single duplex path with optional loss injection on the data
    direction. *)
@@ -138,26 +134,21 @@ let test_tcp_pr_no_spurious_under_reordering () =
 let test_sack_spurious_under_reordering () =
   (* And the contrast: plain SACK retransmits spuriously in the same
      conditions (every such retransmission arrives as a duplicate). *)
-  let c = run_reordering ~total:400 (module Tcp.Sack) in
+  let c = run_reordering ~total:400 sack_sender in
   Alcotest.(check bool) "sack does retransmit" true
     (Tcp.Connection.receiver_duplicates c > 0)
 
 let test_fairness_small () =
   let result =
     Experiments.Runner.dumbbell_fairness ~seed:3 ~warmup:10. ~window:20.
-      ~specs:
-        [ { Experiments.Runner.label = "TCP-PR";
-            sender = (module Core.Tcp_pr);
-            count = 2 };
-          { Experiments.Runner.label = "TCP-SACK";
-            sender = (module Tcp.Sack);
-            count = 2 } ]
+      ~specs:(Experiments.Fig2_fairness.fairness_specs ~flows_per_protocol:2)
       ()
   in
   let all = Experiments.Runner.all_throughputs result in
+  let label = fst Experiments.Variants.tcp_pr in
   let pr =
     Stats.Fairness.mean_normalized
-      ~group:(Experiments.Runner.group result ~label:"TCP-PR")
+      ~group:(Experiments.Runner.group result ~label)
       ~all
   in
   Alcotest.(check bool)
@@ -172,9 +163,9 @@ let test_multipath_headline () =
       ~sender ()
   in
   let pr_multi = throughput (module Core.Tcp_pr : Tcp.Sender.S) 0. in
-  let sack_multi = throughput (module Tcp.Sack : Tcp.Sender.S) 0. in
+  let sack_multi = throughput sack_sender 0. in
   let pr_single = throughput (module Core.Tcp_pr : Tcp.Sender.S) 500. in
-  let sack_single = throughput (module Tcp.Sack : Tcp.Sender.S) 500. in
+  let sack_single = throughput sack_sender 500. in
   Alcotest.(check bool)
     (Printf.sprintf "PR multi-path beats single (%.1f vs %.1f)" pr_multi
        pr_single)
@@ -201,7 +192,7 @@ let test_multipath_ordering_stable_across_seeds () =
           ~sender ()
       in
       let pr = tp (module Core.Tcp_pr : Tcp.Sender.S) in
-      let sack = tp (module Tcp.Sack : Tcp.Sender.S) in
+      let sack = tp sack_sender in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: PR (%.1f) dominates SACK (%.1f)" seed pr sack)
         true
@@ -257,7 +248,7 @@ let test_ftp_snapshot_throughput () =
   let rng = Sim.Rng.create 13 in
   let flows =
     Workload.Ftp.spawn d.Topo.Dumbbell.network
-      ~sender:(module Tcp.Sack : Tcp.Sender.S)
+      ~sender:sack_sender
       ~label:"ftp" ~count:1 ~first_flow:0 ~src:d.Topo.Dumbbell.sources.(0)
       ~dst:d.Topo.Dumbbell.sinks.(0)
       ~route_data:(fun () -> Topo.Dumbbell.route_forward d ~pair:0)

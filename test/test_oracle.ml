@@ -328,11 +328,11 @@ let torture_prop (name, sender_module) =
    must be reported as not finishing. *)
 let test_chaos_detects_starvation () =
   Alcotest.(check bool) "all-loss network never finishes" false
-    (run_torture ~seed:1 ~loss:1.0 ~jitter:0. (module Tcp.Sack))
+    (run_torture ~seed:1 ~loss:1.0 ~jitter:0. (snd Experiments.Variants.tcp_sack))
 
 let test_chaos_clean_network () =
   Alcotest.(check bool) "lossless network finishes" true
-    (run_torture ~seed:1 ~loss:0. ~jitter:0. (module Tcp.Sack))
+    (run_torture ~seed:1 ~loss:0. ~jitter:0. (snd Experiments.Variants.tcp_sack))
 
 (* ------------------------------------------------------------------ *)
 (* Reset equals create                                                 *)
@@ -563,7 +563,7 @@ let test_tcp_pr_backoff_resumes () =
       if not (Check.Oracle.passed report) then report_failure report)
     [ (289, Experiments.Variants.tcp_pr);
       (336, Experiments.Variants.tcp_pr);
-      (843, ("RACK", (module Tcp.Rack : Tcp.Sender.S))) ]
+      (843, Experiments.Variants.rack) ]
 
 (* ------------------------------------------------------------------ *)
 (* Corrupted sender: the oracle must catch it                          *)
@@ -671,6 +671,21 @@ let test_golden_jobs_independent () =
     "digests identical at jobs=1 and jobs=2" (digests ~jobs:1)
     (digests ~jobs:2)
 
+(* EWMA's and DSACK-NM's 80-segment Fig. 6 traces are byte-identical:
+   neither adapts dupthresh before the transfer ends. A 400-segment
+   transfer on the same miniature tells their policies apart, so a
+   swap of the two catalogue entries fails here. *)
+let test_ewma_differs_from_dsack_nm () =
+  List.iter
+    (fun (variant, expected) ->
+      let _, connection =
+        Check.Golden.run ~config:(Experiments.Scenario.bounded_config 400)
+          Fig6 (snd variant)
+      in
+      Alcotest.(check (float 0.)) (fst variant ^ " retransmits") expected
+        (List.assoc "retransmits" (Tcp.Connection.sender_metrics connection)))
+    [ (Experiments.Variants.ewma, 26.); (Experiments.Variants.dsack_nm, 13.) ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -729,4 +744,6 @@ let () =
         [ Alcotest.test_case "traces match stored digests" `Quick
             test_golden_traces;
           Alcotest.test_case "digests independent of jobs" `Quick
-            test_golden_jobs_independent ] ) ]
+            test_golden_jobs_independent;
+          Alcotest.test_case "EWMA differs from DSACK-NM" `Quick
+            test_ewma_differs_from_dsack_nm ] ) ]

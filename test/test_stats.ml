@@ -182,6 +182,14 @@ let test_table_csv () =
     "a,b\nplain,\"with,comma\"\n\"quo\"\"te\",x\n"
     (Stats.Table.to_csv table)
 
+let test_table_pivot () =
+  let table =
+    Stats.Table.pivot ~column:(Printf.sprintf "k=%g")
+      [ ("b", 2., 1.); ("a", 1., 2.5); ("b", 1., 3.) ]
+  in
+  Alcotest.(check string) "rows in first appearance, keys sorted, gaps nan"
+    "variant,k=1,k=2\nb,3.00,1.00\na,2.50,nan\n" (Stats.Table.to_csv table)
+
 let test_table_rejects_ragged_rows () =
   let table = Stats.Table.create ~columns:[ "a"; "b" ] in
   Alcotest.check_raises "ragged" (Invalid_argument "Table.add_row: wrong cell count")
@@ -216,5 +224,6 @@ let () =
       ( "table",
         [ Alcotest.test_case "renders" `Quick test_table_renders;
           Alcotest.test_case "csv" `Quick test_table_csv;
+          Alcotest.test_case "pivot" `Quick test_table_pivot;
           Alcotest.test_case "ragged rejected" `Quick
             test_table_rejects_ragged_rows ] ) ]

@@ -4,34 +4,32 @@
 
 
 (* The handlers now write into an {!Tcp.Action_buffer.t} instead of
-   returning a list; shadow them with list-returning adapters so the
-   assertions below keep their original shape. The originals stay
-   available under [_sender] aliases for first-class-module use. *)
-module Sack_sender = Tcp.Sack
-
+   returning a list; shadow the cores' with list-returning adapters so
+   the assertions below keep their original shape. *)
 module Tcp = struct
   include Tcp
 
-  module Newreno = struct
-    include Newreno
+  module Newreno_core = struct
+    include Newreno_core
 
-    let start t ~now = Action_buffer.collect (Newreno.start t ~now)
+    let start t ~now = Action_buffer.collect (Newreno_core.start t ~now)
 
-    let on_ack t ~now ack = Action_buffer.collect (Newreno.on_ack t ~now ack)
+    let on_ack t ~now ack =
+      Action_buffer.collect (Newreno_core.on_ack t ~now ack)
 
     let on_timer t ~now ~key =
-      Action_buffer.collect (Newreno.on_timer t ~now ~key)
+      Action_buffer.collect (Newreno_core.on_timer t ~now ~key)
   end
 
-  module Sack = struct
-    include Sack
+  module Sack_core = struct
+    include Sack_core
 
-    let start t ~now = Action_buffer.collect (Sack.start t ~now)
+    let start t ~now = Action_buffer.collect (Sack_core.start t ~now)
 
-    let on_ack t ~now ack = Action_buffer.collect (Sack.on_ack t ~now ack)
+    let on_ack t ~now ack = Action_buffer.collect (Sack_core.on_ack t ~now ack)
 
     let on_timer t ~now ~key =
-      Action_buffer.collect (Sack.on_timer t ~now ~key)
+      Action_buffer.collect (Sack_core.on_timer t ~now ~key)
   end
 end
 
@@ -378,10 +376,10 @@ let test_rto_sample_on_fresh_ack () =
   let config =
     { Tcp.Config.default with Tcp.Config.total_segments = Some 8 }
   in
-  let t = Tcp.Sack.create config in
-  ignore (Tcp.Sack.start t ~now:0.);
-  ignore (Tcp.Sack.on_ack t ~now:0.37 (ack ~next:1 ~for_seq:0 ()));
-  check_float "sampled" 0.37 (List.assoc "srtt" (Tcp.Sack.metrics t))
+  let t = Tcp.Sack_core.create config in
+  ignore (Tcp.Sack_core.start t ~now:0.);
+  ignore (Tcp.Sack_core.on_ack t ~now:0.37 (ack ~next:1 ~for_seq:0 ()));
+  check_float "sampled" 0.37 (List.assoc "srtt" (Tcp.Sack_core.metrics t))
 
 let test_rto_karn_invalidation () =
   (* Sender-level Karn: once a segment has been retransmitted, the ACK
@@ -391,13 +389,13 @@ let test_rto_karn_invalidation () =
       Tcp.Config.total_segments = Some 8;
       initial_rto = 1. }
   in
-  let t = Tcp.Sack.create config in
-  ignore (Tcp.Sack.start t ~now:0.);
+  let t = Tcp.Sack_core.create config in
+  ignore (Tcp.Sack_core.start t ~now:0.);
   (* RTO fires: seq 0 is retransmitted. *)
-  ignore (Tcp.Sack.on_timer t ~now:1. ~key:0);
-  ignore (Tcp.Sack.on_ack t ~now:1.4 (ack ~next:1 ~for_seq:0 ()));
+  ignore (Tcp.Sack_core.on_timer t ~now:1. ~key:0);
+  ignore (Tcp.Sack_core.on_ack t ~now:1.4 (ack ~next:1 ~for_seq:0 ()));
   check_float "no sample from retransmitted segment" (-1.)
-    (List.assoc "srtt" (Tcp.Sack.metrics t))
+    (List.assoc "srtt" (Tcp.Sack_core.metrics t))
 
 (* ------------------------------------------------------------------ *)
 (* Receiver                                                            *)
@@ -606,6 +604,8 @@ let two_node_network ?(lossy = false) () =
        ~delay_s:0.01 ~capacity:100 ());
   (engine, network, src, dst)
 
+let sack_sender = snd Experiments.Variants.tcp_sack
+
 let connect ?probe network ~src ~dst ~flow ~sender ~config =
   Tcp.Connection.create ?probe network ~flow ~src ~dst ~sender ~config
     ~route_data:(fun () -> [| Net.Node.id dst |])
@@ -621,9 +621,7 @@ let test_connection_delack_timer_fires () =
       Tcp.Config.total_segments = Some 1;
       initial_cwnd = 1. }
   in
-  let connection =
-    connect network ~src ~dst ~flow:0 ~sender:(module Sack_sender) ~config
-  in
+  let connection = connect network ~src ~dst ~flow:0 ~sender:sack_sender ~config in
   Tcp.Connection.start connection ~at:0.;
   Sim.Engine.run engine ~until:5.;
   Alcotest.(check bool) "transfer completes" true
@@ -651,9 +649,7 @@ let test_reuse_refuses_pending () =
       rcv_buf_segments = Some 64;
       rcv_app_rate = Some 40. }
   in
-  let c =
-    connect network ~src ~dst ~flow:0 ~sender:(module Sack_sender) ~config
-  in
+  let c = connect network ~src ~dst ~flow:0 ~sender:sack_sender ~config in
   let reuse () = Tcp.Connection.reuse c ~flow:1 ~config in
   Alcotest.(check bool) "unstarted refused" true (raises_invalid reuse);
   Tcp.Connection.start c ~at:0.;
@@ -755,97 +751,101 @@ let newreno ?(total = None) ?(cwnd = 1.) () =
       Tcp.Config.total_segments = total;
       initial_cwnd = cwnd }
   in
-  Tcp.Newreno.create config
+  Tcp.Newreno_core.create ~style:Newreno config
 
 let test_newreno_start () =
   let t = newreno ~cwnd:2. () in
-  let actions = Tcp.Newreno.start t ~now:0. in
+  let actions = Tcp.Newreno_core.start t ~now:0. in
   Alcotest.(check (list int)) "initial window" [ 0; 1 ] (new_sends actions);
   Alcotest.(check (list int)) "rto armed" [ 0 ] (timer_keys actions)
 
 let test_newreno_slow_start_growth () =
   let t = newreno () in
-  ignore (Tcp.Newreno.start t ~now:0.);
-  ignore (Tcp.Newreno.on_ack t ~now:0.1 (ack ~next:1 ~for_seq:0 ()));
-  check_float "cwnd 2 after 1 ack" 2. (Tcp.Newreno.cwnd t);
-  ignore (Tcp.Newreno.on_ack t ~now:0.2 (ack ~next:2 ~for_seq:1 ()));
-  check_float "cwnd 3" 3. (Tcp.Newreno.cwnd t);
-  Alcotest.(check int) "acked" 2 (Tcp.Newreno.acked t)
+  ignore (Tcp.Newreno_core.start t ~now:0.);
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.1 (ack ~next:1 ~for_seq:0 ()));
+  check_float "cwnd 2 after 1 ack" 2. (Tcp.Newreno_core.cwnd t);
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.2 (ack ~next:2 ~for_seq:1 ()));
+  check_float "cwnd 3" 3. (Tcp.Newreno_core.cwnd t);
+  Alcotest.(check int) "acked" 2 (Tcp.Newreno_core.acked t)
 
 let test_newreno_fast_retransmit_at_dupthresh () =
   let t = newreno ~cwnd:8. () in
-  ignore (Tcp.Newreno.start t ~now:0.);
-  ignore (Tcp.Newreno.on_ack t ~now:0.1 (ack ~next:1 ~for_seq:0 ()));
+  ignore (Tcp.Newreno_core.start t ~now:0.);
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.1 (ack ~next:1 ~for_seq:0 ()));
   (* Three duplicate ACKs for next = 1 (packet 1 lost). *)
   let dup for_seq = ack ~next:1 ~for_seq () in
-  let a1 = Tcp.Newreno.on_ack t ~now:0.11 (dup 2) in
+  let a1 = Tcp.Newreno_core.on_ack t ~now:0.11 (dup 2) in
   Alcotest.(check (list int)) "no retx on 1st dup" [] (retransmissions a1);
-  let a2 = Tcp.Newreno.on_ack t ~now:0.12 (dup 3) in
+  let a2 = Tcp.Newreno_core.on_ack t ~now:0.12 (dup 3) in
   Alcotest.(check (list int)) "no retx on 2nd dup" [] (retransmissions a2);
-  let a3 = Tcp.Newreno.on_ack t ~now:0.13 (dup 4) in
+  let a3 = Tcp.Newreno_core.on_ack t ~now:0.13 (dup 4) in
   Alcotest.(check (list int)) "retransmits hole" [ 1 ] (retransmissions a3)
 
 let test_newreno_limited_transmit () =
   let t = newreno ~cwnd:4. () in
-  ignore (Tcp.Newreno.start t ~now:0.);
+  ignore (Tcp.Newreno_core.start t ~now:0.);
   (* First two dupacks each allow one new segment beyond cwnd. *)
-  let a1 = Tcp.Newreno.on_ack t ~now:0.1 (ack ~next:0 ~for_seq:1 ()) in
+  let a1 = Tcp.Newreno_core.on_ack t ~now:0.1 (ack ~next:0 ~for_seq:1 ()) in
   Alcotest.(check (list int)) "one new on 1st dup" [ 4 ] (new_sends a1);
-  let a2 = Tcp.Newreno.on_ack t ~now:0.11 (ack ~next:0 ~for_seq:2 ()) in
+  let a2 = Tcp.Newreno_core.on_ack t ~now:0.11 (ack ~next:0 ~for_seq:2 ()) in
   Alcotest.(check (list int)) "one new on 2nd dup" [ 5 ] (new_sends a2)
 
 let test_newreno_partial_ack_retransmits () =
   let t = newreno ~cwnd:8. () in
-  ignore (Tcp.Newreno.start t ~now:0.);
+  ignore (Tcp.Newreno_core.start t ~now:0.);
   (* Lose packets 0 and 3: dupacks for next = 0. *)
   let dup for_seq = ack ~next:0 ~for_seq () in
-  ignore (Tcp.Newreno.on_ack t ~now:0.1 (dup 1));
-  ignore (Tcp.Newreno.on_ack t ~now:0.11 (dup 2));
-  let fr = Tcp.Newreno.on_ack t ~now:0.12 (dup 4) in
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.1 (dup 1));
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.11 (dup 2));
+  let fr = Tcp.Newreno_core.on_ack t ~now:0.12 (dup 4) in
   Alcotest.(check (list int)) "fast retransmit 0" [ 0 ] (retransmissions fr);
   (* Retransmission of 0 arrives; cumulative moves to 3 (3 still lost):
      partial ack must retransmit 3 without leaving recovery. *)
-  let partial = Tcp.Newreno.on_ack t ~now:0.2 (ack ~next:3 ~for_seq:0 ()) in
+  let partial =
+    Tcp.Newreno_core.on_ack t ~now:0.2 (ack ~next:3 ~for_seq:0 ())
+  in
   Alcotest.(check (list int)) "retransmits next hole" [ 3 ]
     (retransmissions partial)
 
 let test_newreno_full_ack_deflates () =
   let t = newreno ~cwnd:8. () in
-  ignore (Tcp.Newreno.start t ~now:0.);
+  ignore (Tcp.Newreno_core.start t ~now:0.);
   let dup for_seq = ack ~next:0 ~for_seq () in
-  ignore (Tcp.Newreno.on_ack t ~now:0.1 (dup 1));
-  ignore (Tcp.Newreno.on_ack t ~now:0.11 (dup 2));
-  ignore (Tcp.Newreno.on_ack t ~now:0.12 (dup 3));
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.1 (dup 1));
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.11 (dup 2));
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.12 (dup 3));
   (* Full ACK covering everything sent (limited transmit pushed
      snd_next to 10): recovery exits, cwnd returns to
      ssthresh = min(flight, cwnd)/2 = 4. *)
-  ignore (Tcp.Newreno.on_ack t ~now:0.2 (ack ~next:10 ~for_seq:0 ()));
-  check_float "deflated to ssthresh" 4. (Tcp.Newreno.cwnd t)
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.2 (ack ~next:10 ~for_seq:0 ()));
+  check_float "deflated to ssthresh" 4. (Tcp.Newreno_core.cwnd t)
 
 let test_newreno_rto_collapses () =
   let t = newreno ~cwnd:8. () in
-  ignore (Tcp.Newreno.start t ~now:0.);
-  let actions = Tcp.Newreno.on_timer t ~now:3. ~key:0 in
-  check_float "cwnd 1" 1. (Tcp.Newreno.cwnd t);
+  ignore (Tcp.Newreno_core.start t ~now:0.);
+  let actions = Tcp.Newreno_core.on_timer t ~now:3. ~key:0 in
+  check_float "cwnd 1" 1. (Tcp.Newreno_core.cwnd t);
   Alcotest.(check (list int)) "retransmits first unacked" [ 0 ]
     (retransmissions actions);
   Alcotest.(check (list int)) "timer re-armed" [ 0 ] (timer_keys actions)
 
 let test_newreno_finishes () =
   let t = newreno ~total:(Some 3) ~cwnd:4. () in
-  let start = Tcp.Newreno.start t ~now:0. in
+  let start = Tcp.Newreno_core.start t ~now:0. in
   Alcotest.(check (list int)) "only 3 to send" [ 0; 1; 2 ] (new_sends start);
-  Alcotest.(check bool) "not finished" false (Tcp.Newreno.finished t);
-  ignore (Tcp.Newreno.on_ack t ~now:0.1 (ack ~next:3 ~for_seq:2 ()));
-  Alcotest.(check bool) "finished" true (Tcp.Newreno.finished t)
+  Alcotest.(check bool) "not finished" false (Tcp.Newreno_core.finished t);
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.1 (ack ~next:3 ~for_seq:2 ()));
+  Alcotest.(check bool) "finished" true (Tcp.Newreno_core.finished t)
 
 let test_newreno_stale_ack_ignored () =
   let t = newreno ~cwnd:4. () in
-  ignore (Tcp.Newreno.start t ~now:0.);
-  ignore (Tcp.Newreno.on_ack t ~now:0.1 (ack ~next:2 ~for_seq:1 ()));
-  let actions = Tcp.Newreno.on_ack t ~now:0.2 (ack ~next:1 ~for_seq:0 ()) in
+  ignore (Tcp.Newreno_core.start t ~now:0.);
+  ignore (Tcp.Newreno_core.on_ack t ~now:0.1 (ack ~next:2 ~for_seq:1 ()));
+  let actions =
+    Tcp.Newreno_core.on_ack t ~now:0.2 (ack ~next:1 ~for_seq:0 ())
+  in
   Alcotest.(check int) "no reaction to stale ack" 0 (List.length actions);
-  Alcotest.(check int) "snd_una unchanged" 2 (Tcp.Newreno.acked t)
+  Alcotest.(check int) "snd_una unchanged" 2 (Tcp.Newreno_core.acked t)
 
 let () =
   Alcotest.run "tcp"

@@ -17,6 +17,10 @@
 #   flaps.txt jitter.txt manet.txt hoststack.txt adversary.txt
 #                         the scenario at --quick --jobs 2
 #   alloc.txt             bench/main.exe alloc, wall-clock column removed
+#   bench.txt             the fingerprint and check lines of
+#                         bench/e2e/run.exe --one for fig6-lattice and
+#                         fig2-dumbbell at seeds 1 and 7, and churn-1k
+#                         and churn-10k at seed 0
 #
 # Every file is byte-identical across runs of one revision on one
 # compiler, so a change that must not move simulated behaviour is
@@ -28,8 +32,8 @@
 #
 # The script writes nothing but DIR's files (and dune's _build). Exit
 # status: 0 when every command succeeded, 1 when one failed (its output
-# is still written), 2 on a usage or build error. About 30 s on two
-# cores.
+# is still written), 2 on a usage or build error. About 55 s on two
+# cores, 22 s of it the six bench runs.
 
 set -u
 
@@ -41,7 +45,7 @@ mkdir -p "$1" || exit 2
 out=$(cd "$1" && pwd)
 repo=$(cd "$(dirname "$0")/.." && pwd)
 cd "$repo" || exit 2
-if ! dune build bin/tcp_pr_sim.exe bench/main.exe; then
+if ! dune build bin/tcp_pr_sim.exe bench/main.exe bench/e2e/run.exe; then
   echo "fingerprint: build failed" >&2
   exit 2
 fi
@@ -74,4 +78,20 @@ if ! alloc=$(./_build/default/bench/main.exe alloc); then
 fi
 printf '%s\n' "$alloc" | sed -E 's/^(  [^ ]+ +)[0-9.]+ s  /\1/' \
   > "$out/alloc.txt"
+# Of a --one run's key=value lines only the fingerprint and the check
+# are deterministic; the rest are timings. An untraced run writes no
+# file, and --out keeps anything it might write inside DIR.
+: > "$out/bench.txt"
+for run in fig6-lattice:1 fig6-lattice:7 fig2-dumbbell:1 fig2-dumbbell:7 \
+  churn-1k:0 churn-10k:0; do
+  workload=${run%:*}
+  seed=${run#*:}
+  if ! lines=$(./_build/default/bench/e2e/run.exe --one "$workload" \
+    --seed "$seed" --out "$out"); then
+    echo "fingerprint: 'run.exe --one $workload --seed $seed' failed" >&2
+    status=1
+  fi
+  printf '%s\n' "$lines" | grep -E '^(fingerprint|check)=' \
+    | sed "s/^/$workload seed $seed /" >> "$out/bench.txt"
+done
 exit $status
